@@ -23,10 +23,10 @@ from repro.build.registries import (
     load_plugins,
 )
 from repro.build.spec import ScenarioSpec, TopologySpec
-from repro.obs.spans import active_recorder, arm_spans
-from repro.perf.probe import active_probe, arm_scenario
 from repro.metrics import SliceGoodputCollector
+from repro.net.link import Link
 from repro.net.topology import rtt_buffer_pkts
+from repro.sim.observe import AMBIENT
 from repro.sim.simulator import Simulator
 
 
@@ -138,6 +138,22 @@ class BuiltScenario:
             return self.topology.underlay
         return self.topology.forward
 
+    def links(self) -> List[Link]:
+        """Every link of the topology, once each: the named attributes
+        the shipped topologies use, the entry links flows inject into,
+        and each one's ``next_link`` chain (the testbed's ``lan`` hop
+        is reachable only as ``data_entry``).  This is the one list all
+        observer families arm from."""
+        found: List[Link] = []
+        for attr in ("forward", "reverse", "underlay", "underlay_reverse",
+                     "data_entry", "ack_entry"):
+            link = getattr(self.topology, attr, None)
+            # A chain may end in a non-link hop (the overlay's tunnel).
+            while isinstance(link, Link) and link not in found:
+                found.append(link)
+                link = link.next_link
+        return found
+
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation to *until* (default: the spec duration)."""
         self.sim.run(until=self.spec.duration if until is None else until)
@@ -231,18 +247,10 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
         group = WORKLOADS.create(workload.kind, context, **workload.params)
         built.groups.append(group)
         flows_spawned += len(group.flows)
-    probe = active_probe()
-    if probe is not None:
-        # Ambient profiling (``with repro.perf.profiled():``): arm the
-        # active probe across everything just built.  Probes only read
-        # the wall clock, so the simulated run stays bit-identical.
-        arm_scenario(probe, built)
-    recorder = active_recorder()
-    if recorder is not None:
-        # Ambient span tracing (``with repro.obs.spans.recording():``):
-        # arm the flight recorder the same way.  Recorders only append
-        # to their own span list, so the run stays bit-identical.
-        arm_spans(recorder, built)
+    # Ambient observers (``profiled()``, ``recording()``) arm everything
+    # just built.  Observers are passive, so the run stays bit-identical.
+    for observer in AMBIENT:
+        observer.arm(built)
     return built
 
 

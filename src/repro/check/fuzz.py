@@ -157,9 +157,10 @@ def _probe_parity(spec: ScenarioSpec, unarmed) -> List[Violation]:
     bit-for-bit against the finished *unarmed* run."""
     from repro.fluid.probe import FluidProbe, fluid_results_differ
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.observe import subscribe
 
     armed = build_simulation(spec)
-    armed.model.probe = FluidProbe(MetricsRegistry())
+    subscribe(armed.model, FluidProbe(MetricsRegistry()))
     armed.run()
     differing = fluid_results_differ(unarmed.result, armed.result)
     if differing:

@@ -3,11 +3,11 @@ protocol-legality guarantees.
 
 Every monitor is a *passive observer*: it attaches through the hooks the
 components already expose (link taps, queue drop observers, the
-``Simulator.monitor`` slot, instance-level wrapping of ``receive``) and
-never schedules events, draws randomness, or mutates component state —
-so an armed run pops exactly the same events in exactly the same order
-as an unarmed one, and a run without monitors executes the
-pre-instrumentation code path untouched.
+simulator's ``event`` subscription, instance-level wrapping of
+``receive``) and never schedules events, draws randomness, or mutates
+component state — so an armed run pops exactly the same events in
+exactly the same order as an unarmed one, and a run without monitors
+executes the pre-instrumentation code path untouched.
 
 The invariants, stated as the conservation equations each monitor
 checks (see ``docs/invariants.md`` for the full catalogue):

@@ -3,8 +3,9 @@
 :func:`attach_monitors` takes the :class:`~repro.build.harness.BuiltScenario`
 that ``build_simulation`` returns, instantiates every applicable monitor
 from :mod:`repro.check.monitors`, and wires them into the run through
-the passive hooks only — ``sim.monitor``, link taps, queue drop
-observers, and instance-level wrapping of each sender's ``receive``.
+the passive hooks only — the simulator's ``event`` subscription
+(:mod:`repro.sim.observe`), link taps, queue drop observers, and
+instance-level wrapping of each sender's ``receive``.
 The armed run therefore pops the same events in the same order as an
 unarmed one; only Python-level observation is added.
 
@@ -19,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.check.monitors import (
     ClockMonitor,
@@ -30,13 +31,10 @@ from repro.check.monitors import (
     TcpLegalityMonitor,
     Violation,
 )
-
-#: Attribute names under which topologies expose their links (the
-#: dumbbell's forward/reverse pair, the overlay's underlay hop).
-LINK_ATTRS = ("forward", "reverse", "underlay")
+from repro.sim.observe import Observer, subscribe, unsubscribe
 
 
-class MonitorSuite:
+class MonitorSuite(Observer):
     """All monitors armed on one simulation, plus the fan-out glue."""
 
     def __init__(self, sim, monitors: List[Monitor]) -> None:
@@ -47,10 +45,10 @@ class MonitorSuite:
             if type(m).on_event is not Monitor.on_event
         ]
         self._finalized = False
-        sim.monitor = self
+        subscribe(sim, self)
 
-    # -- Simulator.monitor interface ------------------------------------
-    def on_event(self, event, now: float) -> None:
+    # -- the simulator's per-event subscription -------------------------
+    def event(self, sim, event, now: float) -> None:
         for monitor in self._event_monitors:
             monitor.on_event(event, now)
 
@@ -66,8 +64,7 @@ class MonitorSuite:
     def detach(self) -> None:
         """Unhook the per-event fan-out (taps cannot be removed, but they
         are inert once the simulation stops)."""
-        if self.sim.monitor is self:
-            self.sim.monitor = None
+        unsubscribe(self.sim, self)
 
     # -- results --------------------------------------------------------
     @property
@@ -82,15 +79,6 @@ class MonitorSuite:
             if monitor.name == name:
                 return monitor
         raise KeyError(name)
-
-
-def _is_link(obj: Any) -> bool:
-    return (
-        obj is not None
-        and hasattr(obj, "add_tap")
-        and hasattr(obj, "add_transmit_tap")
-        and hasattr(obj, "queue")
-    )
 
 
 def attach_monitors(
@@ -117,17 +105,12 @@ def attach_monitors(
     monitors: List[Monitor] = []
     if clock:
         monitors.append(ClockMonitor(mode))
-    seen_links = []
-    for attr in LINK_ATTRS:
-        link = getattr(built.topology, attr, None)
-        while _is_link(link) and link not in seen_links:
-            seen_links.append(link)
-            link = link.next_link
+    links = built.links()
     if conservation:
-        for link in seen_links:
+        for link in links:
             monitors.append(LinkConservationMonitor(link, label=link.name, mode=mode))
     if occupancy:
-        for link in seen_links:
+        for link in links:
             monitors.append(
                 QueueOccupancyMonitor(link.queue, label=link.name, mode=mode)
             )

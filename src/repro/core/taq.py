@@ -70,7 +70,7 @@ class TAQQueue(QueueDiscipline):
 
     __slots__ = ("tracker", "fairshare", "scheduler", "admission",
                  "classify_fair_share", "silence_priority",
-                 "admission_refusals", "probe")
+                 "admission_refusals")
 
     def __init__(
         self,
@@ -98,10 +98,6 @@ class TAQQueue(QueueDiscipline):
         self.classify_fair_share = classify_fair_share
         self.silence_priority = silence_priority
         self.admission_refusals = 0
-        #: Optional telemetry probe (``repro.obs``): an object with
-        #: ``emit(kind, now, flow_id=..., **fields)``.  None (the
-        #: default) keeps the enqueue path free of instrumentation.
-        self.probe = None
 
     @classmethod
     def for_link(
@@ -167,12 +163,8 @@ class TAQQueue(QueueDiscipline):
             and not self.admission.admits(packet.pool_id, now)
         ):
             self.admission_refusals += 1
-            if self.probe is not None:
-                self.probe.emit(
-                    "taq_refused", now, flow_id=packet.flow_id, pool=packet.pool_id
-                )
-            if self.spans is not None:
-                self.spans.on_admission_refused(packet, now)
+            if self.obs is not None:
+                self.obs.refused(self, packet, now)
             self._record_drop(packet, now)
             return False
 
@@ -183,16 +175,8 @@ class TAQQueue(QueueDiscipline):
             self.admission.note_arrival(now)
 
         klass = self._classify(packet, record, is_retransmission, now)
-        if klass == PacketClass.OVER_PENALIZED:
-            if self.probe is not None:
-                self.probe.emit(
-                    "taq_penalty_box",
-                    now,
-                    flow_id=packet.flow_id,
-                    recent_drops=record.recent_drops(),
-                )
-            if self.spans is not None:
-                self.spans.on_penalized(packet, now, record.recent_drops())
+        if klass == PacketClass.OVER_PENALIZED and self.obs is not None:
+            self.obs.penalized(self, packet, now)
         accepted, evicted = self.scheduler.enqueue(
             packet, klass, priority=silence, connection_attempt=packet.kind == SYN
         )
@@ -200,25 +184,13 @@ class TAQQueue(QueueDiscipline):
             # The victim was counted as enqueued when it was accepted;
             # move that unit of "offered load" to the drop column.
             self.enqueued = max(0, self.enqueued - 1)
-            if self.perf is not None:
-                self.perf.count("taq.evictions")
-            if self.probe is not None:
-                self.probe.emit(
-                    "taq_evict",
-                    now,
-                    flow_id=evicted.flow_id,
-                    by_flow=packet.flow_id,
-                    seq=evicted.seq,
-                )
-            if self.spans is not None:
-                self.spans.on_evicted(evicted, packet, now)
+            if self.obs is not None:
+                self.obs.evicted(self, evicted, packet, now)
             self._account_drop(evicted, now)
         if not accepted:
             self._account_drop(packet, now)
             return False
         self.enqueued += 1
-        if self.perf is not None:
-            self.perf.packets_enqueued += 1
         return True
 
     def _account_drop(self, packet: Packet, now: float) -> None:

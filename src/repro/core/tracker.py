@@ -53,7 +53,7 @@ class FlowRecord:
         "cumulative_drops",
         "rate_bps",
         "estimator",
-        "probe",
+        "obs",
     )
 
     def __init__(self, flow_id: int, pool_id: int, now: float, estimator: EpochEstimator) -> None:
@@ -81,9 +81,8 @@ class FlowRecord:
         self.cumulative_drops = 0
         self.rate_bps = 0.0
         self.estimator = estimator
-        #: Optional telemetry probe (``repro.obs``); None keeps epoch
-        #: rollover free of instrumentation.
-        self.probe = None
+        #: The observer slot (:mod:`repro.sim.observe`), from the tracker.
+        self.obs = None
 
     # ------------------------------------------------------------------
     @property
@@ -119,14 +118,8 @@ class FlowRecord:
             )
             prev_state = self.state
             self.state = classify_epoch(self.state, observation)
-            if self.probe is not None and self.state is not prev_state:
-                self.probe.emit(
-                    "flow_state",
-                    self.epoch_start + epoch_len,
-                    flow_id=self.flow_id,
-                    prev=prev_state.value,
-                    next=self.state.value,
-                )
+            if self.obs is not None and self.state is not prev_state:
+                self.obs.flow_state(self, prev_state, self.epoch_start + epoch_len)
             # Rate over the closing epoch (EWMA over epochs).
             epoch_rate = self.bytes_forwarded * 8.0 / epoch_len
             self.rate_bps += 0.5 * (epoch_rate - self.rate_bps)
@@ -158,8 +151,9 @@ class FlowTracker:
         self.idle_timeout = idle_timeout
         self.flows: Dict[int, FlowRecord] = {}
         self._last_gc = 0.0
-        #: Optional telemetry probe, propagated to every FlowRecord.
-        self.probe = None
+        #: The observer slot (:mod:`repro.sim.observe`); the tracker
+        #: emits nothing itself, it hands it to every FlowRecord.
+        self.obs = None
 
     # ------------------------------------------------------------------
     def lookup(self, flow_id: int) -> Optional[FlowRecord]:
@@ -174,7 +168,7 @@ class FlowTracker:
                 now,
                 EpochEstimator(default_epoch=self.default_epoch),
             )
-            record.probe = self.probe
+            record.obs = self.obs
             self.flows[packet.flow_id] = record
         return record
 

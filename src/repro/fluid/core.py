@@ -248,12 +248,10 @@ class FluidModel:
         self.valid = True
         self.violations: List[Violation] = []
         self._suppressed_violations = 0
-        #: Optional step observer (see :class:`repro.fluid.probe.FluidProbe`).
-        #: Defaults to ``None`` — the zero-overhead-when-off convention the
-        #: packet components use: an unarmed run executes byte-for-byte the
-        #: pre-instrumentation code, and an armed probe only *reads* state,
+        #: The observer slot (:mod:`repro.sim.observe`): ``step`` fires
+        #: after each integrator step.  Subscribers only *read* state,
         #: so armed and unarmed integrations are bit-identical.
-        self.probe = None
+        self.obs = None
 
         # Accounting integrals.
         self._offered_pkts = 0.0
@@ -386,8 +384,8 @@ class FluidModel:
         self.time += dt
         self.steps += 1
         self._check_invariants()
-        if self.probe is not None:
-            self.probe.on_step(self, p_queue, rate, clipped)
+        if self.obs is not None:
+            self.obs.step(self, p_queue, rate, clipped)
 
     def run(self, duration: float) -> "FluidResult":
         """Integrate for *duration* seconds and summarize.

@@ -2,12 +2,13 @@
 
 The packet backend has had drop observers, gauges and event traces
 since PR 2; the fluid integrator ran dark.  This module closes the gap
-with the same conventions: :class:`FluidModel` carries a ``probe``
-attribute that defaults to ``None`` (an unarmed run executes the exact
-pre-instrumentation step), and an armed :class:`FluidProbe` only
-*reads* the step's state, so armed and unarmed integrations stay
-bit-identical (asserted per-case by ``taq-check fuzz`` and by the full
-N∈{4,16,64} grid in ``tests/fluid/test_probe.py``).
+through the same seam (:mod:`repro.sim.observe`): :class:`FluidModel`
+carries an ``obs`` slot that defaults to ``None`` (an unarmed run
+executes the exact pre-instrumentation step), and a subscribed
+:class:`FluidProbe` only *reads* the step's state, so armed and unarmed
+integrations stay bit-identical (asserted per-case by ``taq-check
+fuzz`` and by the full N∈{4,16,64} grid in
+``tests/fluid/test_probe.py``).
 
 What an armed run records, into the same
 :class:`~repro.obs.metrics.MetricsRegistry` / bundle machinery as the
@@ -38,13 +39,15 @@ from typing import List
 
 import numpy as np
 
+from repro.sim.observe import Observer, subscribe
+
 __all__ = ["FluidProbe", "instrument_fluid", "fluid_results_differ"]
 
 
-class FluidProbe:
+class FluidProbe(Observer):
     """Step observer for a :class:`~repro.fluid.core.FluidModel`.
 
-    Strictly read-only: ``on_step`` receives the model and the step's
+    Strictly read-only: ``step`` receives the model and the step's
     drop/rate arrays and records copies of scalars — never a view it
     could mutate, never a write back into the model.
     """
@@ -80,8 +83,8 @@ class FluidProbe:
             for cls in model.classes
         ]
 
-    def on_step(self, model, p_queue: np.ndarray, rate: np.ndarray,
-                clipped: bool) -> None:
+    def step(self, model, p_queue: np.ndarray, rate: np.ndarray,
+             clipped: bool) -> None:
         """Record one integrator step (called after the state advanced)."""
         self._steps.inc()
         if clipped:
@@ -126,7 +129,7 @@ def instrument_fluid(telemetry, built_or_model) -> FluidProbe:
     probe = FluidProbe(
         telemetry.registry, sample_stride=stride, trace=telemetry.trace
     )
-    model.probe = probe
+    subscribe(model, probe)
     registry = telemetry.registry
 
     def import_totals() -> None:

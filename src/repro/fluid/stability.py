@@ -435,6 +435,7 @@ def analyze_spec(document) -> StabilityReport:
     from repro.build.spec import BackendSpec
     from repro.fluid.probe import FluidProbe
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.observe import subscribe
 
     spec = (
         document
@@ -445,7 +446,7 @@ def analyze_spec(document) -> StabilityReport:
         spec.backend = BackendSpec(kind="fluid")
     built = build_simulation(spec)
     registry = MetricsRegistry()
-    built.model.probe = FluidProbe(registry)
+    subscribe(built.model, FluidProbe(registry))
     built.run()
     queue = registry.series["fluid.queue_pkts"]
     oscillation = detect_limit_cycle(

@@ -149,15 +149,9 @@ class Link:
         self._free_at = 0.0
         self._wakeup_armed = False
         self.next_link = next_link
-        #: Optional performance probe (``repro.perf``): counts dequeues
-        #: and deliveries on this link.  None (the default) keeps the
-        #: data path uninstrumented.
-        self.perf = None
-        #: Optional span recorder (``repro.obs.spans``): records each
-        #: packet's enqueue / tx-start / delivery lifecycle stages on
-        #: this link.  None (the default) keeps the data path
-        #: uninstrumented.
-        self.spans = None
+        #: The observer slot (:mod:`repro.sim.observe`).  None (the
+        #: default) keeps the data path uninstrumented.
+        self.obs = None
         self._taps: List[Tap] = []
         self._transmit_taps: List[Tap] = []
         self._delivery_taps: List[Tap] = []
@@ -211,8 +205,8 @@ class Link:
         if not self._q_enqueue(packet, now):
             self.stats.dropped += 1
             return False
-        if self.spans is not None:
-            self.spans.on_enqueue(packet, now, self.name)
+        if self.obs is not None:
+            self.obs.enqueued(self, packet, now)
         if self._wakeup_armed:
             return True
         if now < self._free_at:
@@ -233,10 +227,8 @@ class Link:
         if packet is None:
             return
         self.stats.note_queue_delay(now - packet.enqueued_at)
-        if self.perf is not None:
-            self.perf.packets_dequeued += 1
-        if self.spans is not None:
-            self.spans.on_tx_start(packet, now, self.name)
+        if self.obs is not None:
+            self.obs.tx(self, packet, now)
         for tap in self._transmit_taps:
             tap(packet, now)
         tx_time = packet.tx_bits / self.capacity_bps
@@ -263,13 +255,10 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.size
-        if self.perf is not None:
-            self.perf.packets_delivered += 1
         for tap in self._delivery_taps:
             tap(packet, self.sim.now)
-        if self.spans is not None:
-            self.spans.on_delivered(packet, self.sim.now,
-                                    last=self.next_link is None)
+        if self.obs is not None:
+            self.obs.delivered(self, packet, self.sim.now)
         if self.next_link is not None:
             # Chained hop (e.g. LAN ingress feeding the bottleneck).
             self.next_link.send(packet)

@@ -6,10 +6,10 @@ time series, a schema-versioned structured event trace (drops,
 retransmits, RTO firings, TAQ verdicts, flow state transitions), and a
 run manifest recording provenance (seed, parameters, source hash).
 
-Everything is opt-in and zero-overhead when off: components carry
-``probe`` attributes that default to ``None`` and observer hooks that
-default to empty, so an uninstrumented run executes byte-for-byte the
-same simulation.  See ``docs/observability.md``.
+Everything is opt-in and zero-overhead when off: components carry one
+``obs`` slot that defaults to ``None`` (:mod:`repro.sim.observe`) and
+observer hooks that default to empty, so an uninstrumented run executes
+byte-for-byte the same simulation.  See ``docs/observability.md``.
 """
 
 from repro.obs.manifest import (
@@ -57,8 +57,6 @@ from repro.obs.spans import (
     SPANS_SCHEMA_VERSION,
     Span,
     SpanRecorder,
-    active_recorder,
-    arm_spans,
     load_spans,
     recording,
     save_spans,
@@ -103,8 +101,6 @@ __all__ = [
     "ToleranceRule",
     "TRACE_SCHEMA_VERSION",
     "TraceEvent",
-    "active_recorder",
-    "arm_spans",
     "behavior_summary",
     "build_manifest",
     "bundle_openmetrics",

@@ -39,15 +39,14 @@ Span kinds
 ``run``
     One per ``Simulator.run`` call (timeline bounds).
 
-Arming follows the repo's ``probe = None`` slot convention (PRs 2/4/5):
-components carry a ``spans`` attribute defaulting to ``None`` and every
-hook site reads ``if self.spans is not None``, so a disarmed run
-executes exactly the pre-instrumentation code path and stays
-bit-identical.  Arm explicitly with :func:`arm_spans`, or ambiently::
+The recorder is a subscriber of the instrumentation seam
+(:mod:`repro.sim.observe`): a disarmed run executes exactly the
+pre-instrumentation code path and stays bit-identical.  Arm explicitly
+with ``recorder.arm(built)``, or ambiently::
 
     with recording() as recorder:
-        built = build_simulation(spec)   # links/queues/sim armed here
-        built.run()                      # flows arm themselves on spawn
+        built = build_simulation(spec)   # sim/links/queues/senders armed
+        built.run()                      # mid-run flows join via flow_spawned
     save_spans(recorder.spans, handle)
 
 The on-disk format is schema-versioned JSON lines (one span per line,
@@ -58,7 +57,9 @@ unknown kinds/fields, and refuse files newer than they understand.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from typing import Any, ContextManager, Dict, Iterable, List, Optional, TextIO
+
+from repro.sim.observe import Observer, ambient, subscribe
 
 #: Bump when the span layout changes incompatibly.
 SPANS_SCHEMA_VERSION = 1
@@ -72,8 +73,6 @@ __all__ = [
     "SPAN_KINDS",
     "Span",
     "SpanRecorder",
-    "active_recorder",
-    "arm_spans",
     "load_spans",
     "recording",
     "save_spans",
@@ -168,8 +167,8 @@ class Span:
         return f"<Span #{self.id} {self.kind} flow={self.flow_id} {self.t0:.4f}..{end}>"
 
 
-class SpanRecorder:
-    """The flight recorder: builds spans from component hook calls.
+class SpanRecorder(Observer):
+    """The flight recorder: builds spans from the seam's events.
 
     Bounded memory: at most ``limit`` spans are created (``truncated``
     is set past it); stage appends on already-created spans continue,
@@ -188,6 +187,7 @@ class SpanRecorder:
         self.truncated = False
         self.stream = stream
         self._next_id = 0
+        self._run_span: Optional[Span] = None
         self._flow_spans: Dict[int, Span] = {}
         self._pkt_spans: Dict[int, Span] = {}
         #: flow -> time of the flow's last observed packet activity
@@ -247,9 +247,9 @@ class SpanRecorder:
         return span
 
     # ------------------------------------------------------------------
-    # Sender hooks (TCPSender.spans)
+    # TCPSender events
     # ------------------------------------------------------------------
-    def on_packet_sent(self, packet, now: float) -> None:
+    def sent(self, sender, packet, now: float) -> None:
         """A sender put *packet* on the data path (SYN, DATA, FIN)."""
         flow_id = packet.flow_id
         flow = self._flow_span(flow_id, now)
@@ -277,48 +277,52 @@ class SpanRecorder:
         if packet.kind == "syn":
             self._last_syn[flow_id] = span.id
 
-    def on_syn_retry(self, flow_id: int, now: float, attempt: int,
-                     waited: float) -> None:
-        """A SYN went unanswered for *waited* seconds and was re-sent."""
+    def syn_retry(self, sender, now: float) -> None:
+        """The sender's latest SYN went unanswered and is being re-sent."""
+        flow_id = sender.flow_id
         flow = self._flow_span(flow_id, now)
         cause = self._last_syn.get(flow_id, -1)
         refused = False
         if cause != -1:
             prior = self._pkt_spans.get(cause)
             refused = bool(prior is not None and prior.fields.get("refused"))
+        # t0 keeps the bits of ``now - waited`` that spans.jsonl has
+        # always carried; it can differ from syn_sent_at in the last ulp.
+        waited = now - sender.syn_sent_at
         span = self._new_span(
             "syn_wait", flow_id, now - waited,
             parent=flow.id if flow is not None else -1,
             cause=cause,
-            attempt=attempt,
+            attempt=sender.stats.syn_retries,
         )
         if span is not None:
             span.close(now)
             if refused:
                 span.fields["refused"] = True
 
-    def on_rto(self, flow_id: int, now: float, backoff: int, rto: float,
-               seq: int = -1) -> None:
+    def rto(self, sender, now: float) -> None:
         """A retransmission timeout fired; the stall spans the silence
         since the flow's last packet activity."""
+        flow_id = sender.flow_id
         idle_since = self._last_activity.get(flow_id, now)
         flow = self._flow_span(flow_id, now)
-        cause = self._last_drop.get((flow_id, seq), -1)
+        cause = self._last_drop.get((flow_id, sender.snd_una), -1)
         if cause == -1:
             cause = self._last_flow_drop.get(flow_id, -1)
         span = self._new_span(
             "rto", flow_id, idle_since,
             parent=flow.id if flow is not None else -1,
             cause=cause,
-            backoff=backoff,
-            rto=rto,
+            backoff=sender.rto.backoff_exponent,
+            rto=sender.rto.rto,
             stall=now - idle_since,
         )
         if span is not None:
             span.close(now)
             self._recovery[flow_id] = span.id
 
-    def on_fast_retransmit(self, flow_id: int, now: float, seq: int = -1) -> None:
+    def fast_retransmit(self, sender, now: float) -> None:
+        flow_id, seq = sender.flow_id, sender.snd_una
         flow = self._flow_span(flow_id, now)
         cause = self._last_drop.get((flow_id, seq), -1)
         if cause == -1:
@@ -333,12 +337,13 @@ class SpanRecorder:
             span.close(now)
             self._recovery[flow_id] = span.id
 
-    def on_established(self, flow_id: int, now: float) -> None:
-        flow = self._flow_span(flow_id, now)
+    def established(self, sender, now: float) -> None:
+        flow = self._flow_span(sender.flow_id, now)
         if flow is not None:
             flow.fields["established"] = now
 
-    def on_flow_done(self, flow_id: int, now: float) -> None:
+    def flow_done(self, sender, now: float) -> None:
+        flow_id = sender.flow_id
         flow = self._flow_span(flow_id, now)
         if flow is not None:
             flow.close(now, outcome="done")
@@ -354,23 +359,24 @@ class SpanRecorder:
         self._last_flow_drop.pop(flow_id, None)
 
     # ------------------------------------------------------------------
-    # Link hooks (Link.spans)
+    # Link events
     # ------------------------------------------------------------------
-    def on_enqueue(self, packet, now: float, link: str) -> None:
+    def enqueued(self, link, packet, now: float) -> None:
         span = self._pkt_for(packet, now)
         if span is not None:
-            span.stage("enq", now, link)
+            span.stage("enq", now, link.name)
 
-    def on_tx_start(self, packet, now: float, link: str) -> None:
+    def tx(self, link, packet, now: float) -> None:
         span = self._pkt_for(packet, now)
         if span is not None:
-            span.stage("tx", now, link)
+            span.stage("tx", now, link.name)
         if self.stream is not None:
             self.stream.observe_queue_delay(
                 packet.flow_id, now - packet.enqueued_at
             )
 
-    def on_delivered(self, packet, now: float, last: bool) -> None:
+    def delivered(self, link, packet, now: float) -> None:
+        last = link.next_link is None  # else a hop into a chained link
         span = self._pkt_for(packet, now)
         if span is not None:
             span.stage("deliv" if last else "hop", now)
@@ -386,9 +392,9 @@ class SpanRecorder:
                 self._last_delivery[flow_id] = now
 
     # ------------------------------------------------------------------
-    # Queue hooks (QueueDiscipline.spans / TAQQueue.spans)
+    # QueueDiscipline / TAQQueue events
     # ------------------------------------------------------------------
-    def on_drop(self, packet, now: float) -> None:
+    def dropped(self, queue, packet, now: float) -> None:
         """The queue rejected or evicted *packet* (all disciplines)."""
         span = self._pkt_for(packet, now)
         flow_id = packet.flow_id
@@ -400,15 +406,16 @@ class SpanRecorder:
         self._last_drop[(flow_id, packet.seq)] = span.id
         self._last_flow_drop[flow_id] = span.id
 
-    def on_admission_refused(self, packet, now: float) -> None:
-        """TAQ admission control refused this SYN (the drop hook fires
+    def refused(self, queue, packet, now: float) -> None:
+        """TAQ admission control refused this SYN (``dropped`` fires
         right after; the flag is what tells a syn_wait from congestion
         loss)."""
         span = self._pkt_for(packet, now)
         if span is not None:
             span.fields["refused"] = True
 
-    def on_penalized(self, packet, now: float, recent_drops: int) -> None:
+    def penalized(self, queue, packet, now: float) -> None:
+        recent_drops = queue.tracker.lookup(packet.flow_id).recent_drops()
         flow = self._flow_span(packet.flow_id, now)
         span = self._new_span(
             "penalty", packet.flow_id, now,
@@ -419,22 +426,38 @@ class SpanRecorder:
         if span is not None:
             span.close(now)
 
-    def on_evicted(self, evicted, by_packet, now: float) -> None:
-        """TAQ pushed *evicted* out to admit *by_packet* (the drop hook
+    def evicted(self, queue, evicted, by_packet, now: float) -> None:
+        """TAQ pushed *evicted* out to admit *by_packet* (``dropped``
         follows and closes the span)."""
         span = self._pkt_for(evicted, now)
         if span is not None:
             span.fields["evicted_by"] = by_packet.flow_id
 
     # ------------------------------------------------------------------
-    # Simulator hooks (Simulator.spans)
+    # Simulator events
     # ------------------------------------------------------------------
-    def on_run_start(self, now: float) -> Optional[Span]:
-        return self._new_span("run", -1, now)
+    def run_start(self, sim) -> None:
+        self._run_span = self._new_span("run", -1, sim.now)
 
-    def on_run_end(self, span: Optional[Span], now: float) -> None:
-        if span is not None:
-            span.close(now)
+    def run_end(self, sim) -> None:
+        if self._run_span is not None:
+            self._run_span.close(sim.now)
+
+    def flow_spawned(self, sim, flow) -> None:
+        """A flow created mid-run (web sessions) joins the trace."""
+        subscribe(flow.sender, self)
+
+    def arm(self, built: Any) -> None:
+        """Subscribe across one :class:`repro.build.BuiltScenario`:
+        simulator, bottleneck queue, every link with its queue, and the
+        senders of all flows spawned so far."""
+        subscribe(built.sim, self)
+        subscribe(built.queue, self)
+        for link in built.links():
+            subscribe(link, self)
+            subscribe(link.queue, self)
+        for flow in built.all_flows():
+            subscribe(flow.sender, self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -508,63 +531,8 @@ def load_spans(handle: TextIO) -> List[Span]:
     return spans
 
 
-# ----------------------------------------------------------------------
-# Arming
-# ----------------------------------------------------------------------
-#: Topology attributes that may hold links (mirrors repro.perf.probe).
-_TOPOLOGY_LINKS = ("forward", "reverse", "underlay", "underlay_reverse", "overlay")
-
-
-def arm_spans(recorder: SpanRecorder, built: Any) -> None:
-    """Arm *recorder* across one :class:`repro.build.BuiltScenario`:
-    simulator, bottleneck queue, every topology link, and the senders of
-    all flows spawned so far.  Flows created *during* the run (web
-    sessions) arm themselves when an ambient recorder is active — see
-    :func:`recording`."""
-    built.sim.spans = recorder
-    built.queue.spans = recorder
-    seen = set()
-    for attr in _TOPOLOGY_LINKS:
-        link = getattr(built.topology, attr, None)
-        if link is not None and id(link) not in seen and hasattr(link, "queue"):
-            seen.add(id(link))
-            link.spans = recorder
-            if link.queue is not None:
-                link.queue.spans = recorder
-    for flow in built.all_flows():
-        flow.sender.spans = recorder
-
-
-_ACTIVE: Optional[SpanRecorder] = None
-
-
-def active_recorder() -> Optional[SpanRecorder]:
-    """The recorder armed by the innermost :func:`recording`, or None."""
-    return _ACTIVE
-
-
-class _Recording:
-    """Context manager making one recorder ambient (see :func:`recording`)."""
-
-    __slots__ = ("recorder", "_previous")
-
-    def __init__(self, recorder: Optional[SpanRecorder]) -> None:
-        self.recorder = recorder if recorder is not None else SpanRecorder()
-        self._previous: Optional[SpanRecorder] = None
-
-    def __enter__(self) -> SpanRecorder:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.recorder
-        return self.recorder
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-def recording(recorder: Optional[SpanRecorder] = None) -> _Recording:
+def recording(recorder: Optional[SpanRecorder] = None) -> ContextManager[SpanRecorder]:
     """``with recording() as recorder:`` — every simulation built inside
     the block (via :func:`repro.build.build_simulation`) records spans
     into *recorder*, including flows spawned mid-run."""
-    return _Recording(recorder)
+    return ambient(recorder if recorder is not None else SpanRecorder())

@@ -5,11 +5,11 @@ produces — a :class:`~repro.obs.metrics.MetricsRegistry`, an
 :class:`~repro.obs.trace.EventTrace` and (after :meth:`finalize`) a
 :class:`~repro.obs.manifest.RunManifest` — plus the
 :class:`~repro.obs.sampler.Sampler` that snapshots gauges on the sim
-clock.  The ``instrument_*`` helpers attach probes to the existing
-component hooks (drop observers, ``probe`` attributes, completion
-callbacks); a run without a Telemetry object executes exactly the
-pre-instrumentation code path, which is the zero-overhead-when-disabled
-guarantee.
+clock.  The ``instrument_*`` helpers subscribe the bundle to the
+components' observer slots (:mod:`repro.sim.observe`) and to the drop
+observers and completion callbacks they already expose; a run without a
+Telemetry object executes exactly the pre-instrumentation code path,
+which is the zero-overhead-when-disabled guarantee.
 
 Usage::
 
@@ -39,6 +39,7 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.trace import EventTrace, save_events, summarize_events
+from repro.sim.observe import Observer, subscribe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.net.link import Link
@@ -52,7 +53,7 @@ EVENTS_NAME = "events.jsonl"
 SPANS_NAME = "spans.jsonl"
 
 
-class Telemetry:
+class Telemetry(Observer):
     """Metrics + trace + sampler + manifest for one run.
 
     Parameters
@@ -90,12 +91,43 @@ class Telemetry:
         self._wall_start = _time.perf_counter()
 
     # ------------------------------------------------------------------
-    # Probe-facing API (what component ``probe`` attributes call)
+    # Structured events: emit(), and the seam events that feed it
     # ------------------------------------------------------------------
     def emit(self, kind: str, time: float, flow_id: int = -1, **fields: Any) -> None:
         """Record one structured event and bump its per-kind counter."""
         self.trace.emit(kind, time, flow_id, **fields)
         self.registry.counter(f"event.{kind}").inc()
+
+    def syn_retry(self, sender, now: float) -> None:
+        self.emit("syn_retry", now, flow_id=sender.flow_id,
+                  attempt=sender.stats.syn_retries)
+
+    def retransmit(self, sender, packet, now: float) -> None:
+        self.emit("retransmit", now, flow_id=sender.flow_id, seq=packet.seq)
+
+    def fast_retransmit(self, sender, now: float) -> None:
+        self.emit("fast_retransmit", now, flow_id=sender.flow_id,
+                  seq=sender.snd_una)
+
+    def rto(self, sender, now: float) -> None:
+        self.emit("rto", now, flow_id=sender.flow_id,
+                  backoff=sender.rto.backoff_exponent, rto=sender.rto.rto,
+                  snd_una=sender.snd_una)
+
+    def refused(self, queue, packet, now: float) -> None:
+        self.emit("taq_refused", now, flow_id=packet.flow_id, pool=packet.pool_id)
+
+    def penalized(self, queue, packet, now: float) -> None:
+        self.emit("taq_penalty_box", now, flow_id=packet.flow_id,
+                  recent_drops=queue.tracker.lookup(packet.flow_id).recent_drops())
+
+    def evicted(self, queue, evicted, by_packet, now: float) -> None:
+        self.emit("taq_evict", now, flow_id=evicted.flow_id,
+                  by_flow=by_packet.flow_id, seq=evicted.seq)
+
+    def flow_state(self, record, prev_state, now: float) -> None:
+        self.emit("flow_state", now, flow_id=record.flow_id,
+                  prev=prev_state.value, next=record.state.value)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,7 +217,7 @@ class Telemetry:
 
 
 # ----------------------------------------------------------------------
-# Instrumentation helpers: attach probes to existing component hooks.
+# Instrumentation helpers: subscribe a Telemetry to one component each.
 # ----------------------------------------------------------------------
 def instrument_link(telemetry: Telemetry, link: "Link", name: str = "link") -> None:
     """Gauges for queue depth and in-flight packets, plus final link
@@ -235,8 +267,8 @@ def instrument_queue(
     tracker = getattr(queue, "tracker", None)
     scheduler = getattr(queue, "scheduler", None)
     if tracker is not None:
-        queue.probe = telemetry
-        tracker.probe = telemetry
+        subscribe(queue, telemetry)
+        subscribe(tracker, telemetry)
         registry.gauge("taq.tracked_flows", lambda: float(len(tracker.flows)))
     if scheduler is not None:
         for klass in scheduler.stats:
@@ -269,7 +301,7 @@ def instrument_flow(
 ) -> None:
     """Sender events (RTOs, retransmits) and optionally a per-flow cwnd
     gauge (opt-in: hundreds of per-flow series drown a sweep bundle)."""
-    flow.sender.probe = telemetry
+    subscribe(flow.sender, telemetry)
     if cwnd_gauge:
         sender = flow.sender
         telemetry.registry.gauge(

@@ -2,8 +2,8 @@
 
 Three layers:
 
-- :mod:`repro.perf.probe` — :class:`PerfProbe`: hot-path counters and
-  wall-clock spans, armed through the ``perf = None`` slot convention
+- :mod:`repro.perf.probe` — :class:`PerfProbe`: ledger-derived counters
+  and wall-clock spans, a subscriber of :mod:`repro.sim.observe`
   (zero overhead when off; armed runs stay bit-identical).
 - :mod:`repro.perf.bench` / :mod:`repro.perf.suite` — the deterministic
   benchmark suite and the schema-versioned ``BENCH_*.json`` document it
@@ -36,10 +36,6 @@ from repro.perf.bench import (
 from repro.perf.probe import (
     PerfProbe,
     SpanStats,
-    active_probe,
-    arm_link,
-    arm_scenario,
-    arm_simulator,
     peak_rss_bytes,
     profiled,
 )
@@ -53,10 +49,6 @@ __all__ = [
     "BenchResult",
     "PerfProbe",
     "SpanStats",
-    "active_probe",
-    "arm_link",
-    "arm_scenario",
-    "arm_simulator",
     "bench_document",
     "benchmark",
     "get_benchmark",

@@ -1,38 +1,38 @@
-"""The performance probe: hot-path counters and wall-clock spans.
+"""The performance probe: ledger-derived counters and wall-clock spans.
 
 ``repro.obs`` sees *what the simulation did*; this module sees *where
-the wall-clock time goes*.  A :class:`PerfProbe` is armed onto
-components through the same ``perf = None`` slot convention that
-``repro.obs`` uses for ``probe`` and ``repro.check`` uses for
-``monitor``: every hook site reads ``if self.perf is not None`` and an
-unarmed run executes exactly the pre-instrumentation code path, so
-profiling-off runs stay bit-identical (regression-tested against the
-recorded goldens).
+the wall-clock time goes*.  A :class:`PerfProbe` is a subscriber of the
+instrumentation seam (:mod:`repro.sim.observe`), and nearly absent from
+the hot path: an unarmed run executes exactly the pre-instrumentation
+code, and an armed one keeps the simulator's fast loop (regression-
+tested against the recorded goldens).
 
 Two kinds of instrument:
 
-- **Hot-path counters** are plain integer attributes bumped inline
-  (``perf.callbacks_dispatched += 1``) — no dict lookup, no string
-  formatting on the data path.  The catalogue: events popped off the
-  heap, cancelled events discarded, callbacks dispatched, packets
-  enqueued/dequeued/dropped/delivered, result-cache hits/misses.
-  Everything else goes through :meth:`PerfProbe.count`, a named-counter
-  dict for colder paths (TAQ evictions, per-benchmark phases, and the
-  per-backend result-store split ``parallel.cache.<kind>.hits`` /
-  ``.misses`` where ``<kind>`` is ``dir``, ``sqlite``, or ``http``).
+- **Counters.**  The seven simulator/network counters (events popped,
+  cancelled events discarded, callbacks dispatched, packets
+  enqueued/dequeued/dropped/delivered) are not counted a second time:
+  :meth:`PerfProbe.counter_summary` reads them, when asked, from the
+  ledgers the armed components keep anyway (``Simulator.processed``,
+  ``EventQueue.discards``, ``LinkStats``, ``queue.dropped``).
+  Everything else goes through :meth:`PerfProbe.count`, a
+  named-counter dict for colder paths (TAQ evictions via the
+  ``evicted`` event, per-benchmark phases, and the per-backend
+  result-store split ``parallel.cache.<kind>.hits`` / ``.misses``
+  where ``<kind>`` is ``dir``, ``sqlite``, or ``http``).
 - **Spans** measure wall time around coarse phases (``sim.run``,
   ``parallel.point``, benchmark build/run phases) via
   ``with probe.span("name"):`` — per-span call count, total and max
   seconds.
 
-Because probes only *read* the wall clock, an armed run schedules and
-fires exactly the same simulated event sequence as an unarmed one —
-the bit-identity contract ``tests/perf/test_bit_identical.py`` pins.
+Because probes only *read* ledgers and the wall clock, an armed run
+schedules and fires exactly the same simulated event sequence as an
+unarmed one — the bit-identity contract ``tests/test_bit_identity.py``
+pins.
 
-Arming is either explicit (:func:`arm_simulator` / :func:`arm_link` /
-:func:`arm_scenario`) or ambient: ``with profiled() as probe:`` makes
-*probe* the active probe and :func:`repro.build.build_simulation`
-attaches it to everything it constructs, so whole experiments can be
+Arming is either explicit (``probe.arm(built)``) or ambient: ``with
+profiled() as probe:`` makes :func:`repro.build.build_simulation` arm
+*probe* on everything it constructs, so whole experiments can be
 profiled without touching their code.
 """
 
@@ -40,15 +40,13 @@ from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, List, Optional
+
+from repro.sim.observe import Observer, ambient, subscribe
 
 __all__ = [
     "PerfProbe",
     "SpanStats",
-    "active_probe",
-    "arm_link",
-    "arm_scenario",
-    "arm_simulator",
     "peak_rss_bytes",
     "profiled",
 ]
@@ -93,59 +91,56 @@ class _SpanTimer:
         self._stats.add(perf_counter() - self._t0)
 
 
-class PerfProbe:
-    """Hot-path counters plus named wall-clock spans for one run.
+class PerfProbe(Observer):
+    """Counters plus named wall-clock spans for one or more runs.
 
-    The integer attributes are the hot counters — hook sites bump them
-    directly.  :meth:`summary` folds them into the named-counter dict
-    under their dotted catalogue names (``sim.events_popped``,
-    ``net.packets_dropped``, ...) so consumers see one flat namespace.
+    :meth:`counter_summary` reports one flat namespace of dotted
+    catalogue names (``sim.events_popped``, ``net.packets_dropped``,
+    ...): the simulator/network ones read from the ledgers of whatever
+    :meth:`arm` was given — which the probe therefore keeps alive until
+    it is dropped itself — the cache pair bumped by ``ParallelRunner``,
+    the rest counted by name.
     """
 
-    __slots__ = (
-        "events_popped",
-        "heap_discards",
-        "callbacks_dispatched",
-        "packets_enqueued",
-        "packets_dequeued",
-        "packets_dropped",
-        "packets_delivered",
-        "cache_hits",
-        "cache_misses",
-        "counters",
-        "spans",
-    )
-
-    #: attribute -> catalogue name used by :meth:`summary`.
-    HOT_COUNTERS = {
-        "events_popped": "sim.events_popped",
-        "heap_discards": "sim.heap_discards",
-        "callbacks_dispatched": "sim.callbacks_dispatched",
-        "packets_enqueued": "net.packets_enqueued",
-        "packets_dequeued": "net.packets_dequeued",
-        "packets_dropped": "net.packets_dropped",
-        "packets_delivered": "net.packets_delivered",
-        "cache_hits": "parallel.cache_hits",
-        "cache_misses": "parallel.cache_misses",
-    }
+    __slots__ = ("cache_hits", "cache_misses", "counters", "spans",
+                 "_sims", "_links", "_timer")
 
     def __init__(self) -> None:
-        self.events_popped = 0
-        self.heap_discards = 0
-        self.callbacks_dispatched = 0
-        self.packets_enqueued = 0
-        self.packets_dequeued = 0
-        self.packets_dropped = 0
-        self.packets_delivered = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.counters: Dict[str, int] = {}
         self.spans: Dict[str, SpanStats] = {}
+        self._sims: List[Any] = []
+        self._links: List[Any] = []
+        self._timer: Optional[_SpanTimer] = None
 
     # -- cold-path counters --------------------------------------------
     def count(self, name: str, amount: int = 1) -> None:
         """Bump the named counter (get-or-create)."""
         self.counters[name] = self.counters.get(name, 0) + amount
+
+    # -- arming, and the three events the probe subscribes to ------------
+    def arm(self, built: Any) -> None:
+        """Arm across one :class:`repro.build.BuiltScenario`: remember
+        its simulator and links for their ledgers, time its runs, and
+        count the evictions of every queue that reports them."""
+        if built.sim in self._sims:
+            return  # armed already; its ledgers would be read twice
+        links = built.links()
+        self._sims.append(built.sim)
+        self._links.extend(links)
+        subscribe(built.sim, self)
+        for queue in [built.queue] + [link.queue for link in links]:
+            subscribe(queue, self)
+
+    def run_start(self, sim: Any) -> None:
+        self._timer = self.span("sim.run").__enter__()
+
+    def run_end(self, sim: Any) -> None:
+        self._timer.__exit__()
+
+    def evicted(self, queue: Any, evicted: Any, by_packet: Any, now: float) -> None:
+        self.count("taq.evictions")
 
     # -- spans ----------------------------------------------------------
     def span(self, name: str) -> _SpanTimer:
@@ -156,11 +151,30 @@ class PerfProbe:
         return _SpanTimer(stats)
 
     # -- roll-up ---------------------------------------------------------
+    def _ledger_counters(self) -> Dict[str, int]:
+        """The catalogue counters nobody counts: read, now, from the
+        always-on ledgers of the armed simulators and links."""
+        processed = sum(sim.processed for sim in self._sims)
+        stats = [link.stats for link in self._links]
+        return {
+            "sim.events_popped": processed,
+            "sim.callbacks_dispatched": processed,  # every pop is dispatched
+            "sim.heap_discards": sum(sim.events.discards for sim in self._sims),
+            # Accepted on arrival, whether or not evicted later.
+            "net.packets_enqueued": sum(s.arrived - s.dropped for s in stats),
+            # LinkStats notes one queueing delay per dequeue.
+            "net.packets_dequeued": sum(s.queue_delay_samples for s in stats),
+            "net.packets_dropped": sum(link.queue.dropped for link in self._links),
+            "net.packets_delivered": sum(s.delivered for s in stats),
+            "parallel.cache_hits": self.cache_hits,
+            "parallel.cache_misses": self.cache_misses,
+        }
+
     def counter_summary(self) -> Dict[str, int]:
-        """Hot + named counters as one sorted flat dict."""
+        """Ledger + named counters as one sorted flat dict (zero-valued
+        ledger counters stay out)."""
         merged = dict(self.counters)
-        for attr, name in self.HOT_COUNTERS.items():
-            value = getattr(self, attr)
+        for name, value in self._ledger_counters().items():
             if value:
                 merged[name] = merged.get(name, 0) + value
         return {name: merged[name] for name in sorted(merged)}
@@ -209,77 +223,8 @@ def peak_rss_bytes() -> int:
     return int(usage) * 1024
 
 
-# ----------------------------------------------------------------------
-# Arming helpers
-# ----------------------------------------------------------------------
-def arm_simulator(probe: PerfProbe, sim: Any) -> None:
-    """Arm *probe* on a simulator and its event heap."""
-    sim.perf = probe
-    sim.events.perf = probe
-
-
-def arm_link(probe: PerfProbe, link: Any) -> None:
-    """Arm *probe* on a link and the queue discipline it owns."""
-    link.perf = probe
-    if link.queue is not None:
-        link.queue.perf = probe
-
-
-#: Topology attributes that may hold links, across the shipped
-#: topology kinds (dumbbell forward/reverse, overlay underlay pair).
-_TOPOLOGY_LINKS = ("forward", "reverse", "underlay", "underlay_reverse", "overlay")
-
-
-def arm_scenario(probe: PerfProbe, built: Any) -> None:
-    """Arm *probe* across one :class:`repro.build.BuiltScenario`."""
-    arm_simulator(probe, built.sim)
-    built.queue.perf = probe
-    seen = set()
-    for attr in _TOPOLOGY_LINKS:
-        link = getattr(built.topology, attr, None)
-        if link is not None and id(link) not in seen and hasattr(link, "queue"):
-            seen.add(id(link))
-            arm_link(probe, link)
-
-
-# ----------------------------------------------------------------------
-# The ambient probe (what build_simulation consults)
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[PerfProbe] = None
-
-
-def active_probe() -> Optional[PerfProbe]:
-    """The probe armed by the innermost :func:`profiled`, or None."""
-    return _ACTIVE
-
-
-class _Profiled:
-    """Context manager making one probe ambient (see :func:`profiled`)."""
-
-    __slots__ = ("probe", "_previous")
-
-    def __init__(self, probe: Optional[PerfProbe]) -> None:
-        self.probe = probe if probe is not None else PerfProbe()
-        self._previous: Optional[PerfProbe] = None
-
-    def __enter__(self) -> PerfProbe:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.probe
-        return self.probe
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-def profiled(probe: Optional[PerfProbe] = None) -> _Profiled:
+def profiled(probe: Optional[PerfProbe] = None) -> ContextManager[PerfProbe]:
     """``with profiled() as probe:`` — every simulation built inside the
     block (via :func:`repro.build.build_simulation`) is armed with
     *probe*, no experiment-code changes needed."""
-    return _Profiled(probe)
-
-
-def iter_span_names(probe: PerfProbe) -> Iterator[str]:
-    """Span names in sorted order (test/report convenience)."""
-    return iter(sorted(probe.spans))
+    return ambient(probe if probe is not None else PerfProbe())

@@ -40,7 +40,6 @@ from repro.build.spec import (
 from repro.net.packet import DATA, Packet
 from repro.parallel import ParallelRunner, PointSpec
 from repro.perf.bench import BenchCounts, benchmark
-from repro.perf.probe import active_probe, profiled
 from repro.sim.simulator import Simulator
 
 
@@ -169,16 +168,16 @@ def _small_packet_spec(
 
 
 def _run_scenario(spec: ScenarioSpec) -> BenchCounts:
-    # profiled(active_probe()) keeps an already-ambient probe (e.g. the
-    # one ``taq-perf profile`` armed) instead of shadowing it, so the
-    # packet counts still reach the caller's roll-up.
-    with profiled(active_probe()) as probe:
-        offered_before = probe.packets_enqueued + probe.packets_dropped
-        built = build_simulation(spec)
-        built.run()
+    built = build_simulation(spec)
+    built.run()
+    # Offered packets from the link ledgers: accepted on arrival plus
+    # every drop (evictions included), over all links.
     return BenchCounts(
         events=built.sim.processed,
-        packets=probe.packets_enqueued + probe.packets_dropped - offered_before,
+        packets=sum(
+            link.stats.arrived - link.stats.dropped + link.queue.dropped
+            for link in built.links()
+        ),
     )
 
 

@@ -50,7 +50,7 @@ class QueueDiscipline:
     """
 
     __slots__ = ("capacity_pkts", "link", "enqueued", "dropped",
-                 "_drop_observers", "perf", "spans")
+                 "_drop_observers", "obs")
 
     def __init__(self, capacity_pkts: int) -> None:
         if capacity_pkts < 1:
@@ -60,17 +60,9 @@ class QueueDiscipline:
         self.enqueued = 0
         self.dropped = 0
         self._drop_observers: List[DropObserver] = []
-        #: Optional performance probe (``repro.perf``): every discipline
-        #: bumps ``packets_enqueued`` on accept and the base class bumps
-        #: ``packets_dropped`` for every drop (rejections and push-out
-        #: evictions alike).  None (the default) keeps the enqueue path
-        #: uninstrumented.
-        self.perf = None
-        #: Optional span recorder (``repro.obs.spans``): every drop —
-        #: rejection or push-out eviction — closes the packet's
-        #: lifecycle span.  None (the default) keeps the drop path
-        #: uninstrumented.
-        self.spans = None
+        #: The observer slot (:mod:`repro.sim.observe`).  None (the
+        #: default) keeps the drop path uninstrumented.
+        self.obs = None
 
     # -- wiring --------------------------------------------------------
     def attach(self, link: "Link") -> None:
@@ -83,10 +75,8 @@ class QueueDiscipline:
 
     def _record_drop(self, packet: Packet, now: float) -> None:
         self.dropped += 1
-        if self.perf is not None:
-            self.perf.packets_dropped += 1
-        if self.spans is not None:
-            self.spans.on_drop(packet, now)
+        if self.obs is not None:
+            self.obs.dropped(self, packet, now)
         for observer in self._drop_observers:
             observer(packet, now)
 

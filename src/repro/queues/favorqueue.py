@@ -102,8 +102,6 @@ class FavorQueue(QueueDiscipline):
             self._normal.append(packet)
         self._note(packet)
         self.enqueued += 1
-        if self.perf is not None:
-            self.perf.packets_enqueued += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

@@ -124,8 +124,6 @@ class REDQueue(QueueDiscipline):
             return False
         self._fifo.append(packet)
         self.enqueued += 1
-        if self.perf is not None:
-            self.perf.packets_enqueued += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

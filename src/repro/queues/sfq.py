@@ -109,8 +109,6 @@ class SFQQueue(QueueDiscipline):
         self._queues[bucket].append(packet)
         self._occupancy += 1
         self.enqueued += 1
-        if self.perf is not None:
-            self.perf.packets_enqueued += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:

@@ -145,7 +145,7 @@ class EventQueue:
     """
 
     __slots__ = ("_slots", "_nslots", "_mask", "_width", "_live",
-                 "_next_seq", "_last_time", "_head", "perf")
+                 "_next_seq", "_last_time", "_head", "discards")
 
     def __init__(self) -> None:
         # Single-slot layout (mask 0): every entry buckets to 0 and the
@@ -163,11 +163,9 @@ class EventQueue:
         self._last_time = 0.0
         # Cached minimum entry, or None when unknown (recomputed lazily).
         self._head: Optional[_Entry] = None
-        #: Optional performance probe (``repro.perf``): counts live
-        #: events popped (``events_popped``) and cancelled events
-        #: removed from the wheel (``heap_discards``).  None (the
-        #: default) keeps both paths uninstrumented.
-        self.perf = None
+        #: Cancelled events removed from the wheel so far (always on; the
+        #: perf probe reports it as ``sim.heap_discards``).
+        self.discards = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -252,8 +250,6 @@ class EventQueue:
             self._head = slot[0]
         else:
             self._head = None
-        if self.perf is not None:
-            self.perf.events_popped += 1
         if self._live < (self._nslots >> 2) and self._nslots > 1:
             self._resize()
         return event
@@ -282,8 +278,6 @@ class EventQueue:
             self._head = slot[0]
         else:
             self._head = None
-        if self.perf is not None:
-            self.perf.events_popped += 1
         if self._live < (self._nslots >> 2) and self._nslots > 1:
             self._resize()
         return event
@@ -334,8 +328,7 @@ class EventQueue:
         head = self._head
         if head is not None and head[1] == event.seq:
             self._head = None
-        if self.perf is not None:
-            self.perf.heap_discards += 1
+        self.discards += 1
         if self._live < (self._nslots >> 2) and self._nslots > 1:
             self._resize()
 

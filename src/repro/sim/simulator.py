@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
+from repro.sim.observe import implements
 from repro.sim.rng import RngRegistry
 
 
@@ -39,24 +40,10 @@ class Simulator:
         self._push = self.events.push
         self.max_events = max_events
         self.processed = 0
-        #: Optional passive observer (``repro.check``): an object with
-        #: ``on_event(event, now)``, called for every popped event
-        #: *before* the clock advances and the callback runs.  None (the
-        #: default) keeps the run loop free of instrumentation — the
-        #: same zero-overhead-when-off contract as component ``probe``
-        #: attributes.  Observers must not schedule or cancel events.
-        self.monitor = None
-        #: Optional performance probe (``repro.perf``): counts callbacks
-        #: dispatched and wraps :meth:`run` in a ``sim.run`` span.  None
-        #: (the default) keeps the run loop uninstrumented; probes only
-        #: read the wall clock, so an armed run fires the same simulated
-        #: event sequence as an unarmed one.
-        self.perf = None
-        #: Optional span recorder (``repro.obs.spans``): brackets each
-        #: :meth:`run` call in a ``run`` span (timeline bounds).  The
-        #: per-event loop is never touched — recorders hook components,
-        #: not the dispatcher — so None vs armed is bit-identical.
-        self.spans = None
+        #: The observer slot (:mod:`repro.sim.observe`).  ``event`` fires
+        #: for every popped event *before* the clock advances and the
+        #: callback runs.  None keeps the run loop uninstrumented.
+        self.obs = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -89,24 +76,18 @@ class Simulator:
         :class:`SimulationError` is raised on the attempt to process
         event ``max_events + 1``, never after it has run.
         """
-        spans = self.spans
-        run_span = spans.on_run_start(self.now) if spans is not None else None
-        perf = self.perf
-        if perf is None:
-            self._loop(until, None)
-        else:
-            with perf.span("sim.run"):
-                self._loop(until, perf)
-        if spans is not None:
-            spans.on_run_end(run_span, self.now)
-
-    def _loop(self, until: Optional[float], perf) -> None:
+        obs = self.obs
+        on_event = None
+        if obs is not None:
+            obs.run_start(self)
+            if implements(obs, "event"):
+                on_event = obs.event  # the one subscription that costs the fast loop
         events = self.events
         limit = float("inf") if until is None else until
-        if self.max_events is None and self.monitor is None and perf is None:
-            # Uninstrumented fast path: one wheel scan per event via
-            # pop_due, no budget or observer checks.  processed still
-            # advances per iteration — callbacks read it mid-run.
+        if self.max_events is None and on_event is None:
+            # Fast path: one wheel scan per event via pop_due, no budget
+            # or observer checks.  processed still advances per
+            # iteration — callbacks read it mid-run.
             pop_due = events.pop_due
             while (event := pop_due(limit)) is not None:
                 self.now = event.time
@@ -122,16 +103,16 @@ class Simulator:
                     raise SimulationError(f"exceeded max_events={self.max_events}")
                 event = events.pop()
                 assert event is not None
-                if self.monitor is not None:
-                    self.monitor.on_event(event, self.now)
+                if on_event is not None:
+                    on_event(self, event, self.now)
                 self.now = event.time
                 event.fired = True
                 event.callback(*event.args)
                 self.processed += 1
-                if perf is not None:
-                    perf.callbacks_dispatched += 1
         if until is not None and until > self.now:
             self.now = until
+        if obs is not None:
+            obs.run_end(self)
 
     def step(self) -> bool:
         """Process a single event.  Returns False when the queue is empty."""
@@ -140,14 +121,10 @@ class Simulator:
         if self.max_events is not None and self.processed >= self.max_events:
             raise SimulationError(f"exceeded max_events={self.max_events}")
         event = self.events.pop()
-        if event is None:
-            return False
-        if self.monitor is not None:
-            self.monitor.on_event(event, self.now)
+        if self.obs is not None:
+            self.obs.event(self, event, self.now)
         self.now = event.time
         event.fired = True
         event.callback(*event.args)
         self.processed += 1
-        if self.perf is not None:
-            self.perf.callbacks_dispatched += 1
         return True

@@ -122,15 +122,6 @@ class TcpFlow:
             sender_kwargs["initial_cwnd"] = initial_cwnd
         self.sender = factory(dumbbell.sim, flow_id, **sender_kwargs)
         self.sender.pool_id = pool_id
-        # Arm the sender's span recorder from the ambient recording()
-        # context, if one is active — this is how flows spawned mid-run
-        # (web sessions) join an armed trace.  Function-level import:
-        # repro.obs pulls in repro.metrics, which imports this module.
-        from repro.obs.spans import active_recorder
-
-        recorder = active_recorder()
-        if recorder is not None:
-            self.sender.spans = recorder
         if persistent_syn:
             # The paper's clients "constantly retry till admission":
             # steady 2-second knocking instead of exponential give-up.
@@ -147,6 +138,9 @@ class TcpFlow:
         dumbbell.sender_host.bind_sender(flow_id, self.sender)
         dumbbell.receiver_host.bind_receiver(flow_id, self.receiver)
         dumbbell.sim.schedule_at(start_time, self.sender.open)
+        # Flows spawned mid-run (web sessions) join an armed run here.
+        if dumbbell.sim.obs is not None:
+            dumbbell.sim.obs.flow_spawned(dumbbell.sim, self)
 
     # ------------------------------------------------------------------
     # Packet routing

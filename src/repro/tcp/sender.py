@@ -149,15 +149,9 @@ class TCPSender:
         self.on_complete = on_complete
         self.pool_id = -1
 
-        #: Optional telemetry probe (``repro.obs``): an object with
-        #: ``emit(kind, now, flow_id=..., **fields)``.  None (the
+        #: The observer slot (:mod:`repro.sim.observe`).  None (the
         #: default) keeps the send path free of instrumentation.
-        self.probe = None
-        #: Optional span recorder (``repro.obs.spans``): records packet
-        #: births, SYN waits, RTO stalls and fast retransmits with
-        #: cause links.  None (the default) keeps the send path free of
-        #: instrumentation.
-        self.spans = None
+        self.obs = None
 
         self.state = "closed"  # closed -> syn_sent -> established -> done
         self.cwnd = self.initial_cwnd
@@ -175,8 +169,7 @@ class TCPSender:
         self._timed_at = 0.0
         self._timer: Optional[Event] = None
         self._syn_timer: Optional[Event] = None
-        self._syn_sent_at = 0.0
-        self._syn_retries = 0
+        self.syn_sent_at = 0.0  # when the latest SYN went out (observers read it)
         self.stats = SenderStats()
         self.completed_at: Optional[float] = None
         self.round_log: Optional[RoundLog] = RoundLog() if round_log else None
@@ -195,36 +188,23 @@ class TCPSender:
         self._send_syn()
 
     def _send_syn(self) -> None:
-        self._syn_sent_at = self.sim.now
+        self.syn_sent_at = self.sim.now
         packet = Packet(self.flow_id, SYN, size=HEADER_BYTES, pool_id=self.pool_id)
-        if self.spans is not None:
-            self.spans.on_packet_sent(packet, self.sim.now)
+        if self.obs is not None:
+            self.obs.sent(self, packet, self.sim.now)
         self._transmit(packet)
-        timeout = self.SYN_TIMEOUT * (2 ** min(self._syn_retries, self.SYN_BACKOFF_CAP))
+        timeout = self.SYN_TIMEOUT * (2 ** min(self.stats.syn_retries, self.SYN_BACKOFF_CAP))
         self._syn_timer = self.sim.schedule(timeout, self._on_syn_timeout)
 
     def _on_syn_timeout(self) -> None:
         if self.state != "syn_sent":
             return
-        if self._syn_retries >= self.MAX_SYN_RETRIES:
+        if self.stats.syn_retries >= self.MAX_SYN_RETRIES:
             self.state = "failed"
             return
-        self._syn_retries += 1
         self.stats.syn_retries += 1
-        if self.probe is not None:
-            self.probe.emit(
-                "syn_retry",
-                self.sim.now,
-                flow_id=self.flow_id,
-                attempt=self._syn_retries,
-            )
-        if self.spans is not None:
-            self.spans.on_syn_retry(
-                self.flow_id,
-                self.sim.now,
-                self._syn_retries,
-                self.sim.now - self._syn_sent_at,
-            )
+        if self.obs is not None:
+            self.obs.syn_retry(self, self.sim.now)
         self._send_syn()
 
     @property
@@ -271,10 +251,8 @@ class TCPSender:
             if seq == self._timed_seq:
                 # Karn: the timed segment became ambiguous.
                 self._timed_seq = None
-            if self.probe is not None:
-                self.probe.emit(
-                    "retransmit", self.sim.now, flow_id=self.flow_id, seq=seq
-                )
+            if self.obs is not None:
+                self.obs.retransmit(self, packet, self.sim.now)
         else:
             self.stats.data_sent += 1
             if self._timed_seq is None:
@@ -289,8 +267,8 @@ class TCPSender:
             if self._round_sent == 0:
                 self._round_started_at = self.sim.now
             self._round_sent += 1
-        if self.spans is not None:
-            self.spans.on_packet_sent(packet, self.sim.now)
+        if self.obs is not None:
+            self.obs.sent(self, packet, self.sim.now)
         self._transmit(packet)
         self._ensure_timer()
 
@@ -361,10 +339,10 @@ class TCPSender:
         if self._syn_timer is not None:
             self._syn_timer.cancel()
         self.state = "established"
-        if self.spans is not None:
-            self.spans.on_established(self.flow_id, now)
-        if self._syn_retries == 0:
-            self.rto.sample(now - self._syn_sent_at)
+        if self.obs is not None:
+            self.obs.established(self, now)
+        if self.stats.syn_retries == 0:
+            self.rto.sample(now - self.syn_sent_at)
         if self.total_segments == 0:
             self._complete(now)
             return
@@ -427,12 +405,8 @@ class TCPSender:
 
     def _fast_retransmit(self, now: float) -> None:
         self.stats.fast_retransmits += 1
-        if self.probe is not None:
-            self.probe.emit(
-                "fast_retransmit", now, flow_id=self.flow_id, seq=self.snd_una
-            )
-        if self.spans is not None:
-            self.spans.on_fast_retransmit(self.flow_id, now, seq=self.snd_una)
+        if self.obs is not None:
+            self.obs.fast_retransmit(self, now)
         self.ssthresh = max(self._pipe() / 2.0, 2.0)
         self.in_recovery = True
         self.recover = self.snd_next - 1
@@ -477,23 +451,8 @@ class TCPSender:
         self.stats.max_backoff_seen = max(
             self.stats.max_backoff_seen, self.rto.backoff_exponent
         )
-        if self.probe is not None:
-            self.probe.emit(
-                "rto",
-                now,
-                flow_id=self.flow_id,
-                backoff=self.rto.backoff_exponent,
-                rto=self.rto.rto,
-                snd_una=self.snd_una,
-            )
-        if self.spans is not None:
-            self.spans.on_rto(
-                self.flow_id,
-                now,
-                backoff=self.rto.backoff_exponent,
-                rto=self.rto.rto,
-                seq=self.snd_una,
-            )
+        if self.obs is not None:
+            self.obs.rto(self, now)
         self.ssthresh = max(self._pipe() / 2.0, 2.0)
         self.cwnd = 1.0
         self.dupacks = 0
@@ -520,10 +479,10 @@ class TCPSender:
         if self._timer is not None:
             self._timer.cancel()
         fin = Packet(self.flow_id, FIN, size=HEADER_BYTES, pool_id=self.pool_id)
-        if self.spans is not None:
-            self.spans.on_packet_sent(fin, now)
+        if self.obs is not None:
+            self.obs.sent(self, fin, now)
         self._transmit(fin)
-        if self.spans is not None:
-            self.spans.on_flow_done(self.flow_id, now)
+        if self.obs is not None:
+            self.obs.flow_done(self, now)
         if self.on_complete is not None:
             self.on_complete(now)

@@ -1,9 +1,9 @@
-"""MonitorSuite wiring: attachment, fan-out, and zero-overhead-when-off.
+"""MonitorSuite wiring: attachment, fan-out, switches, detach.
 
-The equivalence tests are the heart of the "passive observer" contract:
-an armed run must pop exactly the same events and produce bit-identical
-metrics as an unarmed one, and a run without monitors must carry no
-instrumentation at all (``sim.monitor is None``).
+The "passive observer" contract itself — an armed run pops exactly the
+same events and produces bit-identical metrics as an unarmed one, and a
+run without monitors carries no instrumentation at all — is pinned for
+every observer family at once in ``tests/test_bit_identity.py``.
 """
 
 import pytest
@@ -14,20 +14,6 @@ from repro.check.suite import attach_monitors, run_checked
 from tests.check.conftest import make_spec
 
 
-def metrics_fingerprint(built):
-    collector = built.collector
-    return {
-        "processed": built.sim.processed,
-        "now": built.sim.now,
-        "goodputs": [collector.slice_goodputs(i) for i in collector.slice_indices()],
-        "queue": (built.queue.enqueued, built.queue.dropped),
-        "timeouts": sorted(
-            (f.flow_id, f.sender.stats.timeouts, f.sender.stats.retransmits)
-            for f in built.all_flows()
-        ),
-    }
-
-
 def test_attach_covers_both_dumbbell_links():
     built = build_simulation(make_spec())
     suite = attach_monitors(built)
@@ -36,7 +22,7 @@ def test_attach_covers_both_dumbbell_links():
     assert names.count("occupancy") == 2
     assert "clock" in names and "tcp" in names
     assert "taq" not in names  # droptail has no TAQ ledgers
-    assert built.sim.monitor is suite
+    assert built.sim.obs is suite
 
 
 def test_attach_adds_taq_monitor_for_taq_queues():
@@ -67,34 +53,7 @@ def test_finalize_is_idempotent_and_detach_unhooks():
     suite.finalize()  # second call must not re-run end checks
     assert len(suite.violations) == before
     suite.detach()
-    assert built.sim.monitor is None
-
-
-def test_unarmed_run_carries_no_instrumentation():
-    built = build_simulation(make_spec())
-    assert built.sim.monitor is None
-    built.run()
-    assert built.sim.monitor is None
-
-
-def test_armed_run_is_bit_identical_to_unarmed():
-    bare = build_simulation(make_spec())
-    bare.run()
-
-    armed = build_simulation(make_spec())
-    suite = run_checked(armed, mode="collect")
-    assert suite.violations == []
-    assert metrics_fingerprint(armed) == metrics_fingerprint(bare)
-
-
-def test_armed_run_is_bit_identical_under_taq_too():
-    queue = {"kind": "taq+ac"}
-    bare = build_simulation(make_spec(queue=queue))
-    bare.run()
-    armed = build_simulation(make_spec(queue=queue))
-    suite = run_checked(armed, mode="collect")
-    assert suite.violations == []
-    assert metrics_fingerprint(armed) == metrics_fingerprint(bare)
+    assert built.sim.obs is None
 
 
 def test_violation_documents_round_trip():

@@ -8,6 +8,7 @@ from repro.build import ScenarioSpec, build_simulation
 from repro.fluid.probe import FluidProbe, fluid_results_differ, instrument_fluid
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
+from repro.sim.observe import subscribe
 
 
 def _spec(n_flows: int, queue=None) -> ScenarioSpec:
@@ -33,7 +34,7 @@ def test_armed_run_is_bit_identical(n_flows):
 
     armed = build_simulation(spec)
     probe = FluidProbe(MetricsRegistry())
-    armed.model.probe = probe
+    subscribe(armed.model, probe)
     armed.run()
 
     assert fluid_results_differ(unarmed.result, armed.result) == []
@@ -47,7 +48,7 @@ def test_parity_across_disciplines(kind):
     unarmed = build_simulation(spec)
     unarmed.run()
     armed = build_simulation(spec)
-    armed.model.probe = FluidProbe(MetricsRegistry())
+    subscribe(armed.model, FluidProbe(MetricsRegistry()))
     armed.run()
     assert fluid_results_differ(unarmed.result, armed.result) == []
 
@@ -56,7 +57,7 @@ def test_probe_records_queue_series_and_per_class_metrics():
     spec = _spec(8)
     built = build_simulation(spec)
     registry = MetricsRegistry()
-    built.model.probe = FluidProbe(registry, sample_stride=4)
+    subscribe(built.model, FluidProbe(registry, sample_stride=4))
     built.run()
     queue = registry.series["fluid.queue_pkts"]
     assert queue.samples, "queue occupancy series must be populated"
@@ -73,7 +74,7 @@ def test_instrument_fluid_imports_totals_and_stability(tmp_path):
     built = build_simulation(spec)
     telemetry = Telemetry(str(tmp_path / "bundle"), sample_interval=0.5)
     probe = instrument_fluid(telemetry, built)
-    assert built.model.probe is probe
+    assert built.model.obs is probe
     # Stride derives from sample_interval on the integrator clock.
     assert probe.sample_stride == max(1, round(0.5 / built.model.dt))
     built.run()

@@ -1,7 +1,8 @@
 """The span flight recorder: hooks, causal links, persistence.
 
-Unit layer drives :class:`SpanRecorder` hooks directly with real
-:class:`Packet` objects (no simulator), pinning the causal-link rules:
+Unit layer drives :class:`SpanRecorder`'s seam events directly with real
+:class:`Packet` objects and stub components (no simulator), pinning the
+causal-link rules:
 a retransmission's ``cause`` is the dropped segment's span, an RTO
 stall spans the silence since the flow's last activity, a refused SYN
 marks the following ``syn_wait`` as an admission wait.  The
@@ -15,20 +16,39 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.build import ScenarioSpec, build_simulation
 from repro.net.packet import Packet
+from repro.sim.observe import subscribers
 from repro.obs.spans import (
     SPANS_SCHEMA_VERSION,
     Span,
     SpanRecorder,
-    active_recorder,
     load_spans,
     recording,
     save_spans,
 )
+
+
+def _sender(flow_id, snd_una=0, backoff=0, rto=1.0, syn_sent_at=0.0, retries=0):
+    """What the recorder reads off a TCPSender, and nothing else."""
+    return SimpleNamespace(
+        flow_id=flow_id, snd_una=snd_una, syn_sent_at=syn_sent_at,
+        rto=SimpleNamespace(backoff_exponent=backoff, rto=rto),
+        stats=SimpleNamespace(syn_retries=retries),
+    )
+
+
+def _link(name, last=True):
+    return SimpleNamespace(name=name, next_link=None if last else object())
+
+
+def _taq(recent_drops):
+    record = SimpleNamespace(recent_drops=lambda: recent_drops)
+    return SimpleNamespace(tracker=SimpleNamespace(lookup=lambda flow_id: record))
 
 
 def _span(recorder, span_id):
@@ -45,10 +65,10 @@ def _by_kind(recorder, kind):
 class TestRecorderHooks:
     def test_flow_span_opens_on_first_syn_and_closes_on_done(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(7, "syn"), 1.0)
+        rec.sent(None, Packet(7, "syn"), 1.0)
         (flow,) = _by_kind(rec, "flow")
         assert flow.t0 == 1.0 and flow.t1 is None
-        rec.on_flow_done(7, 9.5)
+        rec.flow_done(_sender(7), 9.5)
         assert flow.t1 == 9.5
         assert flow.fields["outcome"] == "done"
         assert flow.duration == pytest.approx(8.5)
@@ -56,7 +76,7 @@ class TestRecorderHooks:
     def test_pkt_span_parent_is_flow_span(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(pkt, 2.0)
+        rec.sent(None, pkt, 2.0)
         (flow,) = _by_kind(rec, "flow")
         (span,) = _by_kind(rec, "pkt")
         assert span.parent == flow.id
@@ -67,33 +87,33 @@ class TestRecorderHooks:
     def test_retransmit_cause_links_to_the_drop(self):
         rec = SpanRecorder()
         first = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(first, 1.0)
-        rec.on_drop(first, 1.5)
+        rec.sent(None, first, 1.0)
+        rec.dropped(None, first, 1.5)
         dropped = _span(rec, first.span_id)
         assert dropped.fields["outcome"] == "dropped"
         assert dropped.stages[-1] == ["drop", 1.5]
 
         rtx = Packet(3, "data", seq=4, size=200, is_retransmit=True)
-        rec.on_packet_sent(rtx, 2.0)
+        rec.sent(None, rtx, 2.0)
         rtx_span = _span(rec, rtx.span_id)
         assert rtx_span.cause == dropped.id
         assert rtx_span.fields["rtx"] is True
 
     def test_retransmit_without_seen_drop_falls_back_to_recovery(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(3, "data", seq=0, size=200), 1.0)
-        rec.on_rto(3, 4.0, backoff=1, rto=3.0, seq=0)
+        rec.sent(None, Packet(3, "data", seq=0, size=200), 1.0)
+        rec.rto(_sender(3, snd_una=0, backoff=1, rto=3.0), 4.0)
         (rto,) = _by_kind(rec, "rto")
         rtx = Packet(3, "data", seq=5, size=200, is_retransmit=True)
-        rec.on_packet_sent(rtx, 4.0)  # seq 5 never dropped under our eyes
+        rec.sent(None, rtx, 4.0)  # seq 5 never dropped under our eyes
         assert _span(rec, rtx.span_id).cause == rto.id
 
     def test_rto_stall_spans_the_silence(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 1.0)
-        rec.on_drop(pkt, 1.4)  # last activity
-        rec.on_rto(3, 4.4, backoff=2, rto=3.0, seq=0)
+        rec.sent(None, pkt, 1.0)
+        rec.dropped(None, pkt, 1.4)  # last activity
+        rec.rto(_sender(3, snd_una=0, backoff=2, rto=3.0), 4.4)
         (rto,) = _by_kind(rec, "rto")
         assert rto.t0 == 1.4 and rto.t1 == 4.4
         assert rto.fields["stall"] == pytest.approx(3.0)
@@ -103,10 +123,10 @@ class TestRecorderHooks:
     def test_refused_syn_marks_the_syn_wait_as_admission(self):
         rec = SpanRecorder()
         syn = Packet(9, "syn")
-        rec.on_packet_sent(syn, 0.0)
-        rec.on_admission_refused(syn, 0.01)
-        rec.on_drop(syn, 0.01)
-        rec.on_syn_retry(9, 3.0, attempt=1, waited=3.0)
+        rec.sent(None, syn, 0.0)
+        rec.refused(None, syn, 0.01)
+        rec.dropped(None, syn, 0.01)
+        rec.syn_retry(_sender(9, syn_sent_at=0.0, retries=1), 3.0)
         (wait,) = _by_kind(rec, "syn_wait")
         assert wait.fields.get("refused") is True
         assert wait.t0 == 0.0 and wait.t1 == 3.0
@@ -114,19 +134,19 @@ class TestRecorderHooks:
 
     def test_lost_syn_wait_is_not_marked_refused(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(9, "syn"), 0.0)
-        rec.on_syn_retry(9, 3.0, attempt=1, waited=3.0)
+        rec.sent(None, Packet(9, "syn"), 0.0)
+        rec.syn_retry(_sender(9, syn_sent_at=0.0, retries=1), 3.0)
         (wait,) = _by_kind(rec, "syn_wait")
         assert "refused" not in wait.fields
 
     def test_link_stages_record_the_packet_lifecycle(self):
         rec = SpanRecorder()
         pkt = Packet(5, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.sent(None, pkt, 1.0)
         pkt.enqueued_at = 1.0
-        rec.on_enqueue(pkt, 1.0, "forward")
-        rec.on_tx_start(pkt, 1.2, "forward")
-        rec.on_delivered(pkt, 1.3, last=True)
+        rec.enqueued(_link("forward"), pkt, 1.0)
+        rec.tx(_link("forward"), pkt, 1.2)
+        rec.delivered(_link("forward"), pkt, 1.3)
         span = _span(rec, pkt.span_id)
         assert span.stages == [
             ["created", 1.0], ["enq", 1.0, "forward"],
@@ -134,11 +154,19 @@ class TestRecorderHooks:
         ]
         assert span.fields["outcome"] == "delivered"
 
+    def test_a_chained_link_delivery_is_a_hop(self):
+        rec = SpanRecorder()
+        pkt = Packet(5, "data", seq=0, size=200)
+        rec.sent(None, pkt, 1.0)
+        rec.delivered(_link("lan", last=False), pkt, 1.1)
+        span = _span(rec, pkt.span_id)
+        assert span.stages[-1] == ["hop", 1.1] and span.t1 is None
+
     def test_ack_enters_the_record_at_its_first_link(self):
         # ACKs are born in the receiver, not under a sender hook.
         rec = SpanRecorder()
         ack = Packet(5, "ack", ack_seq=3)
-        rec.on_enqueue(ack, 2.0, "reverse")
+        rec.enqueued(_link("reverse"), ack, 2.0)
         span = _span(rec, ack.span_id)
         assert span.fields["pkt"] == "ack"
         assert span.stages == [["enq", 2.0, "reverse"]]
@@ -146,9 +174,9 @@ class TestRecorderHooks:
     def test_penalty_span_links_to_latest_drop(self):
         rec = SpanRecorder()
         pkt = Packet(4, "data", seq=1, size=200)
-        rec.on_packet_sent(pkt, 1.0)
-        rec.on_drop(pkt, 1.1)
-        rec.on_penalized(Packet(4, "data", seq=2, size=200), 1.5, recent_drops=3)
+        rec.sent(None, pkt, 1.0)
+        rec.dropped(None, pkt, 1.1)
+        rec.penalized(_taq(3), Packet(4, "data", seq=2, size=200), 1.5)
         (penalty,) = _by_kind(rec, "penalty")
         assert penalty.cause == pkt.span_id
         assert penalty.fields["recent_drops"] == 3
@@ -156,29 +184,30 @@ class TestRecorderHooks:
     def test_truncation_stops_new_spans_but_not_stage_appends(self):
         rec = SpanRecorder(limit=2)
         pkt = Packet(1, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 0.0)  # flow span + pkt span = limit
+        rec.sent(None, pkt, 0.0)  # flow span + pkt span = limit
         assert len(rec.spans) == 2 and not rec.truncated
-        rec.on_packet_sent(Packet(1, "data", seq=1, size=200), 0.1)
+        rec.sent(None, Packet(1, "data", seq=1, size=200), 0.1)
         assert len(rec.spans) == 2 and rec.truncated
         # The already-created span still completes its lifecycle.
-        rec.on_delivered(pkt, 0.3, last=True)
+        rec.delivered(_link("forward"), pkt, 0.3)
         assert _span(rec, pkt.span_id).fields["outcome"] == "delivered"
 
     def test_flow_done_drops_per_flow_working_state(self):
         rec = SpanRecorder()
         pkt = Packet(2, "data", seq=0, size=200)
-        rec.on_packet_sent(pkt, 0.0)
-        rec.on_drop(pkt, 0.1)
-        rec.on_rto(2, 1.0, backoff=1, rto=1.0, seq=0)
-        rec.on_flow_done(2, 2.0)
+        rec.sent(None, pkt, 0.0)
+        rec.dropped(None, pkt, 0.1)
+        rec.rto(_sender(2, snd_una=0, backoff=1, rto=1.0), 1.0)
+        rec.flow_done(_sender(2), 2.0)
         assert 2 not in rec._recovery
         assert 2 not in rec._last_activity
         assert 2 not in rec._last_flow_drop
 
     def test_summary_counts_by_kind(self):
         rec = SpanRecorder()
-        rec.on_packet_sent(Packet(1, "syn"), 0.0)
-        rec.on_run_end(rec.on_run_start(0.0), 5.0)
+        rec.sent(None, Packet(1, "syn"), 0.0)
+        rec.run_start(SimpleNamespace(now=0.0))
+        rec.run_end(SimpleNamespace(now=5.0))
         summary = rec.summary()
         assert summary["spans"] == 3
         assert summary["by_kind"] == {"flow": 1, "pkt": 1, "run": 1}
@@ -190,21 +219,25 @@ class TestRecorderHooks:
 # ----------------------------------------------------------------------
 class TestRecordingContext:
     def test_recording_sets_and_restores_the_ambient_recorder(self):
-        assert active_recorder() is None
+        spec = ScenarioSpec.from_document(SCENARIO)
         with recording() as outer:
-            assert active_recorder() is outer
             inner_rec = SpanRecorder()
             with recording(inner_rec) as inner:
                 assert inner is inner_rec
-                assert active_recorder() is inner_rec
-            assert active_recorder() is outer
-        assert active_recorder() is None
+                both = build_simulation(spec)
+            only_outer = build_simulation(spec)
+        neither = build_simulation(spec)
+        # Nested recorders compose; leaving a block disarms later builds.
+        assert subscribers(both.sim) == [outer, inner_rec]
+        assert subscribers(only_outer.sim) == [outer]
+        assert neither.sim.obs is None
 
     def test_recording_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with recording():
                 raise RuntimeError("boom")
-        assert active_recorder() is None
+        built = build_simulation(ScenarioSpec.from_document(SCENARIO))
+        assert built.sim.obs is None
 
 
 # ----------------------------------------------------------------------
@@ -280,12 +313,12 @@ class TestPersistence:
     def test_roundtrip_preserves_everything(self):
         rec = SpanRecorder()
         pkt = Packet(3, "data", seq=4, size=200)
-        rec.on_packet_sent(pkt, 1.0)
+        rec.sent(None, pkt, 1.0)
         pkt.enqueued_at = 1.0
-        rec.on_enqueue(pkt, 1.0, "forward")
-        rec.on_drop(pkt, 1.5)
-        rec.on_rto(3, 4.5, backoff=1, rto=3.0, seq=4)
-        rec.on_flow_done(3, 5.0)
+        rec.enqueued(_link("forward"), pkt, 1.0)
+        rec.dropped(None, pkt, 1.5)
+        rec.rto(_sender(3, snd_una=4, backoff=1, rto=3.0), 4.5)
+        rec.flow_done(_sender(3), 5.0)
         loaded = self._roundtrip(rec.spans)
         assert len(loaded) == len(rec.spans)
         for original, copy in zip(rec.spans, loaded):

@@ -1,14 +1,12 @@
 """End-to-end telemetry: instrumented runs, bundles, reports.
 
-The two load-bearing guarantees:
-
-- telemetry OFF: a sweep point is bit-identical to an uninstrumented
-  one (probes never touch the RNG or the event order);
-- telemetry ON: the point still measures the same numbers, and the
-  bundle directory holds a loadable manifest + metrics + event trace.
+Telemetry ON: the point still measures the same numbers, and the bundle
+directory holds a loadable manifest + metrics + event trace.  That an
+instrumented run is bit-identical to an uninstrumented one (probes
+never touch the RNG or the event order) is pinned for every observer
+family in ``tests/test_bit_identity.py``.
 """
 
-import dataclasses
 import os
 
 import pytest
@@ -33,18 +31,6 @@ def taq_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("telemetry")
     point = run_sweep_point("taq", telemetry_dir=str(out), **POINT)
     return point, point.telemetry["bundle_dir"]
-
-
-def test_disabled_point_identical_to_uninstrumented(tmp_path):
-    plain = run_sweep_point("droptail", **POINT)
-    instrumented = run_sweep_point(
-        "droptail", telemetry_dir=str(tmp_path), **POINT
-    )
-    a = dataclasses.asdict(plain)
-    b = dataclasses.asdict(instrumented)
-    assert a.pop("telemetry") is None
-    assert b.pop("telemetry") is not None
-    assert a == b
 
 
 def test_bundle_files_exist(taq_bundle):

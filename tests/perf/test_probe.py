@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from repro.build import ScenarioSpec, build_simulation
-from repro.perf import PerfProbe, active_probe, arm_simulator, peak_rss_bytes, profiled
+from repro.perf import PerfProbe, peak_rss_bytes, profiled
+from repro.sim.observe import implements, subscribers
 from repro.sim.simulator import Simulator
 
 SCENARIO = {
@@ -19,18 +22,21 @@ SCENARIO = {
 def test_simulator_counters():
     sim = Simulator(seed=1)
     probe = PerfProbe()
-    arm_simulator(probe, sim)
+    # A bare simulator: no links or queue to read ledgers from.
+    probe.arm(SimpleNamespace(sim=sim, queue=None, links=list))
     fired = []
     events = [sim.schedule(0.01 * i, fired.append, (i,)) for i in range(10)]
     events[3].cancel()
     events[7].cancel()
     sim.run()
     assert fired == [0, 1, 2, 4, 5, 6, 8, 9]
-    assert probe.callbacks_dispatched == 8
-    # events_popped counts live dispatches; the two cancelled events are
-    # reaped as tombstones (by peek or pop, whichever sees them first).
-    assert probe.events_popped == 8
-    assert probe.heap_discards == 2
+    counters = probe.counter_summary()
+    assert counters["sim.callbacks_dispatched"] == 8
+    # events_popped counts live dispatches (read from
+    # Simulator.processed); the two cancelled events left the wheel
+    # through EventQueue.discards.
+    assert counters["sim.events_popped"] == 8
+    assert counters["sim.heap_discards"] == 2
     # The whole run sits inside one sim.run span.
     assert probe.spans["sim.run"].calls == 1
     assert probe.spans["sim.run"].total_s > 0
@@ -39,25 +45,23 @@ def test_simulator_counters():
 def test_event_queue_pop_counts_discards():
     from repro.sim.events import EventQueue
 
-    probe = PerfProbe()
     queue = EventQueue()
-    queue.perf = probe
     first = queue.push(1.0, lambda: None)
     second = queue.push(2.0, lambda: None)
     first.cancel()
     assert queue.pop() is second
-    assert probe.events_popped == 1
-    assert probe.heap_discards == 1
+    # The always-on ledger the probe's sim.heap_discards is read from.
+    assert queue.discards == 1
 
 
 def test_counter_summary_merges_hot_and_named():
     probe = PerfProbe()
-    probe.events_popped = 5
+    probe.cache_hits = 5
     probe.count("taq.evictions")
     probe.count("taq.evictions", 2)
     summary = probe.counter_summary()
-    assert summary == {"sim.events_popped": 5, "taq.evictions": 3}
-    # Zero-valued hot counters stay out of the roll-up.
+    assert summary == {"parallel.cache_hits": 5, "taq.evictions": 3}
+    # Zero-valued ledger counters stay out of the roll-up.
     assert "net.packets_dropped" not in summary
 
 
@@ -74,34 +78,55 @@ def test_span_aggregation():
 
 
 def test_profiled_arms_built_scenarios():
-    assert active_probe() is None
     with profiled() as probe:
-        assert active_probe() is probe
         built = build_simulation(ScenarioSpec.from_document(SCENARIO))
+        # Arming the probe alone keeps the simulator's fast loop.
+        assert not implements(built.sim.obs, "event")
         built.run()
-    assert active_probe() is None
     # The run flowed through every instrumented layer.
-    assert probe.events_popped > 0
-    assert probe.callbacks_dispatched > 0
-    assert probe.packets_enqueued > 0
-    assert probe.packets_dequeued > 0
-    assert probe.packets_delivered > 0
+    counters = probe.counter_summary()
+    assert counters["sim.callbacks_dispatched"] > 0
+    assert counters["net.packets_enqueued"] > 0
+    assert counters["net.packets_dequeued"] > 0
     assert probe.spans["sim.run"].calls == 1
+    # Ledger-derived counters are the components' own books.
+    forward, reverse = built.links()
+    assert counters["sim.events_popped"] == built.sim.processed > 0
+    assert counters["net.packets_delivered"] == (
+        forward.stats.delivered + reverse.stats.delivered) > 0
+    assert counters["net.packets_dropped"] == (
+        forward.queue.dropped + reverse.queue.dropped) > 0
+
+
+def test_rearming_the_same_probe_does_not_count_twice():
+    probe = PerfProbe()
+    built = build_simulation(ScenarioSpec.from_document(SCENARIO))
+    probe.arm(built)
+    probe.arm(built)
+    built.run(until=5.0)
+    built.run()
+    assert probe.counter_summary()["sim.events_popped"] == built.sim.processed
+    assert probe.spans["sim.run"].calls == 2
 
 
 def test_profiled_nesting_restores_outer_probe():
+    spec = ScenarioSpec.from_document(SCENARIO)
     with profiled() as outer:
         with profiled() as inner:
-            assert active_probe() is inner
-        assert active_probe() is outer
-    assert active_probe() is None
+            both = build_simulation(spec)
+        only_outer = build_simulation(spec)
+    neither = build_simulation(spec)
+    # Nested probes compose; leaving a block disarms later builds.
+    assert subscribers(both.sim) == [outer, inner]
+    assert subscribers(only_outer.sim) == [outer]
+    assert neither.sim.obs is None
 
 
 def test_unarmed_components_stay_unarmed():
     built = build_simulation(ScenarioSpec.from_document(SCENARIO))
-    assert built.sim.perf is None
-    assert built.sim.events.perf is None
-    assert built.queue.perf is None
+    assert built.sim.obs is None
+    assert built.queue.obs is None
+    assert all(link.obs is None for link in built.links())
 
 
 def test_peak_rss_is_positive_on_posix():

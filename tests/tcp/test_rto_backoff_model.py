@@ -20,6 +20,7 @@ paper's Markov models (:mod:`repro.model.partial` / ``full``) encode:
 import pytest
 
 from repro.build import ScenarioSpec, build_simulation
+from repro.sim.observe import Observer, subscribe
 from repro.tcp.rto import RtoEstimator
 
 
@@ -72,15 +73,16 @@ def test_rto_stays_clamped_throughout_the_ladder():
 # Scenario-level agreement on a 2-flow bottleneck
 
 
-class RecordingProbe:
-    """Minimal ``repro.obs``-compatible probe keeping rto events."""
+class RecordingProbe(Observer):
+    """Minimal seam subscriber keeping the senders' rto events."""
 
     def __init__(self):
         self.events = []
 
-    def emit(self, kind, time, flow_id=-1, **fields):
-        if kind == "rto":
-            self.events.append((flow_id, time, fields["backoff"], fields["rto"]))
+    def rto(self, sender, now):
+        self.events.append(
+            (sender.flow_id, now, sender.rto.backoff_exponent, sender.rto.rto)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +104,7 @@ def rto_trace():
     flows = built.all_flows()
     assert len(flows) == 2
     for flow in flows:
-        flow.sender.probe = probe
+        subscribe(flow.sender, probe)
     built.run()
     return built, probe.events
 

@@ -10,6 +10,9 @@ from repro.sim.simulator import Simulator
 from repro.testbed import JitteredLink, TestbedDumbbell, clock_quantizer
 from repro.workloads import spawn_bulk_flows
 
+# The class name starts with "Test": tell pytest it is not a test case.
+TestbedDumbbell.__test__ = False
+
 
 class Sink:
     def __init__(self):
