@@ -156,6 +156,9 @@ class LinkConservationMonitor(Monitor):
         self.dropped = 0
         self.transmitted = 0
         self.delivered = 0
+        # Lossy links (repro.overlay) vanish packets at delivery time and
+        # count them separately; those are legal departures from the wire.
+        self._lossy = hasattr(link, "cross_traffic_losses")
         link.add_tap(self._on_arrival)
         link.add_transmit_tap(self._on_transmit)
         link.add_delivery_tap(self._on_delivery)
@@ -175,9 +178,9 @@ class LinkConservationMonitor(Monitor):
         self.delivered += 1
 
     # -- checks ---------------------------------------------------------
-    def _check_balance(self, now: float) -> None:
-        resident = len(self.link.queue)
+    def on_event(self, event: Optional["Event"], now: float) -> None:
         queue = self.link.queue
+        resident = len(queue)
         # The queue's own ledger: ``enqueued`` counts currently-accepted
         # packets (evictions move their unit to ``dropped``), so it must
         # equal what left through dequeue plus what still sits buffered.
@@ -199,9 +202,7 @@ class LinkConservationMonitor(Monitor):
                 time=now, arrived=self.arrived, dropped=self.dropped,
                 resident=resident, transmitted=self.transmitted,
             )
-        # Lossy links (repro.overlay) vanish packets at delivery time and
-        # count them separately; those are legal departures from the wire.
-        lost = getattr(self.link, "cross_traffic_losses", 0)
+        lost = self.link.cross_traffic_losses if self._lossy else 0
         if self.transmitted < self.delivered + lost:
             self.violate(
                 f"{self.label}: delivered={self.delivered} + lost={lost} "
@@ -210,14 +211,11 @@ class LinkConservationMonitor(Monitor):
                 delivered=self.delivered, lost=lost,
             )
 
-    def on_event(self, event: "Event", now: float) -> None:
-        self._check_balance(now)
-
     def finalize(self, sim: "Simulator") -> None:
-        self._check_balance(sim.now)
+        self.on_event(None, sim.now)
         if sim.events.peek_time() is None:
             # Fully drained: nothing may remain on the wire or in queue.
-            lost = getattr(self.link, "cross_traffic_losses", 0)
+            lost = self.link.cross_traffic_losses if self._lossy else 0
             if self.arrived != self.dropped + self.delivered + lost:
                 self.violate(
                     f"{self.label}: after drain, arrived={self.arrived} != "
@@ -336,11 +334,12 @@ class TcpLegalityMonitor(Monitor):
                 time=now, flow_id=sender.flow_id,
                 exponent=rto.backoff_exponent, cap=rto.max_backoff,
             )
-        if rto.rto > rto.max_rto or rto.rto < rto.min_rto:
+        timeout = rto.rto
+        if timeout > rto.max_rto or timeout < rto.min_rto:
             self.violate(
-                f"flow {sender.flow_id}: RTO {rto.rto!r} outside clamp "
+                f"flow {sender.flow_id}: RTO {timeout!r} outside clamp "
                 f"[{rto.min_rto}, {rto.max_rto}]",
-                time=now, flow_id=sender.flow_id, rto=rto.rto,
+                time=now, flow_id=sender.flow_id, rto=timeout,
             )
 
     def finalize(self, sim: "Simulator") -> None:
@@ -362,6 +361,14 @@ class TaqAccountingMonitor(Monitor):
     with non-negative epoch counters, plus disjoint admitted/waiting
     pool sets and a loss-rate estimate inside ``[0, 1]`` when the
     admission controller is present.
+
+    The third line compares two ledgers, not a sum with itself:
+    ``len(scheduler)`` is a running count settled on every way out of
+    the buffer, the occupancies are the containers' own lengths.
+
+    ``finalize`` re-derives the tracker's activity census (flow count
+    and per-pool table, both kept incrementally) by one full scan of
+    the flow table and reports any difference.
     """
 
     name = "taq"
@@ -373,7 +380,11 @@ class TaqAccountingMonitor(Monitor):
     def on_event(self, event: "Event", now: float) -> None:
         queue = self.queue
         scheduler = queue.scheduler
-        class_dropped = sum(s.dropped for s in scheduler.stats.values())
+        class_dropped = served = by_class = 0
+        for klass, stats in scheduler.stats.items():
+            class_dropped += stats.dropped
+            served += stats.served
+            by_class += scheduler.occupancy(klass)
         refused = queue.admission_refusals
         if queue.dropped != class_dropped + refused:
             self.violate(
@@ -382,7 +393,6 @@ class TaqAccountingMonitor(Monitor):
                 time=now, dropped=queue.dropped,
                 class_dropped=class_dropped, refused=refused,
             )
-        served = sum(s.served for s in scheduler.stats.values())
         resident = len(scheduler)
         if queue.enqueued != served + resident:
             self.violate(
@@ -391,7 +401,6 @@ class TaqAccountingMonitor(Monitor):
                 time=now, enqueued=queue.enqueued,
                 served=served, resident=resident,
             )
-        by_class = sum(scheduler.occupancy(k) for k in scheduler.stats)
         if resident != by_class:
             self.violate(
                 f"occupancy split unbalanced: len={resident} != "
@@ -407,8 +416,8 @@ class TaqAccountingMonitor(Monitor):
             )
         admission = queue.admission
         if admission is not None:
-            overlap = set(admission.admitted) & set(admission.waiting)
-            if overlap:
+            if not admission.admitted.keys().isdisjoint(admission.waiting):
+                overlap = admission.admitted.keys() & admission.waiting.keys()
                 self.violate(
                     f"pools both admitted and waiting: {sorted(overlap)}",
                     time=now, pools=sorted(overlap),
@@ -425,8 +434,18 @@ class TaqAccountingMonitor(Monitor):
                 )
 
     def finalize(self, sim: "Simulator") -> None:
-        self.on_event(None, sim.now)  # type: ignore[arg-type]
-        for record in self.queue.tracker.flows.values():
+        # Imported here: repro.build loads this module, and a scenario
+        # without a TAQ queue should not pay for importing repro.core.
+        from repro.core.tracker import ACTIVITY_HORIZON_EPOCHS
+
+        now = sim.now
+        self.on_event(None, now)  # type: ignore[arg-type]
+        tracker = self.queue.tracker
+        # The activity census, re-derived the slow way: one walk over
+        # the table with the predicate the tracker's docstring states.
+        scanned = 0
+        scanned_per_pool: Dict[int, int] = {}
+        for record in tracker.flows.values():
             legal = (
                 0 <= record.outstanding_drops <= record.cumulative_drops
                 and record.new_packets >= 0
@@ -442,5 +461,19 @@ class TaqAccountingMonitor(Monitor):
                     f"cumulative={record.cumulative_drops}, "
                     f"new={record.new_packets}, "
                     f"retx={record.retransmissions}, drops={record.drops})",
-                    time=sim.now, flow_id=record.flow_id,
+                    time=now, flow_id=record.flow_id,
                 )
+            if now - record.last_seen <= ACTIVITY_HORIZON_EPOCHS * record.epoch_length:
+                scanned += 1
+                key = record.census_key()
+                scanned_per_pool[key] = scanned_per_pool.get(key, 0) + 1
+        census = tracker.active_flows(now)
+        per_pool = tracker.active_per_pool(now)
+        if census != max(1, scanned) or per_pool != scanned_per_pool:
+            self.violate(
+                f"activity census drifted from a full scan: tracker counts "
+                f"{census} active flow(s) in {len(per_pool)} pool(s), the "
+                f"table holds {scanned} in {len(scanned_per_pool)}",
+                time=now, census=census, scanned=scanned,
+                per_pool=dict(per_pool), scanned_per_pool=scanned_per_pool,
+            )

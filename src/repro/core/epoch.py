@@ -52,7 +52,10 @@ class EpochEstimator:
         self.min_epoch = min_epoch
         self.max_epoch = max_epoch
         self.burst_gap_factor = burst_gap_factor
-        self._estimate: Optional[float] = None
+        #: Current epoch-length estimate, seconds; the prior until the
+        #: first sample.  A plain attribute: the tracker reads it on
+        #: every packet.
+        self.estimate = default_epoch
         self._syn_time: Optional[float] = None
         self._first_data_seen = False
         # Two-way matching: outstanding data sequence -> send time.  A
@@ -63,19 +66,12 @@ class EpochEstimator:
         self.samples = 0
 
     # ------------------------------------------------------------------
-    @property
-    def estimate(self) -> float:
-        """Current epoch-length estimate, seconds."""
-        if self._estimate is None:
-            return self.default_epoch
-        return self._estimate
-
     def _feed(self, measurement: float) -> None:
         measurement = min(self.max_epoch, max(self.min_epoch, measurement))
-        if self._estimate is None:
-            self._estimate = measurement
+        if self.samples == 0:
+            self.estimate = measurement
         else:
-            self._estimate += self.alpha * (measurement - self._estimate)
+            self.estimate += self.alpha * (measurement - self.estimate)
         self.samples += 1
 
     # ------------------------------------------------------------------

@@ -16,8 +16,6 @@ TAQ supports:
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.tracker import FlowRecord, FlowTracker
 
 
@@ -62,31 +60,24 @@ class FairShareEstimator:
         self.headroom = headroom
 
     # ------------------------------------------------------------------
-    def _active_pool_census(self, now: float) -> Dict[int, int]:
-        """Active flows per pool (unpooled flows keyed by -flow_id)."""
-        census: Dict[int, int] = {}
-        for record in self.tracker.flows.values():
-            if now - record.last_seen <= 10.0 * record.epoch_length:
-                key = record.pool_id if record.pool_id != -1 else -(record.flow_id + 2)
-                census[key] = census.get(key, 0) + 1
-        return census
-
     def fair_share_bps(self, record: FlowRecord, now: float) -> float:
         """This flow's fair share under the configured model."""
+        tracker = self.tracker
         if self.granularity == "pool":
-            census = self._active_pool_census(now)
+            census = tracker.active_per_pool(now)
             n_pools = max(1, len(census))
-            key = record.pool_id if record.pool_id != -1 else -(record.flow_id + 2)
-            flows_in_pool = max(1, census.get(key, 1))
+            flows_in_pool = max(1, census.get(record.census_key(), 1))
             return self.capacity_bps / n_pools / flows_in_pool
-        n = self.tracker.active_flows(now)
-        equal_share = self.capacity_bps / n
+        equal_share = self.capacity_bps / tracker.active_flows(now)
         if self.model == "fair-queuing":
             return equal_share
         # Proportional: weight by 1/RTT, normalized across active flows.
+        # A float sum in table order, so it stays a walk: a running
+        # add/subtract total would not be bit-identical.  The census
+        # was just brought to *now*, so ``active`` is the predicate.
         inverse_rtt_sum = 0.0
         for other in self.tracker.flows.values():
-            if now - other.last_seen <= 10.0 * other.epoch_length:
+            if other.active:
                 inverse_rtt_sum += 1.0 / max(1e-3, other.epoch_length)
         if inverse_rtt_sum <= 0:
             return equal_share

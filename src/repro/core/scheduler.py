@@ -48,6 +48,12 @@ class PacketClass(enum.Enum):
     BELOW_FAIR_SHARE = "below_fair_share"
     ABOVE_FAIR_SHARE = "above_fair_share"
 
+    # Members are singletons, so identity hashing is equivalent to
+    # Enum's hash-of-name and spares a Python frame on every
+    # ``stats[klass]`` / ``_fifos[klass]`` lookup.  Nothing iterates a
+    # *set* of classes, the one place hash values could show.
+    __hash__ = object.__hash__
+
 
 #: Eviction protection: lower rank is evicted first.  The three Level-2
 #: queues share a rank — among them the *longest* backlog is stolen
@@ -65,6 +71,25 @@ LEVEL2_CLASSES = (
     PacketClass.NEW_FLOW,
     PacketClass.OVER_PENALIZED,
 )
+
+
+def _eviction_order() -> Dict[PacketClass, Tuple[Tuple[PacketClass, ...], ...]]:
+    """For each arriving class, the groups of FIFO classes it may evict
+    from: one group per protection rank up to its own, lowest first,
+    members in :data:`PROTECTION_RANK` order (ties go to the first)."""
+    by_rank: Dict[int, List[PacketClass]] = {}
+    for klass, rank in PROTECTION_RANK.items():
+        if klass is not PacketClass.RECOVERY:
+            by_rank.setdefault(rank, []).append(klass)
+    return {
+        arriving: tuple(
+            tuple(by_rank[rank]) for rank in sorted(by_rank) if rank <= arriving_rank
+        )
+        for arriving, arriving_rank in PROTECTION_RANK.items()
+    }
+
+
+EVICTION_ORDER = _eviction_order()
 
 
 class ClassStats:
@@ -123,7 +148,14 @@ class TAQScheduler:
             PacketClass.BELOW_FAIR_SHARE: deque(),
             PacketClass.ABOVE_FAIR_SHARE: deque(),
         }
-        self._recent_services: Deque[PacketClass] = deque(maxlen=service_window)
+        # The last ``service_window`` classes served, and how many of
+        # them were RECOVERY (a running count, so the service cap is
+        # not a sum over the window on every dequeue).
+        self._recent_services: Deque[PacketClass] = deque()
+        self._recent_recovery = 0
+        #: Packets buffered across all five containers, kept as a
+        #: running count: ``len(scheduler)`` is on every hot path.
+        self.buffered = 0
         self._tiebreak = 0
         self._level2_rotation = 0
         self._buffered_syns = 0
@@ -133,7 +165,7 @@ class TAQScheduler:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._recovery) + sum(len(q) for q in self._fifos.values())
+        return self.buffered
 
     def occupancy(self, klass: PacketClass) -> int:
         if klass is PacketClass.RECOVERY:
@@ -160,23 +192,25 @@ class TAQScheduler:
         ``(accepted, evicted)``: the caller must account the evicted
         packet (if any) as a drop.
         """
+        stats = self.stats[klass]
         if connection_attempt and self._buffered_syns >= self.new_flow_capacity:
-            self.stats[klass].dropped += 1
+            stats.dropped += 1
             return False, None
         evicted: Optional[Packet] = None
-        if len(self) >= self.capacity_pkts:
+        if self.buffered >= self.capacity_pkts:
             evicted = self._evict_for(klass, priority)
             if evicted is None:
-                self.stats[klass].dropped += 1
+                stats.dropped += 1
                 return False, None
         if klass is PacketClass.RECOVERY:
             self._tiebreak += 1
             heapq.heappush(self._recovery, (-priority, self._tiebreak, packet))
         else:
             self._fifos[klass].append(packet)
+        self.buffered += 1
         if connection_attempt:
             self._buffered_syns += 1
-        self.stats[klass].enqueued += 1
+        stats.enqueued += 1
         return True, evicted
 
     def _evict_for(self, arriving: PacketClass, priority: float) -> Optional[Packet]:
@@ -189,34 +223,29 @@ class TAQScheduler:
         unless it is the longest — and evicting one's own FIFO tail to
         append oneself is rejected as a pointless swap.
         """
-        arriving_rank = PROTECTION_RANK[arriving]
-        by_rank: Dict[int, List[PacketClass]] = {}
-        for klass, rank in PROTECTION_RANK.items():
-            by_rank.setdefault(rank, []).append(klass)
-        for rank in sorted(by_rank):
-            if rank > arriving_rank:
-                break
-            candidates = [
-                klass
-                for klass in by_rank[rank]
-                if klass is not PacketClass.RECOVERY and self._fifos[klass]
-            ]
-            if candidates:
-                victim_class = max(candidates, key=lambda k: len(self._fifos[k]))
+        fifos = self._fifos
+        for group in EVICTION_ORDER[arriving]:
+            victim_class, longest = None, 0
+            for klass in group:
+                backlog = len(fifos[klass])
+                if backlog > longest:
+                    victim_class, longest = klass, backlog
+            if victim_class is not None:
                 if victim_class is arriving:
                     # Our own queue holds the longest backlog: dropping
                     # our own tail and appending ourselves is a no-op
                     # swap, so reject the arrival instead.
                     return None
-                victim = self._fifos[victim_class].pop()
+                victim = fifos[victim_class].pop()
                 self._note_departure(victim)
                 self.stats[victim_class].dropped += 1
                 return victim
-            if PacketClass.RECOVERY in by_rank[rank] and arriving is PacketClass.RECOVERY:
-                victim = self._evict_recovery_if_lower(priority)
-                if victim is not None:
-                    self.stats[PacketClass.RECOVERY].dropped += 1
-                    return victim
+        # RECOVERY, alone at the top rank, only yields to its own kind.
+        if arriving is PacketClass.RECOVERY:
+            victim = self._evict_recovery_if_lower(priority)
+            if victim is not None:
+                self.stats[PacketClass.RECOVERY].dropped += 1
+                return victim
         return None
 
     def _evict_recovery_if_lower(self, arriving_priority: float) -> Optional[Packet]:
@@ -224,14 +253,18 @@ class TAQScheduler:
         arriving recovery packet outranks it."""
         if not self._recovery:
             return None
-        index = max(range(len(self._recovery)), key=lambda i: self._recovery[i][0])
-        lowest_priority = -self._recovery[index][0]
-        if arriving_priority <= lowest_priority:
+        # The first entry, in heap-array order, of the lowest priority.
+        index, negated = 0, self._recovery[0][0]
+        for i, entry in enumerate(self._recovery):
+            if entry[0] > negated:
+                index, negated = i, entry[0]
+        if arriving_priority <= -negated:
             return None
         victim = self._recovery[index][2]
         self._recovery[index] = self._recovery[-1]
         self._recovery.pop()
         heapq.heapify(self._recovery)
+        self._note_departure(victim)
         return victim
 
     # ------------------------------------------------------------------
@@ -241,30 +274,39 @@ class TAQScheduler:
         window = self._recent_services
         if not window:
             return True
-        share = sum(1 for c in window if c is PacketClass.RECOVERY) / len(window)
-        return share < self.recovery_service_share
-
-    def _others_empty(self) -> bool:
-        return all(not q for q in self._fifos.values())
+        return self._recent_recovery / len(window) < self.recovery_service_share
 
     def dequeue(self) -> Optional[Packet]:
         """Pick the next packet per the 3-level hierarchy."""
-        # Level 1: recovery, under its service cap (work-conserving).
-        if self._recovery and (self._recovery_under_cap() or self._others_empty()):
+        # Level 1: recovery, under its service cap (work-conserving:
+        # also when recovery is all that is buffered).
+        if self._recovery and (
+            self.buffered == len(self._recovery) or self._recovery_under_cap()
+        ):
             return self._serve(PacketClass.RECOVERY)
-        # Level 2: demand-proportional among the three middle queues.
-        candidates = [
-            (len(self._fifos[klass]), klass)
-            for klass in LEVEL2_CLASSES
-            if self._fifos[klass]
-        ]
-        if candidates:
-            longest = max(length for length, _ in candidates)
-            tied = [klass for length, klass in candidates if length == longest]
+        # Level 2: demand-proportional among the three middle queues —
+        # the longest backlog, rotating among ties.
+        fifos = self._fifos
+        longest = ties = 0
+        for klass in LEVEL2_CLASSES:
+            backlog = len(fifos[klass])
+            if backlog > longest:
+                longest, ties, choice = backlog, 1, klass
+            elif backlog == longest:
+                ties += 1
+        if longest:
             self._level2_rotation += 1
-            return self._serve(tied[self._level2_rotation % len(tied)])
+            if ties > 1:
+                turn = self._level2_rotation % ties
+                for klass in LEVEL2_CLASSES:
+                    if len(fifos[klass]) == longest:
+                        if turn == 0:
+                            choice = klass
+                            break
+                        turn -= 1
+            return self._serve(choice)
         # Level 3: above fair share.
-        if self._fifos[PacketClass.ABOVE_FAIR_SHARE]:
+        if fifos[PacketClass.ABOVE_FAIR_SHARE]:
             return self._serve(PacketClass.ABOVE_FAIR_SHARE)
         # Only a capped recovery backlog remains: serve it anyway.
         if self._recovery:
@@ -272,15 +314,23 @@ class TAQScheduler:
         return None
 
     def _serve(self, klass: PacketClass) -> Packet:
+        window = self._recent_services
         if klass is PacketClass.RECOVERY:
             _, _, packet = heapq.heappop(self._recovery)
+            self._recent_recovery += 1
         else:
             packet = self._fifos[klass].popleft()
         self._note_departure(packet)
-        self._recent_services.append(klass)
+        window.append(klass)
+        if len(window) > self.service_window:
+            if window.popleft() is PacketClass.RECOVERY:
+                self._recent_recovery -= 1
         self.stats[klass].served += 1
         return packet
 
     def _note_departure(self, packet: Packet) -> None:
+        """Every way out of the buffer — service and both kinds of
+        eviction — settles the running counts here."""
+        self.buffered -= 1
         if packet.kind == SYN and self._buffered_syns > 0:
             self._buffered_syns -= 1

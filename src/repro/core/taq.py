@@ -203,4 +203,4 @@ class TAQQueue(QueueDiscipline):
         return self.scheduler.dequeue()
 
     def __len__(self) -> int:
-        return len(self.scheduler)
+        return self.scheduler.buffered

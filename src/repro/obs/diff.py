@@ -9,7 +9,7 @@ every counter, histogram and series roll-up, span counts, compact
 manifest provenance — and diffs two summaries under per-metric
 tolerance rules.  CI keeps a committed baseline summary
 (``BEHAVIOR_fig02.json``) and diffs every push's fig02 telemetry
-against it, the behavioral analogue of the ``BENCH_6.json`` perf gate.
+against it, the behavioral analogue of the ``BENCH_15.json`` perf gate.
 
 Flat metric names, one value each::
 

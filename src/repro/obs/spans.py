@@ -85,11 +85,16 @@ class Span:
     ``parent`` points at the owning ``flow`` span; ``cause`` at the
     span that provoked this one (drop -> retransmission, refusal ->
     syn_wait, ...).  Both are span ids, -1 when absent.  ``t1`` is None
-    while the span is open.  ``stages`` is only used by ``pkt`` spans.
+    while the span is open.  ``stages`` is only used by ``pkt`` spans:
+    a list of ``[name, time]`` / ``[name, time, where]`` entries, None
+    until the first one.  It is stored flat, three slots per stage in
+    one list, and built on read: a recording holds three stages per
+    packet, and that many small lists kept alive made the cyclic
+    collector's full passes the largest single cost of an armed run.
     """
 
     __slots__ = ("id", "kind", "flow_id", "t0", "t1", "parent", "cause",
-                 "stages", "fields")
+                 "_stages", "fields")
 
     def __init__(
         self,
@@ -110,7 +115,9 @@ class Span:
         self.t1 = t1
         self.parent = parent
         self.cause = cause
-        self.stages = stages
+        self._stages: Optional[List[Any]] = None
+        if stages is not None:
+            self.stages = stages
         self.fields = fields
 
     @property
@@ -118,14 +125,36 @@ class Span:
         """Closed extent (0.0 while the span is still open)."""
         return 0.0 if self.t1 is None else self.t1 - self.t0
 
+    @property
+    def stages(self) -> Optional[List[List[Any]]]:
+        """The lifecycle stages in order, a fresh list on every read
+        (append through :meth:`stage`, not to the returned list)."""
+        flat = self._stages
+        if flat is None:
+            return None
+        return [
+            [flat[i], flat[i + 1]] if flat[i + 2] is None else flat[i:i + 3]
+            for i in range(0, len(flat), 3)
+        ]
+
+    @stages.setter
+    def stages(self, entries: Optional[List[List[Any]]]) -> None:
+        if entries is None:
+            self._stages = None
+            return
+        flat: List[Any] = []
+        for entry in entries:
+            if not 2 <= len(entry) <= 3:
+                raise ValueError(f"a stage is [name, time] or [name, time, where]: {entry!r}")
+            flat += (entry[0], entry[1], entry[2] if len(entry) == 3 else None)
+        self._stages = flat
+
     def stage(self, name: str, time: float, where: Optional[str] = None) -> None:
         """Append one lifecycle stage (``pkt`` spans)."""
-        if self.stages is None:
-            self.stages = []
-        entry: List[Any] = [name, time]
-        if where is not None:
-            entry.append(where)
-        self.stages.append(entry)
+        if self._stages is None:
+            self._stages = [name, time, where]
+        else:
+            self._stages += (name, time, where)
 
     def close(self, time: float, outcome: Optional[str] = None) -> None:
         self.t1 = time
@@ -142,7 +171,7 @@ class Span:
             payload["parent"] = self.parent
         if self.cause != -1:
             payload["cause"] = self.cause
-        if self.stages is not None:
+        if self._stages is not None:
             payload["stages"] = self.stages
         for key in sorted(self.fields):
             payload[key] = self.fields[key]
@@ -207,12 +236,13 @@ class SpanRecorder(Observer):
     # ------------------------------------------------------------------
     # Span construction
     # ------------------------------------------------------------------
-    def _new_span(self, kind: str, flow_id: int, t0: float, **fields: Any
-                  ) -> Optional[Span]:
+    def _new_span(self, kind: str, flow_id: int, t0: float, parent: int = -1,
+                  cause: int = -1, **fields: Any) -> Optional[Span]:
         if len(self.spans) >= self.limit:
             self.truncated = True
             return None
-        span = Span(self._next_id, kind, flow_id=flow_id, t0=t0, **fields)
+        span = Span(self._next_id, kind, flow_id, t0, None, parent, cause, None,
+                    **fields)
         self._next_id += 1
         self.spans.append(span)
         return span
@@ -225,13 +255,11 @@ class SpanRecorder(Observer):
                 self._flow_spans[flow_id] = span
         return span
 
-    def _pkt_for(self, packet, now: float) -> Optional[Span]:
-        """The packet's span, created lazily on first contact (packets
-        not born under a sender hook — ACKs, receiver traffic — enter
-        the record at their first armed link)."""
-        span = self._pkt_spans.get(packet.span_id)
-        if span is not None:
-            return span
+    def _first_contact(self, packet, now: float) -> Optional[Span]:
+        """A span for a packet that has none yet: packets not born under
+        a sender hook (ACKs, receiver traffic) enter the record at their
+        first armed link.  Hooks look the span up themselves and come
+        here on a miss, which keeps the per-packet path one dict get."""
         flow = self._flow_span(packet.flow_id, now)
         span = self._new_span(
             "pkt", packet.flow_id, now,
@@ -362,12 +390,12 @@ class SpanRecorder(Observer):
     # Link events
     # ------------------------------------------------------------------
     def enqueued(self, link, packet, now: float) -> None:
-        span = self._pkt_for(packet, now)
+        span = self._pkt_spans.get(packet.span_id) or self._first_contact(packet, now)
         if span is not None:
             span.stage("enq", now, link.name)
 
     def tx(self, link, packet, now: float) -> None:
-        span = self._pkt_for(packet, now)
+        span = self._pkt_spans.get(packet.span_id) or self._first_contact(packet, now)
         if span is not None:
             span.stage("tx", now, link.name)
         if self.stream is not None:
@@ -377,7 +405,7 @@ class SpanRecorder(Observer):
 
     def delivered(self, link, packet, now: float) -> None:
         last = link.next_link is None  # else a hop into a chained link
-        span = self._pkt_for(packet, now)
+        span = self._pkt_spans.get(packet.span_id) or self._first_contact(packet, now)
         if span is not None:
             span.stage("deliv" if last else "hop", now)
             if last:
@@ -396,7 +424,7 @@ class SpanRecorder(Observer):
     # ------------------------------------------------------------------
     def dropped(self, queue, packet, now: float) -> None:
         """The queue rejected or evicted *packet* (all disciplines)."""
-        span = self._pkt_for(packet, now)
+        span = self._pkt_spans.get(packet.span_id) or self._first_contact(packet, now)
         flow_id = packet.flow_id
         self._last_activity[flow_id] = now
         if span is None:
@@ -410,7 +438,7 @@ class SpanRecorder(Observer):
         """TAQ admission control refused this SYN (``dropped`` fires
         right after; the flag is what tells a syn_wait from congestion
         loss)."""
-        span = self._pkt_for(packet, now)
+        span = self._pkt_spans.get(packet.span_id) or self._first_contact(packet, now)
         if span is not None:
             span.fields["refused"] = True
 
@@ -429,7 +457,7 @@ class SpanRecorder(Observer):
     def evicted(self, queue, evicted, by_packet, now: float) -> None:
         """TAQ pushed *evicted* out to admit *by_packet* (``dropped``
         follows and closes the span)."""
-        span = self._pkt_for(evicted, now)
+        span = self._pkt_spans.get(evicted.span_id) or self._first_contact(evicted, now)
         if span is not None:
             span.fields["evicted_by"] = by_packet.flow_id
 

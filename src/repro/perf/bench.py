@@ -6,9 +6,10 @@ returns how much work that was (events processed, packets handled).
 The runner times it (best-of-``repeats`` wall time), derives the
 throughput rates, and snapshots peak RSS; the whole suite serializes to
 a schema-versioned BENCH document committed at the repo root
-(``BENCH_6.json`` since the event-core rearchitecture; ``BENCH_5.json``
-is kept as the heap-era reference point) so every future change can be
-compared against a recorded baseline with ``taq-perf compare``.
+(``BENCH_15.json`` since TAQ's per-packet scans became incremental
+state; the documents it superseded are in the git history and their
+before/after rows in docs/performance.md) so every future change can be compared against a recorded baseline with
+``taq-perf compare``.
 
 A ``scale`` knob multiplies each benchmark's problem size so tests can
 run the full suite in milliseconds (``scale=0.02``) while CI and the
@@ -34,8 +35,8 @@ from repro.perf.probe import peak_rss_bytes
 #: Bump when the BENCH document layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
 BENCH_SCHEMA = "repro.perf.bench"
-#: The trajectory file this PR emits at the repo root.
-DEFAULT_BENCH_NAME = "BENCH_6.json"
+#: The committed baseline at the repo root, and ``taq-perf run``'s default output.
+DEFAULT_BENCH_NAME = "BENCH_15.json"
 
 
 @dataclass

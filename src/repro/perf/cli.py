@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    taq-perf run [--out BENCH_6.json] [--scale 1.0] [--repeats 1]
+    taq-perf run [--out BENCH_15.json] [--scale 1.0] [--repeats 1]
                  [--only NAME ...] [--list]
         Run the benchmark suite and write the schema-versioned BENCH
         document (wall time, events/sec, packets/sec, peak RSS per

@@ -1,4 +1,4 @@
-"""The shipped benchmark suite: 14 deterministic workloads.
+"""The shipped benchmark suite: 17 deterministic workloads.
 
 Five groups, chosen to cover every layer the probe instruments:
 
@@ -6,7 +6,10 @@ Five groups, chosen to cover every layer the probe instruments:
   churn, the two inner loops every simulated second rides on.
 - ``queues``: each registered discipline (droptail, red, sfq,
   favorqueue, taq) driven to saturation directly — enqueue/dequeue
-  with no TCP above it, isolating per-packet discipline cost.
+  with no TCP above it, isolating per-packet discipline cost.  TAQ is
+  also driven *attached to a link* at 10^2, 10^3 and 10^4 flows: only
+  an attached queue knows its capacity, so only there does the
+  Below/Above fair-share split (and the activity census under it) run.
 - ``tcp`` / ``scenario``: full small-packet runs built from
   :class:`ScenarioSpec` through the declarative harness, the shapes
   the paper's figures actually exercise (bulk vs TAQ, Fig-10-style
@@ -37,6 +40,7 @@ from repro.build.spec import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.net.link import Link
 from repro.net.packet import DATA, Packet
 from repro.parallel import ParallelRunner, PointSpec
 from repro.perf.bench import BenchCounts, benchmark
@@ -142,6 +146,67 @@ def queue_taq_saturation(scale: float) -> BenchCounts:
     """TAQ at 2x offered load: flow tracking, epochs and fair-share
     push-out — the paper's mechanism, and the costliest discipline."""
     return _saturate_queue("taq", scale, seed=15)
+
+
+class TaqFlowDrive:
+    """TAQ attached to a link, driven directly by *flows* steady flows.
+
+    Rounds of 0.25 s: every flow offers one 200-byte packet per round,
+    every other flow two, each arrival followed by one service — the
+    queue stays shallow and nothing is dropped, so after their first
+    epochs all flows are classified by rate against their fair share,
+    half of them above it.  The link's capacity is ``flows`` times the
+    mean per-flow rate, which puts the share between the two groups at
+    every size.  Per-flow timing (2.5 epochs between a flow's packets,
+    every flow inside its activity horizon) does not depend on
+    ``flows``; what does is the size of the flow table the fair-share
+    split consults on every packet.
+    """
+
+    ROUND_S = 0.25
+    PKT_BYTES = 200
+
+    def __init__(self, flows: int, seed: int = 16) -> None:
+        self.flows = flows
+        self.sim = Simulator(seed=seed)
+        per_flow_bps = 1.5 * self.PKT_BYTES * 8 / self.ROUND_S
+        self.queue = build_queue("taq", self.sim, capacity_bps=flows * per_flow_bps,
+                                 rtt=0.1, pkt_size=self.PKT_BYTES)
+        Link(self.sim, flows * per_flow_bps, 0.05, self.queue)
+        self.rounds = 0
+
+    def run(self, packets: int) -> int:
+        """Offer at least *packets* packets in whole rounds; returns
+        the number offered (every one is also served)."""
+        queue, flows, size = self.queue, self.flows, self.PKT_BYTES
+        step = self.ROUND_S / flows
+        offered = 0
+        while offered < packets:
+            base, seq = self.rounds * self.ROUND_S, 2 * self.rounds
+            for flow in range(flows):
+                now = base + flow * step
+                for extra in range(1 + flow % 2):
+                    queue.enqueue(Packet(flow, DATA, seq=seq + extra, size=size), now)
+                    queue.dequeue(now)
+                    offered += 1
+            self.rounds += 1
+        return offered
+
+
+def _flow_scaling(flows: int) -> None:
+    def bench(scale: float) -> BenchCounts:
+        return BenchCounts(packets=TaqFlowDrive(flows).run(_scaled(150_000, scale)))
+
+    benchmark(
+        f"queue_taq_flow_scaling_f{flows}",
+        group="queues",
+        description=f"TAQ attached to a link, {flows} steady flows: per-packet "
+                    f"cost must not grow with the flow table.",
+    )(bench)
+
+
+for _flows in (100, 1_000, 10_000):
+    _flow_scaling(_flows)
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_conservation_catches_delivery_exceeding_transmit():
     monitor.delivered = 3  # one packet materialized out of thin air
     monitor.link.queue.enqueued = 2
     with pytest.raises(InvariantViolation, match="exceeds transmitted"):
-        monitor._check_balance(1.0)
+        monitor.on_event(None, 1.0)
 
 
 def test_conservation_counts_lossy_link_losses_as_departures():
@@ -83,7 +83,7 @@ def test_conservation_counts_lossy_link_losses_as_departures():
     monitor.arrived = monitor.transmitted = 5
     monitor.delivered = 3  # + 2 lost on the wire: balanced
     link.queue.enqueued = 5
-    monitor._check_balance(1.0)
+    monitor.on_event(None, 1.0)
     assert monitor.violations == []
 
 
@@ -262,13 +262,38 @@ class FakeRecord:
         self.drops = 0
         self.bytes_forwarded = 0
         self.epochs = 0
+        self.pool_id = 4
+        self.last_seen = 0.0
+        self.epoch_length = 1.0  # active until t=10: FakeSim ends at 9
         for key, value in overrides.items():
             setattr(self, key, value)
 
+    def census_key(self):
+        return self.pool_id
+
 
 class FakeTracker:
-    def __init__(self, records=()):
+    """A table plus a census that, unless told otherwise, is right."""
+
+    def __init__(self, records=(), miscount=0, per_pool=None):
         self.flows = {i: r for i, r in enumerate(records)}
+        self._miscount = miscount
+        self._per_pool = per_pool
+
+    def _active(self, now):
+        return [r for r in self.flows.values()
+                if now - r.last_seen <= 10.0 * r.epoch_length]
+
+    def active_flows(self, now):
+        return max(1, len(self._active(now))) + self._miscount
+
+    def active_per_pool(self, now):
+        if self._per_pool is not None:
+            return self._per_pool
+        census = {}
+        for record in self._active(now):
+            census[record.census_key()] = census.get(record.census_key(), 0) + 1
+        return census
 
 
 class FakeTaqQueue:
@@ -339,6 +364,32 @@ def test_legal_tracker_records_pass_finalize():
     monitor = balanced_monitor(
         tracker=FakeTracker([FakeRecord(outstanding_drops=1, cumulative_drops=2,
                                         new_packets=5, drops=2)])
+    )
+    monitor.finalize(FakeSim())
+    assert monitor.violations == []
+
+
+def test_census_count_drift_is_caught_at_finalize():
+    monitor = balanced_monitor(
+        tracker=FakeTracker([FakeRecord(), FakeRecord()], miscount=1)
+    )
+    with pytest.raises(InvariantViolation, match="activity census drifted"):
+        monitor.finalize(FakeSim())
+
+
+def test_census_per_pool_drift_is_caught_at_finalize():
+    monitor = balanced_monitor(
+        tracker=FakeTracker([FakeRecord(), FakeRecord(pool_id=5)],
+                            per_pool={4: 2})
+    )
+    with pytest.raises(InvariantViolation, match="activity census drifted"):
+        monitor.finalize(FakeSim())
+
+
+def test_census_ignores_flows_past_their_horizon():
+    # Seen at t=0 with a 0.5 s epoch: expired at t=5, long before t=9.
+    monitor = balanced_monitor(
+        tracker=FakeTracker([FakeRecord(), FakeRecord(epoch_length=0.5)])
     )
     monitor.finalize(FakeSim())
     assert monitor.violations == []

@@ -175,3 +175,26 @@ def test_taq_monitor_catches_drop_ledger_corruption():
     built.queue.dropped += 1
     with pytest.raises(InvariantViolation, match="drop ledger"):
         taq.on_event(None, built.sim.now)
+
+
+def test_taq_monitor_rederives_the_activity_census_at_finalize():
+    built = build_simulation(make_spec(queue={"kind": "taq"}))
+    suite = attach_monitors(built)
+    built.run()
+    tracker = built.queue.tracker
+    assert len(tracker.flows) > 1
+    tracker._active += 1  # the incremental count drifts from the table
+    with pytest.raises(InvariantViolation, match="activity census drifted"):
+        suite.finalize()
+
+
+def test_taq_monitor_catches_a_flow_counted_under_the_wrong_pool():
+    built = build_simulation(make_spec(queue={"kind": "taq"}))
+    suite = attach_monitors(built)
+    built.run()
+    tracker = built.queue.tracker
+    per_pool = tracker.active_per_pool(built.sim.now)
+    key = next(iter(per_pool))
+    per_pool[key + 1000] = per_pool.pop(key)  # right total, wrong split
+    with pytest.raises(InvariantViolation, match="activity census drifted"):
+        suite.finalize()

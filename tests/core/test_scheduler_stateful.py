@@ -8,7 +8,11 @@ arbitrary priorities) and dequeues, checking after every step:
   still-buffered (per class and in total);
 - every accepted packet is eventually either served or evicted, never
   duplicated or lost;
-- the recovery queue always pops its highest-priority entry.
+- the recovery queue always pops its highest-priority entry;
+- the running counters equal a recount: ``len(scheduler)`` against the
+  five container lengths, and the RECOVERY count of the service window
+  against the window itself — after every path out of the buffer,
+  recovery-over-recovery eviction included.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ PRIORITIES = st.floats(min_value=0.0, max_value=100.0)
 class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
+        # A window shorter than a run, so entries do fall out of it.
         self.scheduler = TAQScheduler(
-            CAPACITY, new_flow_capacity=3, recovery_service_share=0.3
+            CAPACITY, new_flow_capacity=3, recovery_service_share=0.3,
+            service_window=5,
         )
         self.next_id = 0
         self.buffered = {}          # id(packet) -> packet
@@ -56,6 +62,13 @@ class SchedulerMachine(RuleBasedStateMachine):
         else:
             self.outcomes["rejected"] += 1
             assert evicted is None, "rejected arrival must not evict"
+
+    @rule(priorities=st.lists(PRIORITIES, min_size=CAPACITY, max_size=2 * CAPACITY))
+    def recovery_burst(self, priorities):
+        """Fill the buffer with retransmissions, so that later ones can
+        only get in by pushing an earlier, lower-priority one out."""
+        for priority in priorities:
+            self.enqueue(PacketClass.RECOVERY, priority, syn=False)
 
     @rule()
     def dequeue(self):
@@ -84,6 +97,16 @@ class SchedulerMachine(RuleBasedStateMachine):
         )
 
     @invariant()
+    def running_counts_match_a_recount(self):
+        scheduler = self.scheduler
+        assert len(scheduler) == len(scheduler._recovery) + sum(
+            len(fifo) for fifo in scheduler._fifos.values())
+        window = scheduler._recent_services
+        assert len(window) <= scheduler.service_window
+        assert scheduler._recent_recovery == sum(
+            1 for klass in window if klass is PacketClass.RECOVERY)
+
+    @invariant()
     def per_class_occupancy_sums(self):
         total = sum(self.scheduler.occupancy(c) for c in PacketClass)
         assert total == len(self.scheduler)
@@ -109,3 +132,28 @@ def test_recovery_heap_pops_in_priority_order_randomized():
     while (packet := scheduler.dequeue()) is not None:
         served_priorities.append(priorities[packet.flow_id])
     assert served_priorities == sorted(priorities, reverse=True)
+
+
+def test_recovery_over_recovery_eviction_keeps_the_running_count():
+    scheduler = TAQScheduler(2)
+    for i, priority in enumerate((1.0, 2.0)):
+        scheduler.enqueue(Packet(i, DATA, seq=0, size=500), PacketClass.RECOVERY,
+                          priority=priority)
+    accepted, evicted = scheduler.enqueue(
+        Packet(9, DATA, seq=0, size=500), PacketClass.RECOVERY, priority=3.0)
+    assert accepted and evicted.flow_id == 0
+    assert len(scheduler) == 2 == scheduler.occupancy(PacketClass.RECOVERY)
+    served = [scheduler.dequeue().flow_id for _ in range(2)]
+    assert served == [9, 1] and len(scheduler) == 0
+    assert scheduler.dequeue() is None
+
+
+def test_packet_class_order_and_values_are_what_telemetry_prints():
+    # taq.occupancy.<value> gauges, taq_report rows and spans.jsonl all
+    # print these strings, in this order (dict order of ``stats``).
+    expected = ["recovery", "new_flow", "over_penalized",
+                "below_fair_share", "above_fair_share"]
+    assert [klass.value for klass in PacketClass] == expected
+    assert [klass.value for klass in TAQScheduler(4).stats] == expected
+    assert [klass.name for klass in PacketClass] == [v.upper() for v in expected]
+    assert PacketClass("recovery") is PacketClass.RECOVERY

@@ -117,6 +117,16 @@ def test_gc_evicts_stale_flows():
     assert tracker.lookup(2) is not None
 
 
+def test_gc_drains_the_expiry_heap_when_nobody_queries_the_census():
+    # An unattached queue (or classify_fair_share=False) never asks for
+    # the census, so GC is the only thing that can retire heap entries.
+    tracker = FlowTracker(default_epoch=0.1, idle_timeout=5.0)
+    for flow in range(2000):
+        tracker.observe_arrival(data(flow=flow, seq=0), flow * 0.1)
+    assert len(tracker.flows) <= 101  # ten seconds' worth at most
+    assert len(tracker._expiry) <= len(tracker.flows)
+
+
 def test_rate_estimate_tracks_throughput():
     tracker = make_tracker(epoch=1.0)
     # 2 x 500B per 1s epoch = 8 kbps steady.

@@ -124,11 +124,14 @@ def test_duplicate_registration_rejected():
 
 
 def test_committed_baseline_matches_current_suite():
-    """BENCH_6.json at the repo root is the committed baseline the CI
-    perf job compares against — it must stay in step with the suite."""
+    """The BENCH document at the repo root is the committed baseline
+    the CI perf job compares against — it must stay in step with the
+    suite."""
     import os
 
-    path = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_6.json")
+    from repro.perf.bench import DEFAULT_BENCH_NAME
+
+    path = os.path.join(os.path.dirname(__file__), "..", "..", DEFAULT_BENCH_NAME)
     document = load_bench(path)
     assert set(document["benchmarks"]) == set(load_suite())
     for name, row in document["benchmarks"].items():
