@@ -13,8 +13,9 @@ paper's design discussion predicts:
 """
 
 from benchmarks.conftest import run_once
+from repro.build import build_simulation
 from repro.core.scheduler import PacketClass
-from repro.experiments.runner import build_dumbbell
+from repro.experiments.runner import dumbbell_spec
 from repro.workloads import spawn_bulk_flows
 
 CAPACITY = 600_000.0
@@ -23,8 +24,9 @@ DURATION = 100.0
 
 
 def run_taq(seed=1, flow_kwargs=None, **taq_kwargs):
-    bench = build_dumbbell("taq", CAPACITY, rtt=0.2, seed=seed, **taq_kwargs)
-    flows = spawn_bulk_flows(bench.bell, N_FLOWS, start_window=5.0, extra_rtt_max=0.1,
+    bench = build_simulation(
+        dumbbell_spec("taq", CAPACITY, rtt=0.2, seed=seed, **taq_kwargs))
+    flows = spawn_bulk_flows(bench.topology, N_FLOWS, start_window=5.0, extra_rtt_max=0.1,
                              **(flow_kwargs or {}))
     bench.sim.run(until=DURATION)
     flow_ids = [f.flow_id for f in flows]
@@ -34,7 +36,7 @@ def run_taq(seed=1, flow_kwargs=None, **taq_kwargs):
         "timeouts": sum(f.sender.stats.timeouts for f in flows),
         "recovery_served": bench.queue.scheduler.stats[PacketClass.RECOVERY].served,
         "total_served": sum(s.served for s in bench.queue.scheduler.stats.values()),
-        "utilization": bench.bell.forward.stats.utilization(CAPACITY, DURATION),
+        "utilization": bench.topology.forward.stats.utilization(CAPACITY, DURATION),
     }
 
 
@@ -98,8 +100,8 @@ def test_ablation_delayed_acks_do_not_break_taq(benchmark):
     (fewer ACKs -> fewer two-way epoch samples)."""
 
     def run_delayed():
-        bench = build_dumbbell("taq", CAPACITY, rtt=0.2, seed=1)
-        flows = spawn_bulk_flows(bench.bell, N_FLOWS, start_window=5.0,
+        bench = build_simulation(dumbbell_spec("taq", CAPACITY, rtt=0.2, seed=1))
+        flows = spawn_bulk_flows(bench.topology, N_FLOWS, start_window=5.0,
                                  extra_rtt_max=0.1)
         for flow in flows:
             flow.receiver.delayed_ack = True
@@ -107,7 +109,7 @@ def test_ablation_delayed_acks_do_not_break_taq(benchmark):
         flow_ids = [f.flow_id for f in flows]
         return {
             "jfi": bench.collector.mean_short_term_jain(flow_ids),
-            "utilization": bench.bell.forward.stats.utilization(CAPACITY, DURATION),
+            "utilization": bench.topology.forward.stats.utilization(CAPACITY, DURATION),
         }
 
     delayed = run_once(benchmark, run_delayed)

@@ -15,7 +15,8 @@ Run:  python examples/admission_control.py
 import itertools
 
 from repro.core import AdmissionController
-from repro.experiments.runner import build_dumbbell
+from repro.build import build_simulation
+from repro.experiments.runner import dumbbell_spec
 from repro.metrics.downloads import cdf_percentile
 from repro.workloads.web import WebUser
 
@@ -32,12 +33,13 @@ def run(queue_kind: str):
     extra = {}
     if queue_kind == "taq+ac":
         extra["admission"] = AdmissionController(p_thresh=0.1, t_wait=6.0)
-    bench = build_dumbbell(queue_kind, CAPACITY, rtt=RTT, seed=11, **extra)
-    rng = bench.sim.rng.stream("sessions")
+    built = build_simulation(
+        dumbbell_spec(queue_kind, CAPACITY, rtt=RTT, seed=11, **extra))
+    rng = built.sim.rng.stream("sessions")
     flow_ids = itertools.count()
     users = [
         WebUser(
-            bench.bell,
+            built.topology,
             user_id,
             [OBJECT_BYTES] * OBJECTS,
             flow_ids,
@@ -47,9 +49,9 @@ def run(queue_kind: str):
         )
         for user_id in range(N_USERS)
     ]
-    bench.sim.run(until=DURATION)
+    built.sim.run(until=DURATION)
     durations = [s.duration for u in users for s in u.samples]
-    refusals = getattr(bench.queue, "admission_refusals", 0)
+    refusals = getattr(built.queue, "admission_refusals", 0)
     return durations, refusals
 
 

@@ -15,7 +15,8 @@ Run:  python examples/custom_queue_discipline.py
 import random
 from collections import deque
 
-from repro.experiments.runner import build_dumbbell
+from repro.build import build_simulation
+from repro.experiments.runner import dumbbell_spec
 from repro.metrics import SliceGoodputCollector
 from repro.net.topology import Dumbbell, rtt_buffer_pkts
 from repro.queues.base import QueueDiscipline
@@ -73,10 +74,11 @@ def run_choke() -> float:
 
 
 def run_builtin(kind: str) -> float:
-    bench = build_dumbbell(kind, CAPACITY, rtt=RTT, seed=42)
-    flows = spawn_bulk_flows(bench.bell, N_FLOWS, start_window=5.0, extra_rtt_max=0.1)
-    bench.sim.run(until=DURATION)
-    return bench.collector.mean_short_term_jain([f.flow_id for f in flows])
+    built = build_simulation(dumbbell_spec(kind, CAPACITY, rtt=RTT, seed=42))
+    flows = spawn_bulk_flows(built.topology, N_FLOWS, start_window=5.0,
+                             extra_rtt_max=0.1)
+    built.sim.run(until=DURATION)
+    return built.collector.mean_short_term_jain([f.flow_id for f in flows])
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ size, and "hangs" where the browser makes no progress at all.
 Run:  python examples/developing_region_web.py
 """
 
-from repro.experiments.runner import build_dumbbell
+from repro.build import build_simulation
+from repro.experiments.runner import dumbbell_spec
 from repro.metrics.downloads import bucket_statistics
 from repro.metrics.hangs import longest_hang
 from repro.workloads import sample_object_size, spawn_web_users
@@ -23,16 +24,16 @@ DURATION = 240.0
 
 
 def run(queue_kind: str):
-    bench = build_dumbbell(queue_kind, CAPACITY, rtt=RTT, seed=7)
+    built = build_simulation(dumbbell_spec(queue_kind, CAPACITY, rtt=RTT, seed=7))
     users = spawn_web_users(
-        bench.bell,
+        built.topology,
         N_USERS,
         objects_per_user=OBJECTS_PER_USER,
         connections=4,
         start_window=30.0,
         size_sampler=lambda rng: sample_object_size(rng, max_bytes=300_000),
     )
-    bench.sim.run(until=DURATION)
+    built.sim.run(until=DURATION)
     return users
 
 

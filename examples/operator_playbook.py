@@ -12,8 +12,9 @@ Run:  python examples/operator_playbook.py
 import itertools
 
 from repro.analysis import PacketTraceRecorder, build_timelines, slice_census
+from repro.build import build_simulation
 from repro.core import AdmissionController, taq_report
-from repro.experiments.runner import build_dumbbell
+from repro.experiments.runner import dumbbell_spec
 from repro.workloads import spawn_bulk_flows
 from repro.workloads.web import WebUser
 
@@ -25,28 +26,28 @@ DURATION = 120.0
 def main() -> None:
     # --- 1. Stand up the middlebox with admission control -------------
     admission = AdmissionController(p_thresh=0.1, t_wait=5.0)
-    bench = build_dumbbell("taq", CAPACITY, rtt=RTT, seed=13,
-                           admission=admission)
+    built = build_simulation(dumbbell_spec("taq", CAPACITY, rtt=RTT, seed=13,
+                                           admission=admission))
     recorder = PacketTraceRecorder()
-    bench.bell.forward.add_delivery_tap(recorder.observe)
+    built.topology.forward.add_delivery_tap(recorder.observe)
 
     # --- 2. Offer a pathological load ---------------------------------
-    spawn_bulk_flows(bench.bell, 90, start_window=5.0, extra_rtt_max=0.1)
+    spawn_bulk_flows(built.topology, 90, start_window=5.0, extra_rtt_max=0.1)
     flow_ids = itertools.count(10_000)
     sessions = [
-        WebUser(bench.bell, user_id, [15_000] * 6, flow_ids, connections=4,
+        WebUser(built.topology, user_id, [15_000] * 6, flow_ids, connections=4,
                 start_time=20.0 + 4.0 * user_id, persistent_syn=True)
         for user_id in range(8)
     ]
-    bench.sim.run(until=DURATION)
+    built.sim.run(until=DURATION)
 
     # --- 3. The operator's snapshot -----------------------------------
     print("=" * 64)
-    print(taq_report(bench.queue))
+    print(taq_report(built.queue))
     print("=" * 64)
 
     # --- 4. The admission controller's visible queue -------------------
-    snapshot = admission.queue_snapshot(bench.sim.now)
+    snapshot = admission.queue_snapshot(built.sim.now)
     if snapshot:
         print("\nwaiting pools (the 'come back later' queue):")
         for pool, waited, expected in snapshot:
@@ -65,7 +66,7 @@ def main() -> None:
 
     completed = sum(len(u.samples) for u in sessions)
     print(f"\nweb sessions completed {completed} objects; "
-          f"{bench.queue.admission_refusals} SYNs were refused at the gate")
+          f"{built.queue.admission_refusals} SYNs were refused at the gate")
 
 
 if __name__ == "__main__":

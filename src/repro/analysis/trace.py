@@ -1,7 +1,8 @@
 """Packet trace recording (the simulator's pcap).
 
 A :class:`PacketTraceRecorder` is registered as a link tap (arrival or
-delivery side) and keeps one compact :class:`TraceRecord` per packet.
+delivery side) — and, for drops, subscribed to the queue's observer
+slot — and keeps one compact :class:`TraceRecord` per packet.
 Traces can be persisted as JSON-lines and reloaded, so an expensive run
 can be analyzed repeatedly.
 """
@@ -13,6 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Optional, TextIO
 
 from repro.net.packet import Packet
+from repro.sim.observe import Observer
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class TraceRecord:
         )
 
 
-class PacketTraceRecorder:
+class PacketTraceRecorder(Observer):
     """A link tap accumulating :class:`TraceRecord` entries.
 
     Parameters
@@ -77,10 +79,9 @@ class PacketTraceRecorder:
         """Tap callback: record *packet* as forwarded."""
         self._observe(packet, now, dropped=False)
 
-    def observe_drop(self, packet: Packet, now: float) -> None:
-        """Drop-observer callback (see
-        :meth:`repro.queues.base.QueueDiscipline.add_drop_observer`):
-        record *packet* flagged as dropped."""
+    def dropped(self, queue, packet: Packet, now: float) -> None:
+        """The queue's ``dropped`` event (``subscribe(queue, recorder)``,
+        see :mod:`repro.sim.observe`): record *packet* flagged as dropped."""
         self._observe(packet, now, dropped=True)
 
     def _observe(self, packet: Packet, now: float, dropped: bool) -> None:

@@ -1,9 +1,7 @@
 """Errors raised by the declarative build plane.
 
 Everything user-facing derives from :class:`SpecError` so callers (the
-CLI, the scenario runner) can catch one type.  The scenario runner's
-historical ``ScenarioError`` name is an alias of :class:`SpecError`,
-so ``except ScenarioError`` keeps working across the refactor.
+CLI, the scenario runner) can catch one type.
 """
 
 from __future__ import annotations

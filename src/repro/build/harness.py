@@ -113,11 +113,6 @@ class BuiltScenario:
 
     # -- convenience accessors -----------------------------------------
     @property
-    def bell(self) -> Any:
-        """Alias for :attr:`topology` (the historic ``Bench`` name)."""
-        return self.topology
-
-    @property
     def flows(self) -> List[Any]:
         """All individually spawned flows, in spawn order."""
         return [flow for group in self.groups for flow in group.flows]

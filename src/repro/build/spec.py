@@ -318,14 +318,6 @@ class ScenarioSpec:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON: {exc}") from exc
-        return cls.from_document(document)
-
-    @classmethod
     def from_file(cls, path: str) -> "ScenarioSpec":
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -351,9 +343,6 @@ class ScenarioSpec:
         if self.plugins:
             document["plugins"] = list(self.plugins)
         return document
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_document(), indent=indent, sort_keys=True)
 
     def canonical(self) -> Dict[str, Any]:
         """A JSON-safe rendering of :meth:`to_document`.

@@ -2,12 +2,12 @@
 protocol-legality guarantees.
 
 Every monitor is a *passive observer*: it attaches through the hooks the
-components already expose (link taps, queue drop observers, the
-simulator's ``event`` subscription, instance-level wrapping of
-``receive``) and never schedules events, draws randomness, or mutates
-component state — so an armed run pops exactly the same events in
-exactly the same order as an unarmed one, and a run without monitors
-executes the pre-instrumentation code path untouched.
+components already expose (the observer slots of
+:mod:`repro.sim.observe`, the link's arrival tap, instance-level
+wrapping of ``receive``) and never schedules events, draws randomness,
+or mutates component state — so an armed run pops exactly the same
+events in exactly the same order as an unarmed one, and a run without
+monitors executes the pre-instrumentation code path untouched.
 
 The invariants, stated as the conservation equations each monitor
 checks (see ``docs/invariants.md`` for the full catalogue):
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.packet import ACK
+from repro.sim.observe import Observer, subscribe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.net.link import Link
@@ -79,8 +80,10 @@ class Violation:
         }
 
 
-class Monitor:
-    """Base class: violation recording plus the observer interface."""
+class Monitor(Observer):
+    """Base class: violation recording plus the per-event interface the
+    :class:`~repro.check.suite.MonitorSuite` drives.  A monitor that
+    keeps a ledger also implements the seam events it counts."""
 
     name = "monitor"
 
@@ -136,10 +139,11 @@ class LinkConservationMonitor(Monitor):
     """Packet conservation on one link: every arrival is dropped,
     resident in the queue, or has been handed to the transmitter.
 
-    The ledger is kept from the link's own passive hooks (arrival tap,
-    queue drop observers, transmit tap, delivery tap), so a component
-    that loses a packet without recording a drop unbalances the books
-    at the very next event boundary::
+    The ledger is the monitor's own, counted from the link's arrival
+    tap and the seam's ``tx`` / ``delivered`` / ``dropped`` events and
+    never read from ``LinkStats``, so a component that loses a packet
+    without recording a drop unbalances the books at the very next
+    event boundary::
 
         arrived == dropped + len(queue) + transmitted     (every event)
         transmitted >= delivered                          (wire >= 0)
@@ -152,30 +156,31 @@ class LinkConservationMonitor(Monitor):
         super().__init__(mode)
         self.link = link
         self.label = label
+        # ``drops`` / ``deliveries``, not ``dropped`` / ``delivered``:
+        # those names are the seam events this class implements.
         self.arrived = 0
-        self.dropped = 0
+        self.drops = 0
         self.transmitted = 0
-        self.delivered = 0
+        self.deliveries = 0
         # Lossy links (repro.overlay) vanish packets at delivery time and
         # count them separately; those are legal departures from the wire.
         self._lossy = hasattr(link, "cross_traffic_losses")
         link.add_tap(self._on_arrival)
-        link.add_transmit_tap(self._on_transmit)
-        link.add_delivery_tap(self._on_delivery)
-        link.queue.add_drop_observer(self._on_drop)
+        subscribe(link, self)
+        subscribe(link.queue, self)
 
     # -- ledger ---------------------------------------------------------
     def _on_arrival(self, packet, now: float) -> None:
         self.arrived += 1
 
-    def _on_drop(self, packet, now: float) -> None:
-        self.dropped += 1
+    def dropped(self, queue, packet, now: float) -> None:
+        self.drops += 1
 
-    def _on_transmit(self, packet, now: float) -> None:
+    def tx(self, link, packet, now: float) -> None:
         self.transmitted += 1
 
-    def _on_delivery(self, packet, now: float) -> None:
-        self.delivered += 1
+    def delivered(self, link, packet, now: float) -> None:
+        self.deliveries += 1
 
     # -- checks ---------------------------------------------------------
     def on_event(self, event: Optional["Event"], now: float) -> None:
@@ -192,23 +197,23 @@ class LinkConservationMonitor(Monitor):
                 time=now, enqueued=queue.enqueued,
                 transmitted=self.transmitted, resident=resident,
             )
-        expected = self.dropped + resident + self.transmitted
+        expected = self.drops + resident + self.transmitted
         if self.arrived != expected:
             self.violate(
                 f"{self.label}: arrived={self.arrived} != dropped="
-                f"{self.dropped} + resident={resident} + transmitted="
+                f"{self.drops} + resident={resident} + transmitted="
                 f"{self.transmitted} (a packet was lost or double-counted "
                 f"without a drop record)",
-                time=now, arrived=self.arrived, dropped=self.dropped,
+                time=now, arrived=self.arrived, dropped=self.drops,
                 resident=resident, transmitted=self.transmitted,
             )
         lost = self.link.cross_traffic_losses if self._lossy else 0
-        if self.transmitted < self.delivered + lost:
+        if self.transmitted < self.deliveries + lost:
             self.violate(
-                f"{self.label}: delivered={self.delivered} + lost={lost} "
+                f"{self.label}: delivered={self.deliveries} + lost={lost} "
                 f"exceeds transmitted={self.transmitted}",
                 time=now, transmitted=self.transmitted,
-                delivered=self.delivered, lost=lost,
+                delivered=self.deliveries, lost=lost,
             )
 
     def finalize(self, sim: "Simulator") -> None:
@@ -216,13 +221,13 @@ class LinkConservationMonitor(Monitor):
         if sim.events.peek_time() is None:
             # Fully drained: nothing may remain on the wire or in queue.
             lost = self.link.cross_traffic_losses if self._lossy else 0
-            if self.arrived != self.dropped + self.delivered + lost:
+            if self.arrived != self.drops + self.deliveries + lost:
                 self.violate(
                     f"{self.label}: after drain, arrived={self.arrived} != "
-                    f"dropped={self.dropped} + delivered={self.delivered} "
+                    f"dropped={self.drops} + delivered={self.deliveries} "
                     f"+ lost={lost}",
                     time=sim.now, arrived=self.arrived,
-                    dropped=self.dropped, delivered=self.delivered, lost=lost,
+                    dropped=self.drops, delivered=self.deliveries, lost=lost,
                 )
 
 

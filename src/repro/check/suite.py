@@ -3,8 +3,8 @@
 :func:`attach_monitors` takes the :class:`~repro.build.harness.BuiltScenario`
 that ``build_simulation`` returns, instantiates every applicable monitor
 from :mod:`repro.check.monitors`, and wires them into the run through
-the passive hooks only — the simulator's ``event`` subscription
-(:mod:`repro.sim.observe`), link taps, queue drop observers, and
+the passive hooks only — the observer slots of the simulator, the links
+and their queues (:mod:`repro.sim.observe`), link arrival taps, and
 instance-level wrapping of each sender's ``receive``.
 The armed run therefore pops the same events in the same order as an
 unarmed one; only Python-level observation is added.
@@ -81,19 +81,10 @@ class MonitorSuite(Observer):
         raise KeyError(name)
 
 
-def attach_monitors(
-    built,
-    mode: str = "raise",
-    tcp: bool = True,
-    taq: bool = True,
-    conservation: bool = True,
-    occupancy: bool = True,
-    clock: bool = True,
-) -> MonitorSuite:
+def attach_monitors(built, mode: str = "raise") -> MonitorSuite:
     """Arm *built* (a ``BuiltScenario``) with every applicable monitor.
 
-    The keyword flags switch off individual monitor families; all are on
-    by default.  ``mode="raise"`` aborts at the first violation with
+    ``mode="raise"`` aborts at the first violation with
     :class:`~repro.check.monitors.InvariantViolation`; ``mode="collect"``
     records violations on the suite for post-run inspection (what the
     fuzzer uses).
@@ -102,28 +93,22 @@ def attach_monitors(
     flows mid-run (web users) are covered by the conservation and queue
     monitors but not individually wrapped.
     """
-    monitors: List[Monitor] = []
-    if clock:
-        monitors.append(ClockMonitor(mode))
+    monitors: List[Monitor] = [ClockMonitor(mode)]
     links = built.links()
-    if conservation:
-        for link in links:
-            monitors.append(LinkConservationMonitor(link, label=link.name, mode=mode))
-    if occupancy:
-        for link in links:
-            monitors.append(
-                QueueOccupancyMonitor(link.queue, label=link.name, mode=mode)
-            )
-    if taq:
-        queue = built.queue
-        if hasattr(queue, "scheduler") and hasattr(queue, "tracker"):
-            monitors.append(TaqAccountingMonitor(queue, mode))
-    if tcp:
-        legality = TcpLegalityMonitor(mode)
-        for flow in built.all_flows():
-            if hasattr(flow, "sender"):
-                legality.attach_flow(flow)
-        monitors.append(legality)
+    for link in links:
+        monitors.append(LinkConservationMonitor(link, label=link.name, mode=mode))
+    for link in links:
+        monitors.append(
+            QueueOccupancyMonitor(link.queue, label=link.name, mode=mode)
+        )
+    queue = built.queue
+    if hasattr(queue, "scheduler") and hasattr(queue, "tracker"):
+        monitors.append(TaqAccountingMonitor(queue, mode))
+    legality = TcpLegalityMonitor(mode)
+    for flow in built.all_flows():
+        if hasattr(flow, "sender"):
+            legality.attach_flow(flow)
+    monitors.append(legality)
     return MonitorSuite(built.sim, monitors)
 
 

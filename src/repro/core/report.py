@@ -26,11 +26,6 @@ class ClassReport:
     served: int
     buffered: int
 
-    @property
-    def drop_ratio(self) -> float:
-        offered = self.enqueued + self.dropped
-        return self.dropped / offered if offered else 0.0
-
 
 @dataclass
 class TaqReport:

@@ -33,6 +33,6 @@ or programmatically::
     print(result)
 """
 
-from repro.experiments.runner import TableResult, build_dumbbell, make_queue
+from repro.experiments.runner import TableResult
 
-__all__ = ["TableResult", "build_dumbbell", "make_queue"]
+__all__ = ["TableResult"]

@@ -102,8 +102,8 @@ def _run_scenarios(args) -> int:
     the runs fan out across the process pool; outcomes print in file
     order either way, so jobs=1 and jobs=N output is identical.
     """
-    from repro.build import BackendSpec, ScenarioSpec
-    from repro.experiments.scenario import ScenarioError, run_scenario
+    from repro.build import BackendSpec, ScenarioSpec, SpecError
+    from repro.experiments.scenario import run_scenario
 
     specs = []
     for path in args.scenario_file:
@@ -114,7 +114,7 @@ def _run_scenarios(args) -> int:
                 # backend params stay with the document that set them.
                 spec.backend = BackendSpec(kind=args.backend)
             specs.append(spec)
-        except (ScenarioError, OSError) as exc:
+        except (SpecError, OSError) as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
     if args.spans is not None:
@@ -128,6 +128,7 @@ def _run_scenarios(args) -> int:
         recorder = SpanRecorder(stream=StreamingFlowStats())
         with recording(recorder):
             outcome = run_scenario(specs[0])
+        os.makedirs(os.path.dirname(args.spans) or ".", exist_ok=True)
         with open(args.spans, "w", encoding="utf-8") as handle:
             written = save_spans(recorder.spans, handle)
         print(outcome)
@@ -161,18 +162,14 @@ def _run_scenarios(args) -> int:
 
         points = [
             PointSpec(
-                # With a backend override the file no longer describes
-                # the run; ship the overridden document instead.
-                "repro.experiments.scenario:run_scenario"
-                if args.backend is not None
-                else "repro.experiments.scenario:run_scenario_file",
-                dict(document=spec.to_document())
-                if args.backend is not None
-                else dict(path=path),
+                # The parsed document, not the path: a --backend
+                # override lives only in the spec.
+                "repro.experiments.scenario:run_scenario",
+                dict(document=spec.to_document()),
                 label=spec.name,
                 scenario=spec.canonical(),
             )
-            for path, spec in zip(args.scenario_file, specs)
+            for spec in specs
         ]
         runner = ParallelRunner(jobs=jobs, cache=None)
         outcomes = [result.value for result in runner.run(points)]

@@ -56,18 +56,6 @@ class Result:
         """Orders of magnitude between fastest and slowest download."""
         return spread_orders_of_magnitude([s.duration for s in self.samples])
 
-    def bucket_spread(self, bucket: int) -> float:
-        """max/min spread within one size bucket, orders of magnitude."""
-        durations = [s.duration for s in self.samples
-                     if self._bucket(s.size_bytes) == bucket]
-        return spread_orders_of_magnitude(durations)
-
-    @staticmethod
-    def _bucket(size: int) -> int:
-        from repro.metrics.downloads import log_bucket
-
-        return log_bucket(size)
-
     def table(self) -> TableResult:
         table = TableResult(
             title="Fig 1: download time vs object size (droptail proxy view)",

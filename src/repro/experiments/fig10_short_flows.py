@@ -39,14 +39,6 @@ class Config:
     def paper(cls) -> "Config":
         return cls(short_lengths=tuple(range(1, 81, 2)), duration=400.0)
 
-    @classmethod
-    def with_favorqueue(cls) -> "Config":
-        """Adds a FavorQueue column (Anelli et al.'s short-flow-favoring
-        AQM) next to the paper's pair.  The discipline enters purely
-        through the queue registry — nothing in this module knows it
-        exists beyond its kind string."""
-        return cls(queue_kinds=("taq", "droptail", "favorqueue"))
-
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation (the linearity check for the bench)."""

@@ -75,12 +75,6 @@ class Result:
     bands: Dict[Tuple[str, str], BandResult] = field(default_factory=dict)
     refusals: Dict[str, int] = field(default_factory=dict)
 
-    def improvement(self, band: str, q: float) -> float:
-        """DropTail time / TAQ time at percentile *q* (>1 = TAQ faster)."""
-        dt = self.bands[("droptail", band)].percentile(q)
-        taq = self.bands[("taq+ac", band)].percentile(q)
-        return dt / taq if taq > 0 else float("inf")
-
     def table(self) -> TableResult:
         table = TableResult(
             title="Fig 12: object download times with admission control",

@@ -1,9 +1,8 @@
 """Shared plumbing for the experiment modules.
 
-- :func:`make_queue` / :func:`build_dumbbell` — thin wrappers over the
-  :mod:`repro.build` registries and harness, kept for their widely-used
-  signatures (any *registered* queue kind works, not just the built-in
-  five);
+- :func:`dumbbell_spec` — the :class:`~repro.build.ScenarioSpec` of the
+  paper's standard bench (one queue kind on a dumbbell), which
+  :func:`repro.build.build_simulation` turns into a wired run;
 - :func:`instrument_point` / :func:`telemetry_payload` — opt-in
   :mod:`repro.obs` wiring shared by every sweep-point function;
 - :class:`TableResult` — a printable rows-and-headers result every
@@ -16,60 +15,9 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.build import (
-    MetricsSpec,
-    QueueSpec,
-    ScenarioSpec,
-    TopologySpec,
-    build_simulation,
-)
-from repro.build import build_queue as _build_queue
-from repro.build.registries import QUEUES, load_builtins
-from repro.metrics import SliceGoodputCollector
-from repro.net.topology import Dumbbell
+from repro.build import MetricsSpec, QueueSpec, ScenarioSpec, TopologySpec
 from repro.queues import QueueDiscipline
 from repro.sim.simulator import Simulator
-
-
-def _queue_kinds() -> Tuple[str, ...]:
-    load_builtins()
-    return tuple(QUEUES.kinds())
-
-
-#: The disciplines shipped with the repository.  The registry is the
-#: source of truth — plugins can extend it beyond this tuple.
-QUEUE_KINDS = ("droptail", "red", "sfq", "taq", "taq+ac")
-
-
-def make_queue(
-    kind: str,
-    sim: Simulator,
-    capacity_bps: float,
-    rtt: float,
-    pkt_size: int = 500,
-    buffer_rtts: float = 1.0,
-    **queue_kwargs,
-) -> QueueDiscipline:
-    """Build a registered queue discipline by short name.
-
-    ``queue_kwargs`` are forwarded to the registered builder (for the
-    TAQ kinds that means :class:`~repro.core.TAQQueue`, e.g.
-    ``classify_fair_share=False`` for ablations).  Unknown kinds raise
-    a :class:`~repro.build.SpecError` listing what is registered.
-    """
-    return _build_queue(
-        kind, sim, capacity_bps, rtt, pkt_size, buffer_rtts, **queue_kwargs
-    )
-
-
-@dataclass
-class Bench:
-    """A ready-to-run scenario: simulator, dumbbell, collector."""
-
-    sim: Simulator
-    bell: Dumbbell
-    queue: QueueDiscipline
-    collector: SliceGoodputCollector
 
 
 def dumbbell_spec(
@@ -86,7 +34,15 @@ def dumbbell_spec(
     workloads: Sequence = (),
     **queue_kwargs,
 ) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` equivalent of :func:`build_dumbbell`."""
+    """Queue *kind* (any registered one) on a dumbbell, sliced goodput
+    collected: ``build_simulation(dumbbell_spec(...))`` is the wired run.
+
+    ``reverse_tap=False`` leaves TAQ in one-way mode (§3.3): epochs are
+    estimated from SYN-to-first-data gaps and burst spacing only.
+    ``queue_kwargs`` go to the registered builder (for the TAQ kinds
+    that means :class:`~repro.core.TAQQueue`, e.g.
+    ``classify_fair_share=False`` for ablations).
+    """
     return ScenarioSpec(
         name=name,
         seed=seed,
@@ -100,41 +56,6 @@ def dumbbell_spec(
         ),
         workloads=list(workloads),
         metrics=MetricsSpec(slice_seconds=slice_seconds),
-    )
-
-
-def build_dumbbell(
-    kind: str,
-    capacity_bps: float,
-    rtt: float = 0.2,
-    pkt_size: int = 500,
-    seed: int = 1,
-    slice_seconds: float = 20.0,
-    buffer_rtts: float = 1.0,
-    reverse_tap: bool = True,
-    **queue_kwargs,
-) -> Bench:
-    """Simulator + dumbbell + queue + slice collector, fully wired.
-
-    ``reverse_tap=False`` leaves TAQ in one-way mode (§3.3): epochs are
-    estimated from SYN-to-first-data gaps and burst spacing only.
-    """
-    built = build_simulation(
-        dumbbell_spec(
-            kind,
-            capacity_bps,
-            rtt=rtt,
-            pkt_size=pkt_size,
-            seed=seed,
-            slice_seconds=slice_seconds,
-            buffer_rtts=buffer_rtts,
-            reverse_tap=reverse_tap,
-            **queue_kwargs,
-        )
-    )
-    return Bench(
-        sim=built.sim, bell=built.topology, queue=built.queue,
-        collector=built.collector,
     )
 
 
@@ -216,10 +137,6 @@ class TableResult:
                 f"row has {len(row)} cells, table has {len(self.headers)} columns"
             )
         self.rows.append(tuple(row))
-
-    def column(self, name: str) -> List:
-        index = list(self.headers).index(name)
-        return [row[index] for row in self.rows]
 
     def to_csv(self) -> str:
         """Render as CSV (header row + data rows), for plotting tools."""

@@ -44,22 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Union
 
-from repro.build import ScenarioSpec, SpecError, build_simulation
-from repro.build.registries import TOPOLOGIES, load_builtins
+from repro.build import ScenarioSpec, build_simulation
 from repro.experiments.runner import TableResult
-
-#: Historic alias — ``except ScenarioError`` keeps working.
-ScenarioError = SpecError
-
-
-def _topology_types() -> tuple:
-    load_builtins()
-    return tuple(TOPOLOGIES.kinds())
-
-
-#: Kept for callers that introspect the supported topologies; the
-#: registry is the source of truth (plugins may extend it).
-TOPOLOGY_TYPES = ("dumbbell", "overlay", "testbed")
 
 
 @dataclass
@@ -145,11 +131,6 @@ def _packet_outcome(spec: ScenarioSpec, built) -> ScenarioOutcome:
     if hasattr(built.queue, "admission_refusals"):
         outcome.extras["admission_refusals"] = built.queue.admission_refusals
     return outcome
-
-
-def run_scenario_file(path: str) -> ScenarioOutcome:
-    """Load a JSON scenario document from *path* and run it."""
-    return run_scenario(ScenarioSpec.from_file(path))
 
 
 def run_scenario_with_telemetry(

@@ -13,13 +13,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
 from repro.experiments.runner import (
-    Bench,
     dumbbell_spec,
     instrument_point,
     telemetry_payload,
 )
 from repro.parallel import ParallelRunner, PointSpec, ProgressPrinter, ResultCache
-from repro.workloads import spawn_bulk_flows
 
 
 @dataclass
@@ -96,7 +94,6 @@ def run_sweep_point(
     rtt: float = 0.2,
     slice_seconds: float = 20.0,
     seed: int = 1,
-    bench: Optional[Bench] = None,
     telemetry_dir: Optional[str] = None,
     sample_interval: float = 1.0,
     **queue_kwargs,
@@ -119,37 +116,26 @@ def run_sweep_point(
         seed=seed,
         **queue_kwargs,
     )
-    if bench is None:
-        built = build_simulation(scenario)
-        bench = Bench(
-            sim=built.sim, bell=built.topology, queue=built.queue,
-            collector=built.collector,
-        )
-        flows = built.flows
-    else:
-        # Caller supplied a pre-wired bench (custom queue object, ...):
-        # only the workload comes from the scenario description.
-        flows = spawn_bulk_flows(
-            bench.bell, n_flows, start_window=5.0, extra_rtt_max=0.1
-        )
+    built = build_simulation(scenario)
+    flows = built.flows
     telemetry = None
     run_id = f"{kind}-{int(capacity_bps)}bps-share{int(fair_share_bps)}-seed{seed}"
     if telemetry_dir is not None:
         telemetry = instrument_point(
-            bench.sim,
-            bench.queue,
-            bench.bell.forward,
+            built.sim,
+            built.queue,
+            built.topology.forward,
             flows,
             telemetry_dir,
             run_id,
             sample_interval=sample_interval,
         )
-    bench.sim.run(until=duration)
+    built.sim.run(until=duration)
     payload = None
     if telemetry is not None:
         payload = telemetry_payload(
             telemetry,
-            bench.sim,
+            built.sim,
             run_id=run_id,
             seed=seed,
             topology=dict(
@@ -164,20 +150,20 @@ def run_sweep_point(
             duration=duration,
         )
     flow_ids = [f.flow_id for f in flows]
-    indices = bench.collector.slice_indices()
+    indices = built.collector.slice_indices()
     steady = indices[len(indices) // 2] if indices else 0
     return SweepPoint(
         capacity_bps=capacity_bps,
         n_flows=n_flows,
         fair_share_bps=capacity_bps / n_flows,
-        packets_per_rtt=bench.bell.packets_per_rtt(n_flows),
-        short_term_jain=bench.collector.mean_short_term_jain(flow_ids),
-        long_term_jain=bench.collector.long_term_jain(flow_ids),
-        utilization=bench.bell.forward.stats.utilization(capacity_bps, duration),
-        loss_rate=bench.queue.loss_rate(),
+        packets_per_rtt=built.topology.packets_per_rtt(n_flows),
+        short_term_jain=built.collector.mean_short_term_jain(flow_ids),
+        long_term_jain=built.collector.long_term_jain(flow_ids),
+        utilization=built.topology.forward.stats.utilization(capacity_bps, duration),
+        loss_rate=built.queue.loss_rate(),
         timeouts=sum(f.sender.stats.timeouts for f in flows),
         repetitive_timeouts=sum(f.sender.stats.repetitive_timeouts for f in flows),
-        shut_out_fraction=bench.collector.shut_out_fraction(steady, flow_ids),
+        shut_out_fraction=built.collector.shut_out_fraction(steady, flow_ids),
         telemetry=payload,
     )
 

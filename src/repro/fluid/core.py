@@ -162,10 +162,6 @@ class FluidResult:
     final_histogram: np.ndarray
     violations: List[Violation] = field(default_factory=list)
 
-    @property
-    def mean_goodput_pps(self) -> float:
-        return self.delivered_pkts / self.duration if self.duration > 0 else 0.0
-
 
 class FluidModel:
     """Deterministic fixed-step integrator for one bottleneck.

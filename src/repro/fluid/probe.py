@@ -1,6 +1,6 @@
 """Telemetry probes for the fluid integrator — parity with the packet plane.
 
-The packet backend has had drop observers, gauges and event traces
+The packet backend has had drop events, gauges and event traces
 since PR 2; the fluid integrator ran dark.  This module closes the gap
 through the same seam (:mod:`repro.sim.observe`): :class:`FluidModel`
 carries an ``obs`` slot that defaults to ``None`` (an unarmed run

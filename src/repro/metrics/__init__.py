@@ -8,7 +8,7 @@
   web-session connection pools (§2.3);
 - :mod:`repro.metrics.downloads` — size-bucketed download-time
   percentiles (Fig 1) and CDFs (Fig 12);
-- :mod:`repro.metrics.flowstats` — per-flow summary rollups.
+- :mod:`repro.metrics.flowstats` — per-flow rollups (goodput efficiency).
 """
 
 from repro.metrics.fairness import SliceGoodputCollector, jain_index
@@ -20,7 +20,7 @@ from repro.metrics.downloads import (
     cdf_points,
     log_bucket,
 )
-from repro.metrics.flowstats import FlowSummary, goodput_efficiency, summarize_flows
+from repro.metrics.flowstats import goodput_efficiency
 
 __all__ = [
     "SliceGoodputCollector",
@@ -33,7 +33,5 @@ __all__ = [
     "bucket_statistics",
     "cdf_points",
     "log_bucket",
-    "FlowSummary",
     "goodput_efficiency",
-    "summarize_flows",
 ]

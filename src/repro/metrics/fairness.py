@@ -124,18 +124,3 @@ class SliceGoodputCollector:
         if not goodputs:
             return 0.0
         return sum(1 for g in goodputs if g == 0.0) / len(goodputs)
-
-    def top_consumers_share(
-        self,
-        index: int,
-        top_fraction: float = 0.4,
-        flow_ids: Optional[Iterable[int]] = None,
-    ) -> float:
-        """Share of slice bytes taken by the top *top_fraction* of flows
-        (§2.3: 40% of flows consume >80% under DropTail)."""
-        goodputs = sorted(self.slice_goodputs(index, flow_ids), reverse=True)
-        total = sum(goodputs)
-        if total <= 0:
-            return 0.0
-        k = max(1, int(len(goodputs) * top_fraction))
-        return sum(goodputs[:k]) / total

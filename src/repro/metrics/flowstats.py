@@ -1,52 +1,10 @@
-"""Per-flow summary rollups used by experiment reports."""
+"""Per-flow rollups used by experiment reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable
 
 from repro.tcp.flow import TcpFlow
-
-
-@dataclass
-class FlowSummary:
-    """One flow's headline numbers."""
-
-    flow_id: int
-    segments_sent: int
-    retransmits: int
-    fast_retransmits: int
-    timeouts: int
-    repetitive_timeouts: int
-    max_backoff: int
-    completed: bool
-    download_time: Optional[float]
-
-    @property
-    def retransmit_ratio(self) -> float:
-        total = self.segments_sent + self.retransmits
-        return self.retransmits / total if total else 0.0
-
-
-def summarize_flows(flows: Iterable[TcpFlow]) -> List[FlowSummary]:
-    """Roll each flow's sender stats into a :class:`FlowSummary`."""
-    summaries = []
-    for flow in flows:
-        stats = flow.sender.stats
-        summaries.append(
-            FlowSummary(
-                flow_id=flow.flow_id,
-                segments_sent=stats.data_sent,
-                retransmits=stats.retransmits,
-                fast_retransmits=stats.fast_retransmits,
-                timeouts=stats.timeouts,
-                repetitive_timeouts=stats.repetitive_timeouts,
-                max_backoff=stats.max_backoff_seen,
-                completed=flow.done,
-                download_time=flow.download_time,
-            )
-        )
-    return summaries
 
 
 def goodput_efficiency(flows: Iterable[TcpFlow]) -> float:
@@ -65,24 +23,3 @@ def goodput_efficiency(flows: Iterable[TcpFlow]) -> float:
     if total == 0:
         return 1.0
     return 1.0 - duplicates / total
-
-
-def aggregate(summaries: Iterable[FlowSummary]) -> dict:
-    """Population totals/means for experiment tables."""
-    rows = list(summaries)
-    if not rows:
-        return {
-            "flows": 0,
-            "timeouts": 0,
-            "repetitive_timeouts": 0,
-            "completed": 0,
-            "mean_download_time": None,
-        }
-    downloads = [r.download_time for r in rows if r.download_time is not None]
-    return {
-        "flows": len(rows),
-        "timeouts": sum(r.timeouts for r in rows),
-        "repetitive_timeouts": sum(r.repetitive_timeouts for r in rows),
-        "completed": sum(1 for r in rows if r.completed),
-        "mean_download_time": sum(downloads) / len(downloads) if downloads else None,
-    }

@@ -99,12 +99,6 @@ class LinkStats:
             return 0.0
         return min(1.0, self.busy_time / duration)
 
-    def loss_rate(self) -> float:
-        """Fraction of arriving packets dropped at the queue."""
-        if self.arrived == 0:
-            return 0.0
-        return self.dropped / self.arrived
-
 
 class Link:
     """A unidirectional, capacity-limited link.
@@ -153,7 +147,6 @@ class Link:
         #: default) keeps the data path uninstrumented.
         self.obs = None
         self._taps: List[Tap] = []
-        self._transmit_taps: List[Tap] = []
         self._delivery_taps: List[Tap] = []
         queue.attach(self)
         # Precomputed discipline dispatch: the queue is fixed for the
@@ -172,14 +165,6 @@ class Link:
         (before the queue gets a chance to drop it)."""
         self._taps.append(tap)
 
-    def add_transmit_tap(self, tap: Tap) -> None:
-        """Register *tap(packet, now)*, called when a packet leaves the
-        queue and starts serializing — the dequeue-side counterpart of
-        :meth:`add_tap`, which conservation monitors (``repro.check``)
-        pair with arrival taps and drop observers to balance the books
-        of each queue exactly."""
-        self._transmit_taps.append(tap)
-
     def add_delivery_tap(self, tap: Tap) -> None:
         """Register *tap(packet, now)*, called for every packet actually
         delivered out the far end (post-queue, post-propagation) —
@@ -189,12 +174,6 @@ class Link:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        """True while the transmitter has a packet on the wire (or a
-        wakeup armed to fetch the next one the instant it frees up)."""
-        return self._wakeup_armed or self.sim.now < self._free_at
-
     def send(self, packet: Packet) -> bool:
         """Offer *packet* to the link.  Returns False if the queue dropped it."""
         now = self.sim.now
@@ -229,8 +208,6 @@ class Link:
         self.stats.note_queue_delay(now - packet.enqueued_at)
         if self.obs is not None:
             self.obs.tx(self, packet, now)
-        for tap in self._transmit_taps:
-            tap(packet, now)
         tx_time = packet.tx_bits / self.capacity_bps
         self.stats.busy_time += tx_time
         end = now + tx_time

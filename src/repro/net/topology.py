@@ -93,14 +93,6 @@ class Dumbbell:
         self.ack_entry = self.reverse
 
     # ------------------------------------------------------------------
-    def data_path(self) -> Link:
-        """Link carrying DATA from senders to receivers (the bottleneck)."""
-        return self.forward
-
-    def ack_path(self) -> Link:
-        """Link carrying ACKs from receivers back to senders."""
-        return self.reverse
-
     def fair_share_bps(self, n_flows: int) -> float:
         """Ideal per-flow fair share of the bottleneck."""
         if n_flows < 1:

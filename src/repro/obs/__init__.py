@@ -42,7 +42,6 @@ from repro.obs.export import (
     Family,
     bundle_openmetrics,
     families_from_metrics_doc,
-    families_from_registry,
     parse_openmetrics,
     render_openmetrics,
     validate_openmetrics,
@@ -108,7 +107,6 @@ __all__ = [
     "diff_behavior",
     "diff_manifests",
     "families_from_metrics_doc",
-    "families_from_registry",
     "instrument_flow",
     "instrument_flows",
     "instrument_link",

@@ -16,11 +16,10 @@ Three layers:
   implementation of the format subset we emit (counter, gauge,
   summary, info; ``# TYPE``/``# HELP``/``# UNIT`` metadata; the
   mandatory ``# EOF`` terminator);
-- builders from our sources: :func:`families_from_registry` (a live
-  registry — gauges are read through), :func:`families_from_metrics_doc`
-  (the plain dicts :func:`repro.obs.metrics.load_metrics_jsonl`
-  returns) and :func:`bundle_openmetrics` (a whole bundle directory,
-  manifest provenance included as an ``info`` family);
+- builders from our sources: :func:`families_from_metrics_doc` (the
+  plain dicts :func:`repro.obs.metrics.load_metrics_jsonl` returns) and
+  :func:`bundle_openmetrics` (a whole bundle directory, manifest
+  provenance included as an ``info`` family);
 - ``python -m repro.obs.export [--validate] TARGET`` so CI can assert
   well-formedness of whatever a live ``/metrics`` endpoint served.
 
@@ -332,43 +331,6 @@ def validate_openmetrics(text: str) -> List[str]:
 # ----------------------------------------------------------------------
 # Builders from this repo's metric sources
 # ----------------------------------------------------------------------
-
-def families_from_registry(registry) -> List[Family]:
-    """A live :class:`~repro.obs.metrics.MetricsRegistry` as families.
-
-    Counters and histogram summaries export their accumulated state;
-    gauges are *read through* at call time (this is what makes a
-    ``/metrics`` endpoint live).  Time series export their last sample.
-    """
-    families: List[Family] = []
-    for name in sorted(registry.counters):
-        families.append(
-            Family(sanitize_name(name), "counter",
-                   help=f"registry counter {name}")
-            .add(registry.counters[name].value)
-        )
-    for name in sorted(registry.gauges):
-        families.append(
-            Family(sanitize_name(name), "gauge",
-                   help=f"registry gauge {name}")
-            .add(registry.gauges[name].read())
-        )
-    for name in sorted(registry.histograms):
-        families.append(
-            _summary_family(sanitize_name(name),
-                            registry.histograms[name].summary(),
-                            help=f"registry histogram {name}")
-        )
-    for name in sorted(registry.series):
-        summary = registry.series[name].summary()
-        if summary.get("count"):
-            families.append(
-                Family(sanitize_name(name) + "_last", "gauge",
-                       help=f"last sample of series {name}")
-                .add(summary["last"])
-            )
-    return families
-
 
 def _summary_family(name: str, summary: Mapping[str, Any],
                     help: str = "") -> Family:

@@ -1,7 +1,7 @@
 """The metrics registry: named counters, gauges and histograms.
 
 Components never import this module — instrumentation attaches from the
-outside (drop observers, link taps, probe attributes that default to
+outside (the observer slots of :mod:`repro.sim.observe`, which default to
 ``None``), so a run without telemetry executes exactly the code it
 executed before the registry existed.  The registry is the *sink*: the
 :class:`~repro.obs.sampler.Sampler` snapshots gauges on the simulation

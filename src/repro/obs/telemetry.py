@@ -6,17 +6,17 @@ produces — a :class:`~repro.obs.metrics.MetricsRegistry`, an
 :class:`~repro.obs.manifest.RunManifest` — plus the
 :class:`~repro.obs.sampler.Sampler` that snapshots gauges on the sim
 clock.  The ``instrument_*`` helpers subscribe the bundle to the
-components' observer slots (:mod:`repro.sim.observe`) and to the drop
-observers and completion callbacks they already expose; a run without a
-Telemetry object executes exactly the pre-instrumentation code path,
-which is the zero-overhead-when-disabled guarantee.
+components' observer slots (:mod:`repro.sim.observe`) and to the flow
+completion callbacks; a run without a Telemetry object executes exactly
+the pre-instrumentation code path, which is the
+zero-overhead-when-disabled guarantee.
 
 Usage::
 
     telemetry = Telemetry("out/run0", sample_interval=1.0)
     telemetry.attach(sim)                      # start the gauge sampler
-    instrument_queue(telemetry, bench.queue)   # drops, depth, TAQ internals
-    instrument_link(telemetry, bench.bell.forward, "bottleneck")
+    instrument_queue(telemetry, built.queue)   # drops, depth, TAQ internals
+    instrument_link(telemetry, built.topology.forward, "bottleneck")
     for flow in flows:
         instrument_flow(telemetry, flow)
     sim.run(until=120.0)
@@ -113,6 +113,10 @@ class Telemetry(Observer):
         self.emit("rto", now, flow_id=sender.flow_id,
                   backoff=sender.rto.backoff_exponent, rto=sender.rto.rto,
                   snd_una=sender.snd_una)
+
+    def dropped(self, queue, packet, now: float) -> None:
+        self.emit("drop", now, flow_id=packet.flow_id, pkt=packet.kind,
+                  seq=packet.seq)
 
     def refused(self, queue, packet, now: float) -> None:
         self.emit("taq_refused", now, flow_id=packet.flow_id, pool=packet.pool_id)
@@ -249,13 +253,7 @@ def instrument_queue(
     (tracker table, per-class occupancy, admission) when available."""
     registry = telemetry.registry
     registry.gauge(f"{name}.depth", lambda: float(len(queue)))
-
-    def on_drop(packet, now: float) -> None:
-        telemetry.emit(
-            "drop", now, flow_id=packet.flow_id, pkt=packet.kind, seq=packet.seq
-        )
-
-    queue.add_drop_observer(on_drop)
+    subscribe(queue, telemetry)
 
     def import_totals() -> None:
         registry.set_counter(f"{name}.enqueued", queue.enqueued)
@@ -267,7 +265,6 @@ def instrument_queue(
     tracker = getattr(queue, "tracker", None)
     scheduler = getattr(queue, "scheduler", None)
     if tracker is not None:
-        subscribe(queue, telemetry)
         subscribe(tracker, telemetry)
         registry.gauge("taq.tracked_flows", lambda: float(len(tracker.flows)))
     if scheduler is not None:

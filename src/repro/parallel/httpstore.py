@@ -36,7 +36,7 @@ from repro.parallel.cache import ResultCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.export import Family
 
-__all__ = ["StoreHandler", "StoreServer", "serve_store"]
+__all__ = ["StoreHandler", "StoreServer"]
 
 KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -201,9 +201,3 @@ class StoreServer(ThreadingHTTPServer):
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
-
-
-def serve_store(root: str, host: str = "127.0.0.1", port: int = 0,
-                verbose: bool = False) -> StoreServer:
-    """Construct a :class:`StoreServer` bound to (host, port)."""
-    return StoreServer(root, (host, port), verbose=verbose)

@@ -15,14 +15,12 @@ admission control) see a single stream of drop notifications:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import Link
-
-DropObserver = Callable[[Packet, float], None]
 
 
 class QueueDiscipline:
@@ -49,8 +47,7 @@ class QueueDiscipline:
     third-party subclasses that skip it simply get a ``__dict__`` back.
     """
 
-    __slots__ = ("capacity_pkts", "link", "enqueued", "dropped",
-                 "_drop_observers", "obs")
+    __slots__ = ("capacity_pkts", "link", "enqueued", "dropped", "obs")
 
     def __init__(self, capacity_pkts: int) -> None:
         if capacity_pkts < 1:
@@ -59,7 +56,6 @@ class QueueDiscipline:
         self.link: Optional["Link"] = None
         self.enqueued = 0
         self.dropped = 0
-        self._drop_observers: List[DropObserver] = []
         #: The observer slot (:mod:`repro.sim.observe`).  None (the
         #: default) keeps the drop path uninstrumented.
         self.obs = None
@@ -69,16 +65,10 @@ class QueueDiscipline:
         """Called by the link that adopts this queue."""
         self.link = link
 
-    def add_drop_observer(self, observer: DropObserver) -> None:
-        """Register *observer(packet, now)* to be told about every drop."""
-        self._drop_observers.append(observer)
-
     def _record_drop(self, packet: Packet, now: float) -> None:
         self.dropped += 1
         if self.obs is not None:
             self.obs.dropped(self, packet, now)
-        for observer in self._drop_observers:
-            observer(packet, now)
 
     # -- policy --------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:

@@ -84,26 +84,11 @@ class Event:
     has fired or been cancelled, cancelling again is a no-op.
     """
 
+    # ``EventQueue.push`` is the only constructor.  ``_queue`` is the
+    # owning queue while scheduled (None once popped or cancelled),
+    # ``_bucket`` the absolute wheel bucket under its current width.
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired",
                  "_queue", "_bucket")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        # Owning queue while scheduled (None once popped or cancelled)
-        # and the absolute wheel bucket under the queue's current width.
-        self._queue: Optional["EventQueue"] = None
-        self._bucket = 0
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -118,9 +103,6 @@ class Event:
     def pending(self) -> bool:
         """True while the event is scheduled and may still fire."""
         return not self.cancelled and not self.fired
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")

@@ -137,9 +137,3 @@ class SprSender(TCPSender):
         if self._pace_timer is not None:
             self._pace_timer.cancel()
         super()._complete(now)
-
-
-def make_spr(sim, flow_id, **kwargs):
-    """Factory with the :data:`repro.tcp.variants.VARIANTS` signature."""
-    kwargs.pop("sack", None)
-    return SprSender(sim, flow_id, sack=False, **kwargs)

@@ -14,11 +14,9 @@ middlebox code path* (see DESIGN.md, substitutions):
 - :class:`~repro.testbed.emulation.TestbedDumbbell` — the emulated
   topology: 100 Mbps LAN ingress, the constrained middlebox link
   (running an unmodified :class:`~repro.core.taq.TAQQueue` or baseline
-  queue), jittered ACK path;
-- :func:`~repro.testbed.emulation.clock_quantizer` — millisecond timer
-  quantization, as a Windows/C# prototype would see.
+  queue), jittered ACK path.
 """
 
-from repro.testbed.emulation import JitteredLink, TestbedDumbbell, clock_quantizer
+from repro.testbed.emulation import JitteredLink, TestbedDumbbell
 
-__all__ = ["JitteredLink", "TestbedDumbbell", "clock_quantizer"]
+__all__ = ["JitteredLink", "TestbedDumbbell"]

@@ -22,7 +22,7 @@ TAQ.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.link import Link
 from repro.net.node import Host
@@ -30,18 +30,6 @@ from repro.net.packet import Packet
 from repro.queues.base import QueueDiscipline
 from repro.queues.droptail import DropTailQueue
 from repro.sim.simulator import Simulator
-
-
-def clock_quantizer(granularity: float = 1e-3) -> Callable[[float], float]:
-    """Return a function quantizing timestamps to *granularity* seconds
-    (a coarse software timer, e.g. the C# prototype's ~1 ms ticks)."""
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
-
-    def quantize(t: float) -> float:
-        return int(t / granularity) * granularity
-
-    return quantize
 
 
 class JitteredLink(Link):

@@ -47,10 +47,6 @@ class SyntheticTrace:
     duration: float
     n_clients: int
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.size_bytes for r in self.requests)
-
     def by_client(self) -> Dict[int, List[TraceRequest]]:
         grouped: Dict[int, List[TraceRequest]] = {}
         for request in self.requests:

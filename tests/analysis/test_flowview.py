@@ -69,13 +69,14 @@ def test_slice_census_rows():
 def test_paper_2_3_census_from_live_simulation():
     """End to end: the §2.3 claim measured from an actual trace."""
     from repro.analysis import PacketTraceRecorder
-    from repro.experiments.runner import build_dumbbell
+    from repro.build import build_simulation
+    from repro.experiments.runner import dumbbell_spec
     from repro.workloads import spawn_bulk_flows
 
-    bench = build_dumbbell("droptail", 600_000, rtt=0.2, seed=1)
+    bench = build_simulation(dumbbell_spec("droptail", 600_000, rtt=0.2, seed=1))
     recorder = PacketTraceRecorder()
-    bench.bell.forward.add_delivery_tap(recorder.observe)
-    spawn_bulk_flows(bench.bell, 120, start_window=5.0, extra_rtt_max=0.1)
+    bench.topology.forward.add_delivery_tap(recorder.observe)
+    spawn_bulk_flows(bench.topology, 120, start_window=5.0, extra_rtt_max=0.1)
     bench.sim.run(until=90.0)
     timelines = build_timelines(recorder.records)
     rows = slice_census(timelines, 20.0, 20.0, 80.0)

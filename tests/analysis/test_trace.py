@@ -69,14 +69,14 @@ def test_load_skips_blank_lines():
 def test_observe_drop_marks_record_dropped():
     recorder = PacketTraceRecorder()
     recorder.observe(data(seq=0), 1.0)
-    recorder.observe_drop(data(seq=1), 2.0)
+    recorder.dropped(None, data(seq=1), 2.0)
     assert [r.dropped for r in recorder.records] == [False, True]
 
 
 def test_dropped_field_round_trips():
     recorder = PacketTraceRecorder()
     recorder.observe(data(seq=0), 1.0)
-    recorder.observe_drop(data(seq=1), 2.0)
+    recorder.dropped(None, data(seq=1), 2.0)
     buffer = io.StringIO()
     save_trace(recorder.records, buffer)
     buffer.seek(0)
@@ -95,10 +95,11 @@ def test_load_pre_drop_tap_trace_defaults_dropped_false():
 
 def test_drop_tap_on_queue():
     from repro.queues import DropTailQueue
+    from repro.sim.observe import subscribe
 
     queue = DropTailQueue(2)
     recorder = PacketTraceRecorder()
-    queue.add_drop_observer(recorder.observe_drop)
+    subscribe(queue, recorder)
     for seq in range(4):
         queue.enqueue(data(seq=seq), 0.1 * (seq + 1))
     assert len(recorder) == 2

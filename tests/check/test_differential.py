@@ -63,14 +63,14 @@ def test_compare_disciplines_small_packet_all_relations_hold():
     assert "offered-load-identical" in names
     assert "goodput-under-capacity[droptail]" in names
     assert "goodput-under-capacity[taq]" in names
-    assert "droptail-drops-gte-taq" in names  # regime gate engaged
+    assert "taq-extra-drops-buy-fairness" in names  # regime gate engaged
     assert report.ok, report.to_document()
     assert report.violations == []
 
 
 def test_drop_relation_gated_out_for_non_taq_candidate():
     report = compare_disciplines(make_spec(**SMALL_PACKET), candidate="red")
-    assert "droptail-drops-gte-taq" not in [r.name for r in report.relations]
+    assert "taq-extra-drops-buy-fairness" not in [r.name for r in report.relations]
     assert report.ok
 
 
@@ -80,15 +80,22 @@ def test_drop_relation_gated_out_outside_small_packet_regime():
         workloads=[{"type": "bulk", "n_flows": 2}],
     )
     report = compare_disciplines(roomy)
-    assert "droptail-drops-gte-taq" not in [r.name for r in report.relations]
+    assert "taq-extra-drops-buy-fairness" not in [r.name for r in report.relations]
 
 
 def test_drop_relation_forced_on_records_outcome():
     report = compare_disciplines(
         make_spec(**SMALL_PACKET), drop_relation=True
     )
-    relation = next(r for r in report.relations if r.name == "droptail-drops-gte-taq")
+    relation = next(r for r in report.relations if r.name == "taq-extra-drops-buy-fairness")
     assert "dropped" in relation.detail
+    # Forced onto a pair whose extra drops buy nothing, it fails: over
+    # 40 s DropTail drops more than RED here and is less fair.
+    longer = make_spec(**SMALL_PACKET, duration=40.0,
+                       metrics={"slice_seconds": 10.0})
+    report = compare_disciplines(longer, baseline="red", candidate="droptail",
+                                 drop_relation=True, monitors=False)
+    assert [r.name for r in report.failures] == ["taq-extra-drops-buy-fairness"]
 
 
 def test_report_failure_surface():

@@ -14,18 +14,19 @@ from repro.check.monitors import (
     TaqAccountingMonitor,
     TcpLegalityMonitor,
 )
+from repro.net.link import Link
 from repro.net.packet import ACK, DATA, Packet
+from repro.queues import DropTailQueue
+from repro.sim.simulator import Simulator
 
 
 class FakeQueue:
+    obs = None
+
     def __init__(self, resident=0, enqueued=0):
         self._resident = resident
         self.enqueued = enqueued
         self.dropped = 0
-        self.drop_observers = []
-
-    def add_drop_observer(self, fn):
-        self.drop_observers.append(fn)
 
     def __len__(self):
         return self._resident
@@ -33,19 +34,14 @@ class FakeQueue:
 
 class FakeLink:
     name = "fake"
+    obs = None
 
     def __init__(self):
         self.queue = FakeQueue()
-        self.taps = {"arrival": [], "transmit": [], "delivery": []}
+        self.arrival_taps = []
 
     def add_tap(self, fn):
-        self.taps["arrival"].append(fn)
-
-    def add_transmit_tap(self, fn):
-        self.taps["transmit"].append(fn)
-
-    def add_delivery_tap(self, fn):
-        self.taps["delivery"].append(fn)
+        self.arrival_taps.append(fn)
 
 
 class FakeEvents:
@@ -70,7 +66,7 @@ def test_conservation_catches_delivery_exceeding_transmit():
     monitor = LinkConservationMonitor(FakeLink())
     monitor.arrived = 2
     monitor.transmitted = 2
-    monitor.delivered = 3  # one packet materialized out of thin air
+    monitor.deliveries = 3  # one packet materialized out of thin air
     monitor.link.queue.enqueued = 2
     with pytest.raises(InvariantViolation, match="exceeds transmitted"):
         monitor.on_event(None, 1.0)
@@ -81,7 +77,7 @@ def test_conservation_counts_lossy_link_losses_as_departures():
     link.cross_traffic_losses = 2
     monitor = LinkConservationMonitor(link)
     monitor.arrived = monitor.transmitted = 5
-    monitor.delivered = 3  # + 2 lost on the wire: balanced
+    monitor.deliveries = 3  # + 2 lost on the wire: balanced
     link.queue.enqueued = 5
     monitor.on_event(None, 1.0)
     assert monitor.violations == []
@@ -91,7 +87,7 @@ def test_conservation_full_drain_mismatch_is_caught():
     monitor = LinkConservationMonitor(FakeLink())
     monitor.arrived = monitor.transmitted = 4
     monitor.link.queue.enqueued = 4
-    monitor.delivered = 3  # event queue empty, yet a packet is missing
+    monitor.deliveries = 3  # event queue empty, yet a packet is missing
     with pytest.raises(InvariantViolation, match="after drain"):
         monitor.finalize(FakeSim(drained=True))
 
@@ -100,21 +96,22 @@ def test_conservation_no_drain_check_while_events_pending():
     monitor = LinkConservationMonitor(FakeLink(), mode="collect")
     monitor.arrived = monitor.transmitted = 4
     monitor.link.queue.enqueued = 4
-    monitor.delivered = 3  # still on the wire: legal while events remain
+    monitor.deliveries = 3  # still on the wire: legal while events remain
     monitor.finalize(FakeSim(drained=False))
     assert monitor.violations == []
 
 
 def test_conservation_taps_feed_the_ledger():
-    link = FakeLink()
+    # A real link: the arrival tap and the seam's tx / delivered /
+    # dropped events are what keep the books.
+    sim = Simulator()
+    link = Link(sim, 1_000_000, 0.01, DropTailQueue(1))
     monitor = LinkConservationMonitor(link)
-    packet = Packet(1, DATA, seq=0, size=500)
-    link.taps["arrival"][0](packet, 0.0)
-    link.taps["transmit"][0](packet, 0.0)
-    link.taps["delivery"][0](packet, 0.0)
-    link.queue.drop_observers[0](packet, 0.0)
+    for seq in range(3):  # one on the wire, one buffered, one dropped
+        link.send(Packet(1, DATA, seq=seq, size=500))
+    sim.run()
     assert (monitor.arrived, monitor.transmitted,
-            monitor.delivered, monitor.dropped) == (1, 1, 1, 1)
+            monitor.deliveries, monitor.drops) == (3, 2, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_clean_run_is_violation_free_and_ledgers_move():
     assert suite.violations == []
     conservation = suite.by_name("conservation")
     assert conservation.arrived > 0
-    assert conservation.delivered > 0
+    assert conservation.deliveries > 0
 
 
 def test_tcp_monitor_catches_corrupted_cwnd():

@@ -1,4 +1,4 @@
-"""MonitorSuite wiring: attachment, fan-out, switches, detach.
+"""MonitorSuite wiring: attachment, fan-out, detach.
 
 The "passive observer" contract itself — an armed run pops exactly the
 same events and produces bit-identical metrics as an unarmed one, and a
@@ -32,10 +32,14 @@ def test_attach_adds_taq_monitor_for_taq_queues():
 
 
 def test_monitor_families_can_be_switched_off():
+    # They no longer can: the five per-family switches are gone, and an
+    # armed run carries every applicable family, in this order.
     built = build_simulation(make_spec())
-    suite = attach_monitors(built, tcp=False, occupancy=False, clock=False)
-    names = {m.name for m in suite.monitors}
-    assert names == {"conservation"}
+    with pytest.raises(TypeError):
+        attach_monitors(built, tcp=False)
+    names = [m.name for m in attach_monitors(built).monitors]
+    assert names == ["clock", "conservation", "conservation",
+                     "occupancy", "occupancy", "tcp"]
 
 
 def test_by_name_and_missing_name():

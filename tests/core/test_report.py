@@ -63,11 +63,12 @@ def test_report_renders_without_admission():
 
 
 def test_report_from_live_run():
-    from repro.experiments.runner import build_dumbbell
+    from repro.build import build_simulation
+    from repro.experiments.runner import dumbbell_spec
     from repro.workloads import spawn_bulk_flows
 
-    bench = build_dumbbell("taq", 600_000, rtt=0.2, seed=1)
-    spawn_bulk_flows(bench.bell, 40, start_window=2.0, extra_rtt_max=0.1)
+    bench = build_simulation(dumbbell_spec("taq", 600_000, rtt=0.2, seed=1))
+    spawn_bulk_flows(bench.topology, 40, start_window=2.0, extra_rtt_max=0.1)
     bench.sim.run(until=30.0)
     report = taq_report(bench.queue)
     assert report.tracked_flows == 40

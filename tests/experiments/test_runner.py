@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.build import build_queue, build_simulation
 from repro.core import TAQQueue
-from repro.experiments.runner import TableResult, build_dumbbell, make_queue
+from repro.experiments.runner import TableResult, dumbbell_spec
 from repro.experiments.sweeps import flows_for_fair_share, run_sweep_point
 from repro.queues import DropTailQueue, REDQueue, SFQQueue
 from repro.sim.simulator import Simulator
@@ -11,11 +12,11 @@ from repro.sim.simulator import Simulator
 
 def test_make_queue_all_kinds():
     sim = Simulator()
-    assert isinstance(make_queue("droptail", sim, 1e6, 0.2), DropTailQueue)
-    assert isinstance(make_queue("red", sim, 1e6, 0.2), REDQueue)
-    assert isinstance(make_queue("sfq", sim, 1e6, 0.2), SFQQueue)
-    assert isinstance(make_queue("taq", sim, 1e6, 0.2), TAQQueue)
-    taq_ac = make_queue("taq+ac", sim, 1e6, 0.2)
+    assert isinstance(build_queue("droptail", sim, 1e6, 0.2), DropTailQueue)
+    assert isinstance(build_queue("red", sim, 1e6, 0.2), REDQueue)
+    assert isinstance(build_queue("sfq", sim, 1e6, 0.2), SFQQueue)
+    assert isinstance(build_queue("taq", sim, 1e6, 0.2), TAQQueue)
+    taq_ac = build_queue("taq+ac", sim, 1e6, 0.2)
     assert isinstance(taq_ac, TAQQueue)
     assert taq_ac.admission is not None
 
@@ -23,23 +24,23 @@ def test_make_queue_all_kinds():
 def test_make_queue_unknown_kind():
     sim = Simulator()
     with pytest.raises(ValueError):
-        make_queue("cake", sim, 1e6, 0.2)
+        build_queue("cake", sim, 1e6, 0.2)
 
 
 def test_make_queue_buffer_sizing():
     sim = Simulator()
-    queue = make_queue("droptail", sim, 1_000_000, 0.2, buffer_rtts=2.0)
+    queue = build_queue("droptail", sim, 1_000_000, 0.2, buffer_rtts=2.0)
     assert queue.capacity_pkts == 100
 
 
 def test_build_dumbbell_wires_taq_reverse_tap():
-    bench = build_dumbbell("taq", 1_000_000, rtt=0.2)
-    assert len(bench.bell.reverse._taps) == 1
+    built = build_simulation(dumbbell_spec("taq", 1_000_000, rtt=0.2))
+    assert len(built.topology.reverse._taps) == 1
 
 
 def test_build_dumbbell_wires_collector():
-    bench = build_dumbbell("droptail", 1_000_000, rtt=0.2)
-    assert len(bench.bell.forward._delivery_taps) == 1
+    built = build_simulation(dumbbell_spec("droptail", 1_000_000, rtt=0.2))
+    assert len(built.topology.forward._delivery_taps) == 1
 
 
 def test_flows_for_fair_share():
@@ -63,7 +64,7 @@ def test_table_result_rendering_and_columns():
     text = str(table)
     assert "Title" in text
     assert "# a note" in text
-    assert table.column("a") == [1, 3]
+    assert [row[0] for row in table.rows] == [1, 3]
 
 
 def test_table_result_rejects_ragged_rows():

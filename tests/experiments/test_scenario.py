@@ -4,11 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.scenario import (
-    ScenarioError,
-    run_scenario,
-    run_scenario_file,
-)
+from repro.build import ScenarioSpec, SpecError
+from repro.experiments.scenario import run_scenario
 
 
 def base_document(**overrides):
@@ -81,30 +78,30 @@ def test_testbed_topology():
 
 
 def test_validation_errors():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SpecError):
         run_scenario({"duration": 10})  # no topology
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SpecError):
         run_scenario(base_document(workloads=[]))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SpecError):
         run_scenario(base_document(workloads=[{"type": "quic"}]))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SpecError):
         run_scenario(base_document(topology={"type": "ring", "capacity_bps": 1}))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SpecError):
         run_scenario(base_document(workloads=[{"type": "bulk"}]))  # n_flows
 
 
 def test_scenario_file_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(base_document()))
-    outcome = run_scenario_file(str(path))
+    outcome = run_scenario(ScenarioSpec.from_file(str(path)))
     assert outcome.name == "test"
 
 
 def test_scenario_file_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ScenarioError):
-        run_scenario_file(str(path))
+    with pytest.raises(SpecError):
+        ScenarioSpec.from_file(str(path))
 
 
 def test_shipped_example_scenarios_parse_and_run_small():

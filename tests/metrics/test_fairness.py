@@ -86,16 +86,6 @@ def test_shut_out_fraction():
     assert col.shut_out_fraction(0, [1, 2, 3, 4]) == pytest.approx(0.75)
 
 
-def test_top_consumers_share():
-    col = SliceGoodputCollector(10.0)
-    for _ in range(8):
-        col.observe(data(1), 1.0)
-    col.observe(data(2), 1.0)
-    col.observe(data(3), 1.0)
-    # Top 40% of {1,2,3} = 1 flow = flow 1 with 80% of bytes.
-    assert col.top_consumers_share(0, 0.4, [1, 2, 3]) == pytest.approx(0.8)
-
-
 def test_invalid_slice_width():
     with pytest.raises(ValueError):
         SliceGoodputCollector(0.0)

@@ -7,15 +7,16 @@ SACK population and checks the model's expected run length is in the
 same range and that both lengthen with p.
 """
 
-from repro.experiments.runner import build_dumbbell
+from repro.build import build_simulation
+from repro.experiments.runner import dumbbell_spec
 from repro.model import expected_silence_run
 from repro.workloads import spawn_bulk_flows
 
 
 def measure_mean_silence_run(n_flows, seed=1, duration=90.0, warmup=20.0):
-    bench = build_dumbbell("droptail", 750_000, rtt=0.2, seed=seed)
+    bench = build_simulation(dumbbell_spec("droptail", 750_000, rtt=0.2, seed=seed))
     flows = spawn_bulk_flows(
-        bench.bell, n_flows, start_window=5.0, extra_rtt_max=0.1,
+        bench.topology, n_flows, start_window=5.0, extra_rtt_max=0.1,
         sack=True, max_cwnd=6.0, min_rto=0.4, round_log=True,
     )
     bench.sim.run(until=duration)

@@ -9,7 +9,6 @@ from repro.obs.export import (
     Family,
     bundle_openmetrics,
     families_from_metrics_doc,
-    families_from_registry,
     parse_openmetrics,
     render_openmetrics,
     sanitize_name,
@@ -79,21 +78,6 @@ def test_validate_flags_malformed_documents(bad, problem):
     problems = validate_openmetrics(bad)
     assert problems, f"expected problems for {bad!r}"
     assert any(problem in p for p in problems)
-
-
-def test_families_from_registry_live_values():
-    registry = MetricsRegistry()
-    registry.counter("queue.drops").inc(5)
-    registry.gauge("queue.depth", lambda: 17.0)
-    series = registry.time_series("link.util")
-    series.append(1.0, 0.5)
-    series.append(2.0, 0.75)
-    text = render_openmetrics(families_from_registry(registry))
-    assert validate_openmetrics(text) == []
-    assert "taq_queue_drops_total 5" in text
-    assert "taq_queue_depth 17" in text
-    # Series export their latest sample as a _last gauge.
-    assert "taq_link_util_last 0.75" in text
 
 
 def test_families_from_metrics_doc_summarizes_histograms():

@@ -171,7 +171,9 @@ class TestExperimentsSpansFlag:
         document = dict(SCENARIO, duration=5.0)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(document), encoding="utf-8")
-        out_path = tmp_path / "spans.jsonl"
+        # Into a directory that does not exist yet: --spans creates it,
+        # as --telemetry-dir does.
+        out_path = tmp_path / "span-bundle" / "spans.jsonl"
         code = experiments_main(
             ["scenario", str(scenario), "--spans", str(out_path)]
         )

@@ -1,4 +1,4 @@
-"""Offered-load accounting and drop-observer fan-out, all disciplines.
+"""Offered-load accounting and ``dropped``-event fan-out, all disciplines.
 
 ``loss_rate()`` is drops over offered load (accepted + dropped), and a
 push-out eviction must count as exactly one unit of lost offered load —
@@ -13,6 +13,9 @@ import pytest
 from repro.core import TAQQueue
 from repro.net.packet import DATA, Packet
 from repro.queues import DropTailQueue, REDQueue, SFQQueue
+from repro.sim.observe import Observer, subscribe
+
+from tests.queues.helpers import DropLog
 
 
 def make_queue(kind: str):
@@ -68,38 +71,44 @@ def test_loss_rate_zero_when_nothing_offered():
 def test_multiple_observers_called_in_registration_order(kind):
     queue = make_queue(kind)
     calls = []
-    queue.add_drop_observer(lambda pkt, now: calls.append("first"))
-    queue.add_drop_observer(lambda pkt, now: calls.append("second"))
+
+    class Named(Observer):
+        def __init__(self, name):
+            self.name = name
+
+        def dropped(self, queue, packet, now):
+            calls.append(self.name)
+
+    subscribe(queue, Named("first"))
+    subscribe(queue, Named("second"))
     drive(queue)
     assert queue.dropped > 0
-    # Each drop fans out to every observer, first-registered first, and
+    # Each drop fans out to every subscriber, first-subscribed first, and
     # each drop (including push-out evictions) notifies exactly once.
     assert calls == ["first", "second"] * queue.dropped
 
 
 def test_sfq_push_out_eviction_counted_once():
     queue = SFQQueue(2, buckets=4)
-    victims = []
-    queue.add_drop_observer(lambda pkt, now: victims.append(pkt.seq))
+    log = DropLog(queue)
     for seq in range(3):
         assert queue.enqueue(Packet(seq, DATA, seq=seq, size=500), 0.1 * (seq + 1))
     # Three offered, one pushed out: 2 buffered + 1 dropped == 3.
     assert len(queue) == 2
     assert queue.dropped == 1
     assert queue.enqueued == 2
-    assert len(victims) == 1
+    assert len(log.drops) == 1
     assert queue.loss_rate() == pytest.approx(1 / 3)
 
 
 def test_taq_push_out_eviction_counted_once():
     queue = TAQQueue(2, default_epoch=0.2)
-    dropped_packets = []
-    queue.add_drop_observer(lambda pkt, now: dropped_packets.append(pkt))
+    log = DropLog(queue)
     offered = 0
     now = 0.0
     for seq in range(40):
         now += 0.01
         queue.enqueue(Packet(seq % 4, DATA, seq=seq // 4, size=500), now)
         offered += 1
-    assert queue.dropped == len(dropped_packets)
+    assert queue.dropped == len(log.drops)
     assert queue.enqueued + queue.dropped == offered

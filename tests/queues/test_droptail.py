@@ -3,6 +3,8 @@
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
 
+from tests.queues.helpers import DropLog
+
 
 def pkt(flow=1, seq=0):
     return Packet(flow, DATA, seq=seq, size=500)
@@ -33,12 +35,11 @@ def test_dequeue_empty_returns_none():
 
 def test_drop_observer_notified():
     queue = DropTailQueue(1)
-    drops = []
-    queue.add_drop_observer(lambda p, now: drops.append((p, now)))
+    log = DropLog(queue)
     queue.enqueue(pkt(seq=1), 0.0)
     victim = pkt(seq=2)
     queue.enqueue(victim, 3.5)
-    assert drops == [(victim, 3.5)]
+    assert log.drops == [(victim, 3.5)]
 
 
 def test_loss_rate_accounting():

@@ -3,6 +3,8 @@
 from repro.net.packet import DATA, Packet
 from repro.queues.sfq import SFQQueue
 
+from tests.queues.helpers import DropLog
+
 
 def pkt(flow, seq=0):
     return Packet(flow, DATA, seq=seq, size=500)
@@ -22,11 +24,9 @@ def test_buffer_stealing_evicts_longest_bucket():
     queue = SFQQueue(4, buckets=16)
     for i in range(4):
         queue.enqueue(pkt(1, seq=i), 0.0)
-    drops = []
-    queue.add_drop_observer(lambda p, now: drops.append(p))
+    log = DropLog(queue)
     assert queue.enqueue(pkt(2, seq=0), 0.0)  # steals from flow 1
-    assert len(drops) == 1
-    assert drops[0].flow_id == 1
+    assert [p.flow_id for p in log.packets] == [1]
     assert len(queue) == 4
 
 

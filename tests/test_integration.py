@@ -8,8 +8,9 @@ paper describes (RED/SFQ ~ DropTail in small packet regimes).
 
 import pytest
 
+from repro.build import build_simulation
 from repro.core import TAQQueue
-from repro.experiments.runner import build_dumbbell
+from repro.experiments.runner import dumbbell_spec
 from repro.workloads import spawn_bulk_flows
 
 CAPACITY = 400_000.0
@@ -18,8 +19,9 @@ DURATION = 60.0
 
 
 def run_population(kind, n_flows, duration=DURATION, seed=3, **flow_kwargs):
-    bench = build_dumbbell(kind, CAPACITY, rtt=RTT, seed=seed, slice_seconds=10.0)
-    flows = spawn_bulk_flows(bench.bell, n_flows, start_window=3.0,
+    bench = build_simulation(dumbbell_spec(kind, CAPACITY, rtt=RTT, seed=seed,
+                                           slice_seconds=10.0))
+    flows = spawn_bulk_flows(bench.topology, n_flows, start_window=3.0,
                              extra_rtt_max=0.05, **flow_kwargs)
     bench.sim.run(until=duration)
     return bench, flows
@@ -44,12 +46,12 @@ def test_congestion_produces_losses_and_timeouts():
     assert bench.queue.loss_rate() > 0.05
     assert sum(f.sender.stats.timeouts for f in flows) > 50
     # and the regime classifier agrees this is pathological
-    assert bench.bell.regime(80) == "sub-packet"
+    assert bench.topology.regime(80) == "sub-packet"
 
 
 def test_utilization_high_under_contention():
     bench, _ = run_population("droptail", 80)
-    assert bench.bell.forward.stats.utilization(CAPACITY, DURATION) > 0.9
+    assert bench.topology.forward.stats.utilization(CAPACITY, DURATION) > 0.9
 
 
 def test_taq_beats_droptail_on_short_term_fairness():
@@ -68,7 +70,7 @@ def test_red_and_sfq_do_not_fix_the_regime():
     taq_jfi = jain_of(taq, taq_flows)
     for bench, flows in ((red, red_flows), (sfq, sfq_flows)):
         assert jain_of(bench, flows) < taq_jfi
-        assert bench.bell.forward.stats.utilization(CAPACITY, DURATION) > 0.85
+        assert bench.topology.forward.stats.utilization(CAPACITY, DURATION) > 0.85
 
 
 def test_sack_population_also_breaks_down():
@@ -133,7 +135,7 @@ def test_goodput_conservation():
         for per_flow_bytes in per_flow.values()
     )
     assert collected == pytest.approx(data_bytes)
-    assert data_bytes <= bench.bell.forward.stats.bytes_delivered
+    assert data_bytes <= bench.topology.forward.stats.bytes_delivered
 
 
 def test_round_log_counts_match_sender_stats():

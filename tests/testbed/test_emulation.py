@@ -7,7 +7,7 @@ from repro.metrics import SliceGoodputCollector
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
 from repro.sim.simulator import Simulator
-from repro.testbed import JitteredLink, TestbedDumbbell, clock_quantizer
+from repro.testbed import JitteredLink, TestbedDumbbell
 from repro.workloads import spawn_bulk_flows
 
 # The class name starts with "Test": tell pytest it is not a test case.
@@ -20,13 +20,6 @@ class Sink:
 
     def receive(self, packet, now):
         self.arrivals.append((now, packet))
-
-
-def test_clock_quantizer():
-    q = clock_quantizer(1e-3)
-    assert q(0.0123456) == pytest.approx(0.012)
-    with pytest.raises(ValueError):
-        clock_quantizer(0.0)
 
 
 def test_jittered_link_adds_bounded_noise():
