@@ -89,11 +89,13 @@ def main() -> None:
             raise SystemExit(f"unknown experiment ids: {', '.join(unknown)}")
         selected = [(name, mod) for name, mod in EXPERIMENTS if name in wanted]
 
-    from repro.parallel import ProgressPrinter, parse_backend
+    from repro.experiments.cli import make_cache
+    from repro.parallel import ProgressPrinter
 
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    backend_spec = args.cache_backend or os.environ.get("REPRO_CACHE_BACKEND")
-    cache = None if args.no_cache else parse_backend(backend_spec)
+    # --cache-backend, then $REPRO_CACHE_BACKEND, then the default dir
+    # store; a string outside the grammar is one error line and exit 2.
+    cache = None if args.no_cache else make_cache(args)
     if args.resume is not None:
         # Runners built inside the experiments pick the durable job
         # store up from the environment (like TAQ_OBS_BUS for the bus).

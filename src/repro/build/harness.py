@@ -19,7 +19,6 @@ from repro.build.registries import (
     QUEUES,
     TOPOLOGIES,
     WORKLOADS,
-    load_builtins,
     load_plugins,
 )
 from repro.build.spec import ScenarioSpec, TopologySpec
@@ -164,7 +163,6 @@ def build_queue(
     **params: Any,
 ):
     """Build a queue discipline by registered kind."""
-    load_builtins()
     context = QueueContext(
         sim=sim,
         capacity_bps=capacity_bps,
@@ -185,7 +183,6 @@ def build_simulation(spec: ScenarioSpec):
     ``run()``; callers needing packet-only internals should branch on
     the type.
     """
-    load_builtins()
     load_plugins(spec.plugins)
     if spec.backend.kind != "packet":
         return BACKENDS.create(spec.backend.kind, spec, **spec.backend.params)
@@ -200,8 +197,6 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
     simulator, queue, topology, TAQ reverse tap, collector, workloads
     in list order.
     """
-    load_builtins()
-    load_plugins(spec.plugins)
     from repro.core import TAQQueue
 
     sim = Simulator(seed=spec.seed)

@@ -30,18 +30,25 @@ WORKLOADS = Registry("workload")
 BACKENDS = Registry("backend")
 
 #: Modules whose import populates the registries with the built-in kinds.
+#: Every packet run imports all of them, so none may load numpy:
+#: ``builtin_backends`` registers the ``fluid`` kind and imports the
+#: engine when a fluid document is built.
 BUILTIN_MODULES = (
     "repro.build.builtin_queues",
     "repro.build.builtin_topologies",
     "repro.build.builtin_workloads",
     "repro.queues.favorqueue",
     "repro.build.builtin_backends",
-    "repro.fluid.backend",
 )
 
 
 def load_builtins() -> None:
-    """Import the builtin component modules (idempotent)."""
+    """Import the builtin component modules (idempotent).
+
+    ``repro/build/__init__.py`` ends in this call, and no submodule of
+    the package can be imported before its ``__init__`` has run, so
+    nothing inside ``repro.build`` needs to call it again.
+    """
     for module in BUILTIN_MODULES:
         importlib.import_module(module)
 

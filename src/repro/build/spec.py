@@ -29,7 +29,6 @@ from repro.build.registries import (
     QUEUES,
     TOPOLOGIES,
     WORKLOADS,
-    load_builtins,
     load_plugins,
 )
 from repro.build.registry import Registry
@@ -282,7 +281,6 @@ class ScenarioSpec:
 
     @classmethod
     def from_document(cls, document: Any, context: str = "scenario") -> "ScenarioSpec":
-        load_builtins()
         document = _require_mapping(document, context)
         for key in document:
             if key not in cls.BASE_KEYS:

@@ -46,15 +46,20 @@ def make_cache(args):
 
     ``--cache-backend`` wins, then ``$REPRO_CACHE_BACKEND``, then the
     default local dir store; see
-    :func:`repro.parallel.backends.parse_backend` for the accepted
-    ``dir:PATH`` / ``sqlite:PATH`` / ``http://host:port`` forms.
+    :func:`repro.parallel.cache.parse_backend` for the accepted
+    ``dir:PATH`` / ``sqlite:PATH`` / ``http://host:port`` forms.  A
+    string outside that grammar is a usage error: one line, exit 2.
     """
     from repro.parallel import parse_backend
 
     spec = getattr(args, "cache_backend", None) or os.environ.get(
         "REPRO_CACHE_BACKEND"
     )
-    return parse_backend(spec)
+    try:
+        return parse_backend(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def engine_kwargs(module, args) -> dict:

@@ -1,5 +1,9 @@
 """``ScenarioSpec`` -> fluid run: the "fluid" entry of the backend registry.
 
+The registration itself sits in :mod:`repro.build.builtin_backends`,
+which imports this module when a fluid document is built — so packet
+runs never load numpy or :mod:`repro.model`.
+
 :func:`build_fluid` is the fluid counterpart of the packet assembly in
 :func:`repro.build.harness.build_simulation`: it maps the declarative
 spec onto :class:`repro.fluid.core.FluidModel` — bulk workloads become
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.build.errors import SpecError
-from repro.build.registries import BACKENDS
 from repro.fluid.core import FluidClass, FluidModel, FluidResult
 from repro.fluid.disciplines import FLUID_DISCIPLINES
 from repro.model.population import P_CHAIN_MAX, population_fixed_point
@@ -216,7 +219,6 @@ class BuiltFluid:
         )
 
 
-@BACKENDS.register("fluid")
 def build_fluid(
     spec,
     dt: Optional[float] = None,

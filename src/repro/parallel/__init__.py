@@ -33,14 +33,19 @@ with per-point telemetry streaming through :mod:`repro.parallel.bus`.
 jobs=1 vs jobs=N, and dir vs sqlite vs http backends, all produce
 bit-identical results; ``tests/parallel`` asserts this against the
 real sweep experiments.
+
+Importing the package loads what a ``jobs=1`` sweep over a dir store
+runs and no more: :class:`SqliteCache` and :class:`HttpCache` (with
+``sqlite3`` and ``urllib.request``) are imported the first time either
+name is asked for, the process pool when ``jobs > 1`` first fans out.
 """
 
-from repro.parallel.backends import HttpCache, SqliteCache, parse_backend
 from repro.parallel.cache import (
     CacheBackend,
     ResultCache,
     code_version,
     default_cache_dir,
+    parse_backend,
     spec_key,
 )
 from repro.parallel.jobs import Job, JobStore
@@ -63,3 +68,11 @@ __all__ = [
     "parse_backend",
     "spec_key",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("HttpCache", "SqliteCache"):
+        from repro.parallel import backends
+
+        return getattr(backends, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

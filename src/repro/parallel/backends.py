@@ -1,4 +1,4 @@
-"""Pluggable cache backends: sqlite, HTTP, and the backend factory.
+"""Pluggable cache backends: the sqlite and HTTP stores.
 
 Every backend stores exactly the bytes :func:`repro.parallel.cache.encode_entry`
 produces under exactly the keys :func:`repro.parallel.cache.spec_key`
@@ -9,7 +9,8 @@ implementations:
 - ``dir:PATH`` — :class:`repro.parallel.cache.ResultCache`, the
   original atomic-replace pickle-file store (one file per entry,
   two-level fan-out).  The default, and the format the other two
-  interoperate with.
+  interoperate with.  It lives in :mod:`repro.parallel.cache`, so a
+  sweep over a dir store never imports this module.
 - ``sqlite:PATH`` — :class:`SqliteCache`, one SQLite database in WAL
   mode.  Safe under concurrent worker processes: entry writes are
   single atomic ``INSERT OR REPLACE`` transactions, reads never see a
@@ -20,8 +21,11 @@ implementations:
   (GET/PUT-by-key).  The server fronts a ``ResultCache`` directory, so
   a fleet of workers on many machines shares one set of entries.
 
-:func:`parse_backend` turns the ``--cache-backend`` CLI string into a
-backend; a bare path means ``dir:``.
+:func:`repro.parallel.cache.parse_backend` turns the
+``--cache-backend`` CLI string into a backend and imports this module —
+``sqlite3``, ``urllib.request`` and what they pull in — only when the
+string names one of the two stores defined here (it stays importable
+from here, where it was first defined).
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ from repro.parallel.cache import (
     DECODE_ERRORS,
     ENCODE_ERRORS,
     CacheBackend,
-    ResultCache,
     decode_entry,
-    default_cache_dir,
     encode_entry,
+    parse_backend,
 )
 from repro.parallel.spec import PointSpec
 
@@ -339,32 +342,3 @@ class HttpCache(CacheBackend):
             f"HttpCache({self.base_url!r}, hits={self.hits}, "
             f"misses={self.misses}, errors={self.errors})"
         )
-
-
-def parse_backend(
-    text: Optional[str], version: Optional[str] = None
-) -> CacheBackend:
-    """Build the cache backend a ``--cache-backend`` string names.
-
-    Accepted forms: ``dir:PATH``, ``sqlite:PATH``, ``http://host:port``
-    (or https), and a bare path (treated as ``dir:``).  ``None`` or an
-    empty string selects the default local dir store
-    (:func:`repro.parallel.cache.default_cache_dir`).
-    """
-    if not text:
-        return ResultCache(version=version)
-    if text.startswith(("http://", "https://")):
-        return HttpCache(text, version=version)
-    scheme, sep, rest = text.partition(":")
-    if sep and scheme == "dir":
-        return ResultCache(root=rest or default_cache_dir(), version=version)
-    if sep and scheme == "sqlite":
-        if not rest:
-            raise ValueError("sqlite backend needs a path: sqlite:PATH")
-        return SqliteCache(rest, version=version)
-    if sep and scheme and "/" not in scheme and "\\" not in scheme and scheme != ".":
-        raise ValueError(
-            f"unknown cache backend {text!r}; expected dir:PATH, "
-            "sqlite:PATH, or http://host:port"
-        )
-    return ResultCache(root=text, version=version)

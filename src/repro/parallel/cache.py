@@ -315,3 +315,38 @@ class ResultCache(CacheBackend):
             f"ResultCache({str(self.root)!r}, {state}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def parse_backend(
+    text: Optional[str], version: Optional[str] = None
+) -> CacheBackend:
+    """Build the cache backend a ``--cache-backend`` string names.
+
+    Accepted forms: ``dir:PATH``, ``sqlite:PATH``, ``http://host:port``
+    (or https), and a bare path (treated as ``dir:``).  ``None`` or an
+    empty string selects the default local dir store
+    (:func:`default_cache_dir`).  The grammar is read before any client
+    is imported: only a ``sqlite:`` or ``http://`` string loads
+    :mod:`repro.parallel.backends` (``sqlite3``, ``urllib.request``).
+    """
+    if not text:
+        return ResultCache(version=version)
+    if text.startswith(("http://", "https://")):
+        from repro.parallel.backends import HttpCache
+
+        return HttpCache(text, version=version)
+    scheme, sep, rest = text.partition(":")
+    if sep and scheme == "dir":
+        return ResultCache(root=rest or default_cache_dir(), version=version)
+    if sep and scheme == "sqlite":
+        if not rest:
+            raise ValueError("sqlite backend needs a path: sqlite:PATH")
+        from repro.parallel.backends import SqliteCache
+
+        return SqliteCache(rest, version=version)
+    if sep and scheme and "/" not in scheme and "\\" not in scheme and scheme != ".":
+        raise ValueError(
+            f"unknown cache backend {text!r}; expected dir:PATH, "
+            "sqlite:PATH, or http://host:port"
+        )
+    return ResultCache(root=text, version=version)

@@ -30,7 +30,6 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, TextIO
 
 from repro.parallel.bus import Heartbeat, ProgressBus, point_key
@@ -339,6 +338,10 @@ class ParallelRunner:
         done: int,
         total: int,
     ) -> int:
+        # Imported where the pool starts: a jobs=1 sweep never loads
+        # concurrent.futures.process and multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             if self.bus_dir is not None:

@@ -1,7 +1,12 @@
 """build_simulation wiring: construction order side effects, taps, groups."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.build import (
     QUEUES,
     QueueSpec,
@@ -34,6 +39,30 @@ def test_build_queue_matches_registry():
     sim = Simulator(seed=1)
     queue = build_queue("taq", sim, 600_000.0, 0.2)
     assert isinstance(queue, TAQQueue)
+
+
+def test_importing_any_submodule_has_already_loaded_the_builtins():
+    # Why nothing inside repro.build calls load_builtins() again: the
+    # package __init__ ends in it and runs before any submodule can.
+    code = """
+from repro.build.harness import build_queue, build_simulation
+from repro.build.spec import ScenarioSpec
+from repro.sim.simulator import Simulator
+
+queue = build_queue("droptail", Simulator(seed=1), 600_000.0, 0.2)
+assert type(queue).__name__ == "DropTailQueue"
+spec = ScenarioSpec.from_document({
+    "duration": 1.0,
+    "topology": {"type": "dumbbell", "capacity_bps": 600000, "rtt": 0.2},
+    "queue": {"kind": "droptail-blackhole"},
+    "workloads": [{"type": "bulk", "n_flows": 2}],
+    "plugins": ["repro.check.faults"],
+})
+assert type(build_simulation(spec).queue).__name__ == "BlackholeDropTailQueue"
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_build_queue_unknown_kind():

@@ -8,10 +8,18 @@ everything outside the fluid validity domain, and the reduction of a
 fluid run to the standard scenario metric set.
 """
 
+import inspect
+
 import pytest
 
-from repro.build import BackendSpec, ScenarioSpec, SpecError, build_simulation
-from repro.fluid.backend import BuiltFluid
+from repro.build import (
+    BACKENDS,
+    BackendSpec,
+    ScenarioSpec,
+    SpecError,
+    build_simulation,
+)
+from repro.fluid.backend import BuiltFluid, build_fluid
 
 
 def document(**overrides):
@@ -59,6 +67,15 @@ def test_unknown_backend_kind_rejected():
 def test_unknown_backend_param_rejected():
     with pytest.raises(SpecError, match="nope"):
         ScenarioSpec.from_document(document(backend={"kind": "fluid", "nope": 1}))
+
+
+def test_registered_builder_restates_the_engine_signature():
+    # The thin builder in build/builtin_backends.py spells the keywords
+    # out so documents validate without importing numpy; the two must
+    # not drift apart.
+    registered = inspect.signature(BACKENDS.get("fluid"))
+    engine = inspect.signature(build_fluid)
+    assert registered.parameters == engine.parameters
 
 
 def test_build_returns_built_fluid():

@@ -1,6 +1,9 @@
 """The --jobs/--no-cache surface of ``taq-experiments``."""
 
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +81,40 @@ def test_cache_backend_env_var_applies(tiny_fig02, monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_BACKEND", f"sqlite:{db}")
     assert cli.main(["fig02", "--jobs", "1"]) == 0
     assert db.exists()
+
+
+BOGUS_BACKEND_ERROR = (
+    "error: unknown cache backend 'bogus:/tmp/x'; expected dir:PATH, "
+    "sqlite:PATH, or http://host:port\n")
+
+
+@pytest.mark.parametrize("argv", [["cache", "stats"], ["fig02", "--jobs", "1"]])
+@pytest.mark.parametrize("through", ["flag", "environment"])
+def test_mistyped_cache_backend_is_one_line_and_exit_2(
+        tiny_fig02, monkeypatch, capsys, argv, through):
+    if through == "flag":
+        argv = argv + ["--cache-backend", "bogus:/tmp/x"]
+    else:
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "bogus:/tmp/x")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == BOGUS_BACKEND_ERROR
+
+
+def test_reproduce_all_reports_a_mistyped_cache_backend_the_same_way(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "examples", "reproduce_all.py"),
+         str(tmp_path / "results"), "--only", "fig02",
+         "--cache-backend", "bogus:/tmp/x"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == BOGUS_BACKEND_ERROR
+    assert not (tmp_path / "results").exists()
 
 
 def test_cache_stats_json(tiny_fig02, capsys, tmp_path):

@@ -99,8 +99,9 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.parallel.service:ServiceHandler.do_GET
         repro.parallel.service:ServiceHandler.do_POST
     """,
-    "__repr__ or the container protocol (len, bool, in) of a public class: "
-    "a debugging aid": """
+    "protocol hook the interpreter calls by name: __repr__ or the container "
+    "protocol (len, bool, in) of a public class, a debugging aid; a module "
+    "__getattr__, which serves `from package import Name`": """
         repro.analysis.trace:PacketTraceRecorder.__len__
         repro.build.registry:Registry.__contains__
         repro.build.registry:Registry.__repr__
@@ -115,6 +116,7 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.parallel.backends:SqliteCache.__repr__
         repro.parallel.cache:ResultCache.__repr__
         repro.parallel.jobs:JobStore.__repr__
+        repro.parallel:__getattr__
         repro.sim.events:Event.__repr__
         repro.sim.events:EventQueue.__bool__
         repro.sim.events:EventQueue.__len__
