@@ -82,8 +82,8 @@ class Violation:
 
 class Monitor(Observer):
     """Base class: violation recording plus the per-event interface the
-    :class:`~repro.check.suite.MonitorSuite` drives.  A monitor that
-    keeps a ledger also implements the seam events it counts."""
+    :class:`~repro.check.suite.MonitorSuite` falls back on.  A monitor
+    that keeps a ledger also implements the seam events it counts."""
 
     name = "monitor"
 
@@ -101,7 +101,9 @@ class Monitor(Observer):
 
     # -- observer interface (all optional) ------------------------------
     def on_event(self, event: "Event", now: float) -> None:
-        """Called between events (before the clock advances)."""
+        """Check at an event boundary (before the clock advances) and
+        word what is wrong.  The suite evaluates the same predicates in
+        its own frame between events and calls this when one is false."""
 
     def finalize(self, sim: "Simulator") -> None:
         """End-of-run checks, after the last event has executed."""
@@ -281,6 +283,11 @@ class TcpLegalityMonitor(Monitor):
             return  # non-TCP transport (e.g. TFRC): nothing to check
         self._senders.append(sender)
         original = sender.receive
+        flow_id = sender.flow_id
+        last_una = self._last_una
+        # None reads as "never checked" in check_sender, and lets the
+        # wrapper below subscript where check_sender calls ``get``.
+        last_una.setdefault(flow_id, None)
 
         def checked_receive(packet, now: float) -> None:
             if (
@@ -296,7 +303,27 @@ class TcpLegalityMonitor(Monitor):
                     ack_seq=packet.ack_seq, high_water=sender.high_water,
                 )
             original(packet, now)
-            self.check_sender(sender, now)
+            # check_sender's clauses, restated in this frame; when one
+            # is false check_sender itself re-checks and words it.
+            state = sender.state
+            if state != "established" and state != "done":
+                return
+            una = sender.snd_una
+            last = last_una[flow_id]
+            rto = sender.rto
+            timeout = rto.rto
+            if (
+                sender.cwnd < 1.0
+                or sender.ssthresh < 1.0
+                or not una <= sender.snd_next <= sender.high_water
+                or (last is not None and una < last)
+                or rto.backoff_exponent > rto.max_backoff
+                or timeout > rto.max_rto
+                or timeout < rto.min_rto
+            ):
+                self.check_sender(sender, now)
+            else:
+                last_una[flow_id] = una
 
         sender.receive = checked_receive
 

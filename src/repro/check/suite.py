@@ -20,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.check.monitors import (
     ClockMonitor,
@@ -35,22 +35,107 @@ from repro.sim.observe import Observer, subscribe, unsubscribe
 
 
 class MonitorSuite(Observer):
-    """All monitors armed on one simulation, plus the fan-out glue."""
+    """All monitors armed on one simulation, plus the per-event glue.
 
-    def __init__(self, sim, monitors: List[Monitor]) -> None:
+    ``event`` runs between every two simulated events, so it evaluates
+    the conjunction of every per-event predicate in its own frame, on
+    state bound here at arm time: the clock's ordering, each link's
+    conservation books and occupancy bounds over one ``queue.__len__()``
+    call, and the TAQ ledgers.  Nothing is skipped, sampled or carried
+    over from an earlier event.  The monitors' ``on_event`` methods stay
+    the only place a violation is worded: when any predicate is false
+    (or a queue reaches a new high-water mark, which its monitor
+    records) they all re-check, in arming order.
+    ``tests/check/test_fused_differential.py`` holds the two equal.
+    """
+
+    def __init__(self, sim, clock: ClockMonitor,
+                 links: List[Tuple[LinkConservationMonitor, QueueOccupancyMonitor]],
+                 taq: Optional[TaqAccountingMonitor],
+                 legality: TcpLegalityMonitor) -> None:
         self.sim = sim
-        self.monitors = monitors
-        self._event_monitors = [
-            m for m in monitors
-            if type(m).on_event is not Monitor.on_event
+        #: What re-checks after the clock when the conjunction fails.
+        self._boundary: List[Monitor] = [books for books, _ in links]
+        self._boundary += [occupancy for _, occupancy in links]
+        if taq is not None:
+            self._boundary.append(taq)
+        self.monitors: List[Monitor] = [clock, *self._boundary, legality]
+        self._clock = clock
+        self._links = [
+            (occupancy.queue.__len__, occupancy.queue, books, occupancy,
+             books.link if books._lossy else None)
+            for books, occupancy in links
         ]
+        self._taq = None
+        if taq is not None:
+            scheduler = taq.queue.scheduler
+            self._taq = (
+                taq.queue, scheduler, scheduler.__len__,
+                tuple(scheduler.stats.values()),
+                (scheduler._recovery, *scheduler._fifos.values()),
+            )
+        self._legality = legality
         self._finalized = False
         subscribe(sim, self)
 
-    # -- the simulator's per-event subscription -------------------------
+    # -- the simulator's subscriptions ----------------------------------
     def event(self, sim, event, now: float) -> None:
-        for monitor in self._event_monitors:
-            monitor.on_event(event, now)
+        # ClockMonitor (its state moves on every event, so it goes first
+        # and alone).
+        clock = self._clock
+        time = event.time
+        if time < now or (time == clock._last_time and event.seq <= clock._last_seq):
+            clock.on_event(event, now)
+        else:
+            clock._last_time = time
+            clock._last_seq = event.seq
+        # LinkConservationMonitor and QueueOccupancyMonitor, per link.
+        holds = True
+        for qlen, queue, books, occupancy, lossy in self._links:
+            resident = qlen()
+            sent = books.transmitted
+            held = sent + resident
+            if (
+                queue.enqueued != held
+                or books.arrived != books.drops + held
+                or sent < books.deliveries + (
+                    0 if lossy is None else lossy.cross_traffic_losses)
+                or resident > occupancy.max_seen
+                or resident < 0
+                or resident > queue.capacity_pkts
+            ):
+                holds = False
+                break
+        if holds and self._taq is not None:  # TaqAccountingMonitor
+            queue, scheduler, buffered, class_stats, containers = self._taq
+            class_dropped = served = 0
+            for stats in class_stats:
+                class_dropped += stats.dropped
+                served += stats.served
+            by_class = sum(map(len, containers))
+            resident = buffered()
+            syns = scheduler._buffered_syns
+            admission = queue.admission
+            holds = not (
+                queue.dropped != class_dropped + queue.admission_refusals
+                or queue.enqueued != served + resident
+                or resident != by_class
+                or syns < 0
+                or syns > scheduler.new_flow_capacity
+                or (admission is not None and (
+                    admission.loss_rate < 0.0
+                    or (admission.admitted and admission.waiting
+                        and not admission.admitted.keys().isdisjoint(
+                            admission.waiting))))
+            )
+        if not holds:
+            for monitor in self._boundary:
+                monitor.on_event(event, now)
+
+    def flow_spawned(self, sim, flow) -> None:
+        """A flow created mid-run (web sessions) is wrapped like the
+        ones :func:`attach_monitors` found."""
+        self._legality.attach_flow(flow)
 
     # -- lifecycle ------------------------------------------------------
     def finalize(self) -> None:
@@ -62,7 +147,7 @@ class MonitorSuite(Observer):
             monitor.finalize(self.sim)
 
     def detach(self) -> None:
-        """Unhook the per-event fan-out (taps cannot be removed, but they
+        """Unhook from the simulator (taps cannot be removed, but they
         are inert once the simulation stops)."""
         unsubscribe(self.sim, self)
 
@@ -89,27 +174,24 @@ def attach_monitors(built, mode: str = "raise") -> MonitorSuite:
     records violations on the suite for post-run inspection (what the
     fuzzer uses).
 
-    TCP legality wraps the flows that exist *now* — sessions that spawn
-    flows mid-run (web users) are covered by the conservation and queue
-    monitors but not individually wrapped.
+    TCP legality wraps the flows that exist now; a flow spawned mid-run
+    (web sessions) announces itself with ``flow_spawned`` and the suite
+    wraps it then, so every sender of the run is checked.
     """
-    monitors: List[Monitor] = [ClockMonitor(mode)]
-    links = built.links()
-    for link in links:
-        monitors.append(LinkConservationMonitor(link, label=link.name, mode=mode))
-    for link in links:
-        monitors.append(
-            QueueOccupancyMonitor(link.queue, label=link.name, mode=mode)
-        )
+    links = [
+        (LinkConservationMonitor(link, label=link.name, mode=mode),
+         QueueOccupancyMonitor(link.queue, label=link.name, mode=mode))
+        for link in built.links()
+    ]
     queue = built.queue
+    taq = None
     if hasattr(queue, "scheduler") and hasattr(queue, "tracker"):
-        monitors.append(TaqAccountingMonitor(queue, mode))
+        taq = TaqAccountingMonitor(queue, mode)
     legality = TcpLegalityMonitor(mode)
     for flow in built.all_flows():
         if hasattr(flow, "sender"):
             legality.attach_flow(flow)
-    monitors.append(legality)
-    return MonitorSuite(built.sim, monitors)
+    return MonitorSuite(built.sim, ClockMonitor(mode), links, taq, legality)
 
 
 def run_checked(built, until: Optional[float] = None, mode: str = "raise") -> MonitorSuite:

@@ -112,7 +112,8 @@ class Packet:
         # read back at transmission start to measure queueing delay.
         self.enqueued_at = 0.0
         # Id of this packet's lifecycle span when a ``repro.obs.spans``
-        # recorder is armed; -1 otherwise (and always when disarmed).
+        # recorder is armed; -1 until one has met the packet (so always
+        # when disarmed), -2 when it met it past its span cap.
         self.span_id = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

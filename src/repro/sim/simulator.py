@@ -81,19 +81,27 @@ class Simulator:
         if obs is not None:
             obs.run_start(self)
             if implements(obs, "event"):
-                on_event = obs.event  # the one subscription that costs the fast loop
+                on_event = obs.event  # the one subscription paid per event
         events = self.events
         limit = float("inf") if until is None else until
-        if self.max_events is None and on_event is None:
-            # Fast path: one wheel scan per event via pop_due, no budget
-            # or observer checks.  processed still advances per
-            # iteration — callbacks read it mid-run.
+        if self.max_events is None:
+            # One wheel scan per event via pop_due and no budget check,
+            # armed or not.  processed still advances per iteration —
+            # callbacks read it mid-run.
             pop_due = events.pop_due
-            while (event := pop_due(limit)) is not None:
-                self.now = event.time
-                event.fired = True
-                event.callback(*event.args)
-                self.processed += 1
+            if on_event is None:
+                while (event := pop_due(limit)) is not None:
+                    self.now = event.time
+                    event.fired = True
+                    event.callback(*event.args)
+                    self.processed += 1
+            else:
+                while (event := pop_due(limit)) is not None:
+                    on_event(self, event, self.now)
+                    self.now = event.time
+                    event.fired = True
+                    event.callback(*event.args)
+                    self.processed += 1
         else:
             while True:
                 next_time = events.peek_time()

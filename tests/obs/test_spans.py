@@ -22,6 +22,7 @@ import pytest
 
 from repro.build import ScenarioSpec, build_simulation
 from repro.net.packet import Packet
+from repro.obs.streamstats import StreamingFlowStats
 from repro.sim.observe import subscribers
 from repro.obs.spans import (
     SPANS_SCHEMA_VERSION,
@@ -55,6 +56,11 @@ def _span(recorder, span_id):
     return next(s for s in recorder.spans if s.id == span_id)
 
 
+#: The recorder's per-flow working state, all keyed by flow id.
+WORKING_TABLES = ("_flow_spans", "_last_activity", "_recovery", "_last_drop",
+                  "_last_flow_drop", "_last_syn", "_last_delivery")
+
+
 def _by_kind(recorder, kind):
     return [s for s in recorder.spans if s.kind == kind]
 
@@ -69,6 +75,8 @@ class TestRecorderHooks:
         (flow,) = _by_kind(rec, "flow")
         assert flow.t0 == 1.0 and flow.t1 is None
         rec.flow_done(_sender(7), 9.5)
+        assert flow.t1 is None  # a span is a value built on read,
+        (flow,) = _by_kind(rec, "flow")  # so read again
         assert flow.t1 == 9.5
         assert flow.fields["outcome"] == "done"
         assert flow.duration == pytest.approx(8.5)
@@ -203,6 +211,48 @@ class TestRecorderHooks:
         assert 2 not in rec._last_activity
         assert 2 not in rec._last_flow_drop
 
+    def test_late_packets_of_a_finished_flow_do_not_bring_its_state_back(self):
+        # The FIN is sent before flow_done fires and lands after it;
+        # duplicates of earlier segments can still be in flight too.
+        rec = SpanRecorder(stream=StreamingFlowStats())
+        late = Packet(2, "data", seq=0, size=200)
+        fin = Packet(2, "fin")
+        rec.sent(None, late, 0.0)
+        rec.sent(None, fin, 0.5)
+        rec.flow_done(_sender(2), 0.5)
+        rec.dropped(None, late, 0.6)
+        rec.delivered(_link("forward"), fin, 0.7)
+        # They keep their own spans, stages and outcomes ...
+        assert _span(rec, late.span_id).fields["outcome"] == "dropped"
+        assert _span(rec, fin.span_id).stages == [["created", 0.5], ["deliv", 0.7]]
+        assert _span(rec, fin.span_id).t1 == 0.7
+        # ... and every per-flow table stays released.
+        for table in WORKING_TABLES:
+            assert 2 not in getattr(rec, table), table
+
+    def test_a_packet_met_past_the_cap_is_stamped_and_left_alone(self):
+        rec = SpanRecorder(limit=1)
+        pkt = Packet(1, "data", seq=0, size=200)
+        rec.sent(None, pkt, 0.0)  # the flow span takes the one slot
+        assert pkt.span_id == -2 and rec.truncated and len(rec) == 1
+        rec.flow_done(_sender(1), 1.0)
+        rec.delivered(_link("forward"), pkt, 1.1)  # no second first contact
+        assert len(rec) == 1 and 1 not in rec._flow_spans
+
+    def test_spans_are_values_built_on_read(self):
+        rec = SpanRecorder()
+        pkt = Packet(5, "data", seq=0, size=200)
+        rec.sent(None, pkt, 1.0)
+        before = rec.spans
+        rec.delivered(_link("forward"), pkt, 1.3)
+        after = rec.spans
+        assert [span.id for span in after] == [0, 1] == list(range(len(rec)))
+        assert before[1].t1 is None and before[1].stages == [["created", 1.0]]
+        assert after[1].t1 == 1.3 and after[1] is not before[1]
+        # A reader may scribble on what it was given.
+        after[1].stages.append(["bogus", 9.9])
+        assert rec.spans[1].stages == [["created", 1.0], ["deliv", 1.3]]
+
     def test_summary_counts_by_kind(self):
         rec = SpanRecorder()
         rec.sent(None, Packet(1, "syn"), 0.0)
@@ -298,6 +348,41 @@ class TestEndToEnd:
                 continue
             times = [stage[1] for stage in span.stages]
             assert times == sorted(times)
+
+
+# ----------------------------------------------------------------------
+# Session workloads: working state follows live flows, not total flows
+# ----------------------------------------------------------------------
+WEB_CHURN = {
+    "name": "spans-churn",
+    "seed": 5,
+    "duration": 32.0,
+    "topology": {"capacity_bps": 1_000_000, "rtt": 0.2, "pkt_size": 500},
+    "queue": {"kind": "taq+ac", "p_thresh": 0.02, "t_wait": 2.0,
+              "measure_interval": 1.0},
+    "workloads": [
+        {"type": "web", "n_users": 100, "objects_per_user": 5,
+         "object_bytes": 2500, "connections": 4, "start_window": 20.0},
+        {"type": "short", "lengths": [20] * 60, "start_time": 8.0,
+         "spacing": 0.02},
+    ],
+}
+
+
+@pytest.mark.parametrize("limit", [1_000_000, 5_000])
+def test_working_state_is_bounded_by_live_flows(limit):
+    recorder = SpanRecorder(limit=limit, stream=StreamingFlowStats())
+    with recording(recorder):
+        built = build_simulation(ScenarioSpec.from_document(WEB_CHURN))
+        built.run()
+    flows = built.all_flows()
+    live = {flow.flow_id for flow in flows if not flow.done}
+    assert len(flows) >= 500 and len(live) <= 50
+    assert recorder.truncated == (limit < 1_000_000)
+    # Drops and late FINs happened, so there was something to leak.
+    assert recorder.counts_by_kind()["pkt"] > 1_000
+    for table in WORKING_TABLES:
+        assert set(getattr(recorder, table)) <= live, table
 
 
 # ----------------------------------------------------------------------

@@ -14,22 +14,42 @@ which repeat exactly:
   3x target stands next to it as a strict xfail, so closing it (ROADMAP
   item 2) shows up in the suite.
 
+The same counter pins what an *armed* run costs (ROADMAP item 3(b)),
+on the ledger's bulk workload cut to ten simulated seconds: 100 flows
+at 0.75 packets per RTT with all four observer families on.
+
+- armed calls over unarmed calls: at most 1.9 behind DropTail and 2.0
+  behind TAQ (2.44 and 2.47 before the per-event checks shared one
+  frame and the span recorder became a flat log);
+- a spans-armed run keeps no object the cyclic collector tracks per
+  packet (about three per span before);
+- recording *and* writing ``spans.jsonl`` costs no more calls than it
+  did when every span was an object — the flat log removed work, it
+  did not move it to the reader.
+
 Calls are counted the way the perf ledger's ``py_calls_per_pkt`` counts
 them: Python frames plus calls into builtins.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import os
 import sys
 
 import pytest
 
+import repro
 import repro.core
+from repro.build import ScenarioSpec, build_simulation
+from repro.obs import save_spans
 from repro.perf.bench import get_benchmark
 from repro.perf.suite import TaqFlowDrive
+from tests.test_bit_identity import ALL_FOUR, armed
 
 CORE_DIR = os.path.dirname(repro.core.__file__) + os.sep
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
 def count_calls(fn, only_under=None):
@@ -93,3 +113,84 @@ def test_taq_saturation_calls_against_droptail(saturation_ratio):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 5.9x today, 3x is the open target")
 def test_taq_saturation_calls_within_3x_of_droptail(saturation_ratio):
     assert saturation_ratio <= 3.0
+
+
+# ----------------------------------------------------------------------
+# Armed: what the observers cost, in calls
+# ----------------------------------------------------------------------
+def bulk_spec(kind: str) -> ScenarioSpec:
+    """The perf ledger's ``spk_bulk_*`` document, ten seconds of it."""
+    return ScenarioSpec.from_document({
+        "name": f"armed-{kind}", "seed": 1, "duration": 10.0,
+        "topology": {"type": "dumbbell", "capacity_bps": 600_000, "rtt": 0.2,
+                     "pkt_size": 200},
+        "queue": {"kind": kind},
+        "workloads": [{"type": "bulk", "n_flows": 100}],
+    })
+
+
+def unit(spec: ScenarioSpec, arm=()):
+    """Build, arm, run and finalize, the way the ledger's armed unit
+    does (each family through its public arming call, in its order);
+    returns the built scenario and the span recorder."""
+    with armed(arm) as arms:
+        built = build_simulation(spec)
+        built.run()
+        for suite in arms.suites:
+            suite.finalize()
+            assert suite.violations == []
+        for telemetry, sim in arms.telemetries:
+            telemetry.finalize(sim)
+    return built, arms.recorder
+
+
+def armed_over_unarmed(kind: str) -> float:
+    spec = bulk_spec(kind)
+    unit(spec, ALL_FOUR)  # first use imports the observer families
+    unarmed, _ = count_calls(lambda: unit(spec))
+    armed, _ = count_calls(lambda: unit(spec, ALL_FOUR))
+    return armed / unarmed
+
+
+@pytest.mark.parametrize("kind, bound", [("droptail", 1.9), ("taq", 2.0)])
+def test_all_four_armed_calls_over_unarmed(kind, bound):
+    assert armed_over_unarmed(kind) <= bound
+
+
+def tracked_growth(spec: ScenarioSpec, arm):
+    """GC-tracked objects the unit leaves alive, everything it built
+    still referenced."""
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = unit(spec, arm)
+    gc.collect()
+    return len(gc.get_objects()) - before, kept
+
+
+def test_a_spans_armed_run_keeps_no_tracked_object_per_packet():
+    spec = bulk_spec("droptail")
+    unit(spec, ("spans",))
+    plain, _ = tracked_growth(spec, ())
+    armed, (_, recorder) = tracked_growth(spec, ("spans",))
+    assert len(recorder) > 5_000
+    assert armed - plain <= 0.05 * len(recorder), (armed, plain, len(recorder))
+
+
+#: What ``record_and_save`` cost at the last commit whose recorder
+#: built one ``Span`` object per span (counted there with this file's
+#: function, frames under src/repro and the builtins they call).
+OBJECT_PER_SPAN_CALLS = 200_251
+
+
+def record_and_save(spec: ScenarioSpec) -> int:
+    _, recorder = unit(spec, ("spans",))
+    return save_spans(recorder.spans, io.StringIO())
+
+
+def test_recording_and_saving_costs_no_more_than_an_object_per_span_did():
+    spec = bulk_spec("droptail")
+    record_and_save(spec)
+    unarmed, _ = count_calls(lambda: unit(spec), only_under=REPRO_DIR)
+    calls, written = count_calls(lambda: record_and_save(spec), only_under=REPRO_DIR)
+    assert written > 5_000
+    assert calls - unarmed <= OBJECT_PER_SPAN_CALLS, (calls - unarmed) / written

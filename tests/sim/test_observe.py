@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.queues.droptail import DropTailQueue
-from repro.sim.events import EventQueue
 from repro.sim.observe import (
     AMBIENT,
     VOCABULARY,
@@ -17,7 +16,7 @@ from repro.sim.observe import (
     subscribers,
     unsubscribe,
 )
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 
 class Runs(Observer):
@@ -115,25 +114,38 @@ def test_queue_subclasses_emit_their_base_vocabulary():
     assert queue.obs is drops
 
 
-def test_only_a_per_event_subscriber_leaves_the_fast_loop(monkeypatch):
-    # The checked loop peeks before every pop; the fast loop never does.
-    peeks = []
-    peek_time = EventQueue.peek_time
-    monkeypatch.setattr(
-        EventQueue, "peek_time",
-        lambda queue: (peeks.append(1), peek_time(queue))[1])
-    sim = Simulator()
-    sim.schedule(0.5, lambda: None)
-    sim.run(until=1.0)                      # unarmed
-    subscribe(sim, Runs())
-    sim.schedule(0.5, lambda: None)
-    sim.run(until=2.0)                      # armed, but not per event
-    assert sim.processed == 2 and peeks == []
+def test_a_per_event_subscriber_sees_every_event_before_the_clock_advances():
+    sim, runs, fired = Simulator(), Runs(), []
+    subscribe(sim, runs)
+    for delay in (0.5, 0.5, 1.5):
+        sim.schedule(delay, fired.append, (delay,))
+    sim.run(until=1.0)                      # armed, but not per event
+    assert fired == [0.5, 0.5] and runs.seen == [("start", 0.0), ("end", 1.0)]
     events = Events()
     subscribe(sim, events)
-    sim.schedule(0.5, lambda: None)
-    sim.run(until=3.0)
-    assert peeks and events.seen == [(2, 2.0)]
+    for delay in (0.25, 0.25, 3.0):
+        sim.schedule(delay, fired.append, (delay,))
+    sim.run(until=2.0)
+    # Every event popped inside the horizon, each with the clock of the
+    # event before it (same-time events included); nothing past it.
+    assert events.seen == [(3, 1.0), (4, 1.25), (2, 1.25)]
+    assert fired == [0.5, 0.5, 0.25, 0.25, 1.5] and sim.now == 2.0
+    sim.run()                               # and when draining
+    assert events.seen[-1] == (5, 2.0) and sim.now == 4.0
+
+
+def test_the_event_budget_stays_exact_under_a_per_event_subscriber():
+    sim, events, fired = Simulator(max_events=2), Events(), []
+    subscribe(sim, events)
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, fired.append, (delay,))
+    with pytest.raises(SimulationError, match="max_events=2"):
+        sim.run()
+    # Raised on the attempt to process event 3: it neither ran nor was
+    # reported, and it is still queued.
+    assert fired == [1.0, 2.0] and sim.processed == 2 and sim.now == 2.0
+    assert events.seen == [(0, 0.0), (1, 1.0)]
+    assert len(sim.events) == 1
 
 
 def test_step_reports_the_event_before_the_clock_advances():

@@ -60,6 +60,7 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.check.fuzz:_same_failure
         repro.check.fuzz:shrink
         repro.check.fuzz:write_repro
+        repro.check.monitors:ClockMonitor.on_event
         repro.check.monitors:InvariantViolation.__init__
         repro.check.monitors:Monitor.violate
         repro.check.monitors:Violation.to_document
