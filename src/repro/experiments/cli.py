@@ -19,6 +19,7 @@ import inspect
 import json
 import os
 import sys
+from contextlib import ExitStack
 from typing import Optional, Sequence
 
 EXPERIMENTS = {
@@ -106,6 +107,9 @@ def _run_scenarios(args) -> int:
     the third document fails fast.  With ``--jobs N`` and several files
     the runs fan out across the process pool; outcomes print in file
     order either way, so jobs=1 and jobs=N output is identical.
+    ``--telemetry-dir`` runs the documents one after another with a
+    bundle each; ``--spans`` records the one document it is given, into
+    its own file and, with ``--telemetry-dir``, into the bundle too.
     """
     from repro.build import BackendSpec, ScenarioSpec, SpecError
     from repro.experiments.scenario import run_scenario
@@ -122,66 +126,63 @@ def _run_scenarios(args) -> int:
         except (SpecError, OSError) as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
-    if args.spans is not None:
-        if len(specs) != 1:
-            print("(--spans records one scenario at a time; pass a single file)",
-                  file=sys.stderr)
-            return 2
-        from repro.obs.spans import SpanRecorder, recording, save_spans
-        from repro.obs.streamstats import StreamingFlowStats
+    if args.spans is not None and len(specs) != 1:
+        print("(--spans records one scenario at a time; pass a single file)",
+              file=sys.stderr)
+        return 2
+    jobs = args.jobs if args.jobs is not None else 1
+    recorder = None
+    with ExitStack() as stack:
+        if args.spans is not None:
+            from repro.obs.spans import SpanRecorder, recording, save_spans
+            from repro.obs.streamstats import StreamingFlowStats
 
-        recorder = SpanRecorder(stream=StreamingFlowStats())
-        with recording(recorder):
-            outcome = run_scenario(specs[0])
+            recorder = stack.enter_context(
+                recording(SpanRecorder(stream=StreamingFlowStats())))
+        if args.telemetry_dir is not None:
+            # Instrumented runs are sequential: one bundle per document at
+            # DIR/<scenario-name>, ready for `taq-obs diff` / `taq-obs export`.
+            from repro.experiments.scenario import run_scenario_with_telemetry
+            from repro.obs import Telemetry
+
+            if jobs != 1:
+                print("(note: --telemetry-dir runs scenarios sequentially; "
+                      "--jobs ignored)", file=sys.stderr)
+            outcomes = [
+                run_scenario_with_telemetry(spec, Telemetry(
+                    os.path.join(args.telemetry_dir, spec.name),
+                    sample_interval=args.sample_interval, spans=recorder))
+                for spec in specs
+            ]
+        elif jobs != 1 and len(specs) > 1:
+            from repro.parallel import ParallelRunner, PointSpec
+
+            points = [
+                PointSpec(
+                    # The parsed document, not the path: a --backend
+                    # override lives only in the spec.
+                    "repro.experiments.scenario:run_scenario",
+                    dict(document=spec.to_document()),
+                    label=spec.name,
+                    scenario=spec.canonical(),
+                )
+                for spec in specs
+            ]
+            runner = ParallelRunner(jobs=jobs, cache=None)
+            outcomes = [result.value for result in runner.run(points)]
+        else:
+            outcomes = [run_scenario(spec) for spec in specs]
+    for outcome in outcomes:
+        print(outcome)
+    if recorder is not None:
         os.makedirs(os.path.dirname(args.spans) or ".", exist_ok=True)
         with open(args.spans, "w", encoding="utf-8") as handle:
             written = save_spans(recorder.spans, handle)
-        print(outcome)
         print(f"(span trace: {written} spans written to {args.spans}; "
               f"inspect with 'taq-obs flows {args.spans}')")
-        if recorder.stream is not None:
-            print(recorder.stream.render())
-        return 0
-    if getattr(args, "telemetry_dir", None) is not None:
-        # Instrumented runs are sequential: one bundle per document at
-        # DIR/<scenario-name>, ready for `taq-obs diff` / `taq-obs export`.
-        from repro.experiments.scenario import run_scenario_with_telemetry
-
-        if args.jobs not in (None, 1):
-            print("(note: --telemetry-dir runs scenarios sequentially; "
-                  "--jobs ignored)", file=sys.stderr)
-        outcomes = []
-        for spec in specs:
-            bundle_dir = os.path.join(args.telemetry_dir, spec.name)
-            outcomes.append(run_scenario_with_telemetry(
-                spec, bundle_dir,
-                sample_interval=getattr(args, "sample_interval", 1.0),
-            ))
-        for outcome in outcomes:
-            print(outcome)
+        print(recorder.stream.render())
+    if args.telemetry_dir is not None:
         print(f"(telemetry bundles under {args.telemetry_dir}/)")
-        return 0
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs != 1 and len(specs) > 1:
-        from repro.parallel import ParallelRunner, PointSpec
-
-        points = [
-            PointSpec(
-                # The parsed document, not the path: a --backend
-                # override lives only in the spec.
-                "repro.experiments.scenario:run_scenario",
-                dict(document=spec.to_document()),
-                label=spec.name,
-                scenario=spec.canonical(),
-            )
-            for spec in specs
-        ]
-        runner = ParallelRunner(jobs=jobs, cache=None)
-        outcomes = [result.value for result in runner.run(points)]
-    else:
-        outcomes = [run_scenario(spec) for spec in specs]
-    for outcome in outcomes:
-        print(outcome)
     if args.csv:
         if len(outcomes) == 1:
             outcomes[0].table().write_csv(args.csv)

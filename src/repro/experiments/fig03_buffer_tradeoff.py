@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
-from repro.experiments.runner import (
-    TableResult,
-    dumbbell_spec,
-    instrument_point,
-    telemetry_payload,
-)
+from repro.experiments.runner import TableResult, dumbbell_spec, run_point
 from repro.parallel import ParallelRunner, PointSpec
 
 
@@ -147,29 +142,12 @@ def run_buffer_point(
     )
     built = build_simulation(scenario)
     flows = built.flows
-    telemetry = None
-    run_id = f"droptail-buf{buffer_rtts:g}rtt-share{fair_share_pkts:g}pkt-seed{seed}"
-    if telemetry_dir is not None:
-        telemetry = instrument_point(
-            built.sim, built.queue, built.topology.forward, flows,
-            telemetry_dir, run_id, sample_interval=sample_interval,
-        )
-    built.run()
-    payload = None
-    if telemetry is not None:
-        payload = telemetry_payload(
-            telemetry,
-            built.sim,
-            run_id=run_id,
-            seed=seed,
-            topology=dict(
-                capacity_bps=capacity_bps, rtt=rtt, pkt_size=pkt_size,
-                n_flows=len(flows), buffer_rtts=buffer_rtts,
-            ),
-            qdisc=dict(kind="droptail"),
-            duration=duration,
-            scenario=scenario.canonical(),
-        )
+    payload = run_point(
+        built,
+        f"droptail-buf{buffer_rtts:g}rtt-share{fair_share_pkts:g}pkt-seed{seed}",
+        telemetry_dir,
+        sample_interval,
+    )
     stats = built.topology.forward.stats
     return BufferPoint(
         fair_share_pkts=fair_share_pkts,

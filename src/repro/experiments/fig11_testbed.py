@@ -25,11 +25,7 @@ from repro.build import (
     WorkloadSpec,
     build_simulation,
 )
-from repro.experiments.runner import (
-    TableResult,
-    instrument_point,
-    telemetry_payload,
-)
+from repro.experiments.runner import TableResult, run_point
 from repro.experiments.sweeps import flows_for_fair_share
 from repro.parallel import ParallelRunner, PointSpec
 
@@ -147,33 +143,14 @@ def run_testbed_point(
         slice_seconds, seed,
     )
     built = build_simulation(scenario)
-    sim, queue, bed = built.sim, built.queue, built.topology
-    collector, flows = built.collector, built.flows
-    telemetry = None
-    run_id = (
+    bed, collector, flows = built.topology, built.collector, built.flows
+    payload = run_point(
+        built,
         f"testbed-{queue_kind}-{int(capacity_bps)}bps-"
-        f"share{int(fair_share_bps)}-seed{seed}"
+        f"share{int(fair_share_bps)}-seed{seed}",
+        telemetry_dir,
+        sample_interval,
     )
-    if telemetry_dir is not None:
-        telemetry = instrument_point(
-            sim, queue, bed.forward, flows,
-            telemetry_dir, run_id, sample_interval=sample_interval,
-        )
-    sim.run(until=duration)
-    payload = None
-    if telemetry is not None:
-        payload = telemetry_payload(
-            telemetry,
-            sim,
-            run_id=run_id,
-            seed=seed,
-            topology=dict(
-                capacity_bps=capacity_bps, rtt=rtt, n_flows=n_flows, testbed=True
-            ),
-            qdisc=dict(kind=queue_kind),
-            scenario=scenario.canonical(),
-            duration=duration,
-        )
     return TestbedPoint(
         queue_kind=queue_kind,
         capacity_bps=capacity_bps,

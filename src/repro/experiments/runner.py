@@ -3,8 +3,9 @@
 - :func:`dumbbell_spec` — the :class:`~repro.build.ScenarioSpec` of the
   paper's standard bench (one queue kind on a dumbbell), which
   :func:`repro.build.build_simulation` turns into a wired run;
-- :func:`instrument_point` / :func:`telemetry_payload` — opt-in
-  :mod:`repro.obs` wiring shared by every sweep-point function;
+- :func:`run_point` — runs a built sweep point, armed with a
+  :mod:`repro.obs` telemetry bundle when asked, for every sweep-point
+  function;
 - :class:`TableResult` — a printable rows-and-headers result every
   experiment returns (the "same rows/series the paper reports").
 """
@@ -16,8 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.build import MetricsSpec, QueueSpec, ScenarioSpec, TopologySpec
-from repro.queues import QueueDiscipline
-from repro.sim.simulator import Simulator
 
 
 def dumbbell_spec(
@@ -59,61 +58,38 @@ def dumbbell_spec(
     )
 
 
-def instrument_point(
-    sim: Simulator,
-    queue: QueueDiscipline,
-    link,
-    flows,
-    telemetry_dir: str,
+def run_point(
+    built,
     run_id: str,
+    telemetry_dir: Optional[str] = None,
     sample_interval: float = 1.0,
-):
-    """Wire a :class:`repro.obs.Telemetry` bundle onto one sweep point.
+) -> Optional[Dict[str, Any]]:
+    """Run one built sweep point to its spec's duration.
 
-    Attaches the gauge sampler, the queue drop tap (plus TAQ internals
-    when *queue* is a TAQ), the bottleneck link gauges, and per-flow
-    sender probes.  The bundle lands in ``telemetry_dir/run_id/`` at
-    finalize time (see :func:`telemetry_payload`).
+    With *telemetry_dir* the point runs armed (:meth:`repro.obs.Telemetry.arm`:
+    gauge sampler, queue, bottleneck link, every flow), its bundle lands
+    in ``telemetry_dir/run_id/`` and the picklable payload (bundle path,
+    manifest, deterministic summary) is returned to travel back through
+    :mod:`repro.parallel` — including on cache hits.  Without, None.
     """
-    from repro.obs import (
-        Telemetry,
-        instrument_flows,
-        instrument_link,
-        instrument_queue,
-    )
+    if telemetry_dir is None:
+        built.run()
+        return None
+    from repro.build.harness import manifest_payloads
+    from repro.obs import Telemetry
 
     telemetry = Telemetry(
         os.path.join(telemetry_dir, run_id), sample_interval=sample_interval
     )
-    telemetry.attach(sim)
-    instrument_queue(telemetry, queue)
-    instrument_link(telemetry, link, name="bottleneck")
-    instrument_flows(telemetry, flows)
-    return telemetry
-
-
-def telemetry_payload(
-    telemetry,
-    sim: Optional[Simulator] = None,
-    *,
-    run_id: str,
-    seed: int,
-    topology: Optional[Dict[str, Any]] = None,
-    qdisc: Optional[Dict[str, Any]] = None,
-    scenario: Optional[Dict[str, Any]] = None,
-    duration: float = 0.0,
-) -> Dict[str, Any]:
-    """Finalize *telemetry* and return the picklable per-point payload
-    (bundle path, manifest, deterministic summary) that travels back
-    through :mod:`repro.parallel` — including on cache hits."""
+    telemetry.arm(built)
+    built.run()
+    spec = built.spec
     manifest = telemetry.finalize(
-        sim,
+        built.sim,
         run_id=run_id,
-        seed=seed,
-        topology=topology,
-        qdisc=qdisc,
-        scenario=scenario,
-        duration=duration,
+        seed=spec.seed,
+        duration=spec.duration,
+        **manifest_payloads(spec),
     )
     return {
         "bundle_dir": telemetry.out_dir,

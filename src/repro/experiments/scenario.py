@@ -134,14 +134,14 @@ def _packet_outcome(spec: ScenarioSpec, built) -> ScenarioOutcome:
 
 
 def run_scenario_with_telemetry(
-    document: Union[Dict[str, Any], ScenarioSpec],
-    out_dir: str,
-    sample_interval: float = 1.0,
+    document: Union[Dict[str, Any], ScenarioSpec], telemetry
 ) -> ScenarioOutcome:
-    """Run a scenario with a full telemetry bundle landing in *out_dir*.
+    """Run a scenario armed with *telemetry* (a :class:`repro.obs.Telemetry`;
+    the bundle lands in its ``out_dir``, with ``spans.jsonl`` when it
+    carries a span recorder).
 
-    Works on both engines: a packet run gets the queue/link/flow
-    instrumentation sweep points use, a fluid run gets
+    Works on both engines: a packet run gets the arming sweep points
+    use (:meth:`repro.obs.Telemetry.arm`), a fluid run gets
     :func:`repro.fluid.probe.instrument_fluid` (per-step queue
     occupancy, drop rates, validity clips, the stability verdict).  The
     final :class:`ScenarioOutcome` scalars are also recorded as
@@ -151,12 +151,6 @@ def run_scenario_with_telemetry(
     built from.
     """
     from repro.build.harness import manifest_payloads
-    from repro.obs import (
-        Telemetry,
-        instrument_flows,
-        instrument_link,
-        instrument_queue,
-    )
 
     spec = (
         document
@@ -164,7 +158,6 @@ def run_scenario_with_telemetry(
         else ScenarioSpec.from_document(document)
     )
     built = build_simulation(spec)
-    telemetry = Telemetry(out_dir, sample_interval=sample_interval)
     if getattr(built, "backend", "packet") == "fluid":
         from repro.fluid.probe import instrument_fluid
 
@@ -173,12 +166,7 @@ def run_scenario_with_telemetry(
         outcome = built.scenario_outcome()
         sim = None
     else:
-        telemetry.attach(built.sim)
-        instrument_queue(telemetry, built.queue)
-        link = getattr(built.topology, "forward", None)
-        if link is not None:
-            instrument_link(telemetry, link, name="bottleneck")
-        instrument_flows(telemetry, built.all_flows())
+        telemetry.arm(built)
         built.run()
         outcome = _packet_outcome(spec, built)
         sim = built.sim

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
-from repro.experiments.runner import (
-    dumbbell_spec,
-    instrument_point,
-    telemetry_payload,
-)
+from repro.experiments.runner import dumbbell_spec, run_point
 from repro.parallel import ParallelRunner, PointSpec, ProgressPrinter, ResultCache
 
 
@@ -118,37 +114,12 @@ def run_sweep_point(
     )
     built = build_simulation(scenario)
     flows = built.flows
-    telemetry = None
-    run_id = f"{kind}-{int(capacity_bps)}bps-share{int(fair_share_bps)}-seed{seed}"
-    if telemetry_dir is not None:
-        telemetry = instrument_point(
-            built.sim,
-            built.queue,
-            built.topology.forward,
-            flows,
-            telemetry_dir,
-            run_id,
-            sample_interval=sample_interval,
-        )
-    built.sim.run(until=duration)
-    payload = None
-    if telemetry is not None:
-        payload = telemetry_payload(
-            telemetry,
-            built.sim,
-            run_id=run_id,
-            seed=seed,
-            topology=dict(
-                capacity_bps=capacity_bps,
-                fair_share_bps=fair_share_bps,
-                n_flows=n_flows,
-                rtt=rtt,
-                slice_seconds=slice_seconds,
-            ),
-            qdisc=dict(kind=kind, **queue_kwargs),
-            scenario=scenario.canonical(),
-            duration=duration,
-        )
+    payload = run_point(
+        built,
+        f"{kind}-{int(capacity_bps)}bps-share{int(fair_share_bps)}-seed{seed}",
+        telemetry_dir,
+        sample_interval,
+    )
     flow_ids = [f.flow_id for f in flows]
     indices = built.collector.slice_indices()
     steady = indices[len(indices) // 2] if indices else 0

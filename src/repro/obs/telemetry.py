@@ -14,13 +14,14 @@ zero-overhead-when-disabled guarantee.
 Usage::
 
     telemetry = Telemetry("out/run0", sample_interval=1.0)
-    telemetry.attach(sim)                      # start the gauge sampler
-    instrument_queue(telemetry, built.queue)   # drops, depth, TAQ internals
-    instrument_link(telemetry, built.topology.forward, "bottleneck")
-    for flow in flows:
-        instrument_flow(telemetry, flow)
-    sim.run(until=120.0)
-    telemetry.finalize(sim, run_id="fig02-200k", seed=1, ...)
+    telemetry.arm(built)        # sampler, queue, bottleneck link, flows
+    built.run()
+    telemetry.finalize(built.sim, run_id="fig02-200k", seed=1, ...)
+
+:meth:`Telemetry.arm` is the one arming sequence every sweep point and
+scenario runs; its parts (``attach``, ``instrument_queue``,
+``instrument_link``, ``instrument_flows``) stay public for runs that
+are not a :class:`~repro.build.BuiltScenario`.
 
 The bundle on disk::
 
@@ -47,6 +48,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.simulator import Simulator
     from repro.tcp.flow import TcpFlow
 
+#: Hard cap on structured events kept (see :class:`EventTrace`).
+TRACE_LIMIT = 1_000_000
+
+#: Per-flow cwnd gauges go to the first few flows present at arming:
+#: time-series cost scales with flows x samples, and hundreds of
+#: per-flow series drown a sweep bundle.
+CWND_FLOWS = 8
+
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"
 EVENTS_NAME = "events.jsonl"
@@ -63,8 +72,6 @@ class Telemetry(Observer):
         telemetry purely in memory (tests, interactive use).
     sample_interval:
         Gauge sampling period in sim-seconds; 0 disables the sampler.
-    trace_limit:
-        Hard cap on structured events kept (see :class:`EventTrace`).
     spans:
         Optional :class:`repro.obs.spans.SpanRecorder` to carry along:
         finalize writes its spans as ``spans.jsonl`` next to the other
@@ -77,16 +84,18 @@ class Telemetry(Observer):
         self,
         out_dir: Optional[str] = None,
         sample_interval: float = 1.0,
-        trace_limit: int = 1_000_000,
         spans=None,
     ) -> None:
         self.out_dir = out_dir
         self.sample_interval = sample_interval
         self.registry = MetricsRegistry()
-        self.trace = EventTrace(limit=trace_limit)
+        self.trace = EventTrace(limit=TRACE_LIMIT)
         self.spans = spans
         self.sampler: Optional[Sampler] = None
         self.manifest: Optional[RunManifest] = None
+        #: Set by :func:`instrument_flows`: flows spawned later are
+        #: instrumented as they announce themselves.
+        self.follows_flows = False
         self._finalizers: List[Callable[[], None]] = []
         self._wall_start = _time.perf_counter()
 
@@ -133,14 +142,32 @@ class Telemetry(Observer):
         self.emit("flow_state", now, flow_id=record.flow_id,
                   prev=prev_state.value, next=record.state.value)
 
+    def flow_spawned(self, sim, flow) -> None:
+        """A flow created mid-run (web sessions) is followed like the
+        ones :func:`instrument_flows` found, when it found any at all."""
+        if self.follows_flows:
+            instrument_flow(self, flow)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
-        """Start the gauge sampler on *sim*'s clock (idempotent)."""
+        """Subscribe to *sim*, where flows spawned mid-run announce
+        themselves, and start the gauge sampler on its clock
+        (idempotent)."""
+        subscribe(sim, self)
         if self.sampler is None and self.sample_interval > 0:
             self.sampler = Sampler(sim, self.registry, self.sample_interval)
             self.sampler.start()
+
+    def arm(self, built: Any) -> None:
+        """The arming sequence for one :class:`repro.build.BuiltScenario`:
+        sampler, bottleneck queue and link, and every flow of the run —
+        those spawned so far here, the rest as they are spawned."""
+        self.attach(built.sim)
+        instrument_queue(self, built.queue)
+        instrument_link(self, built.topology.forward, name="bottleneck")
+        instrument_flows(self, built.all_flows())
 
     def add_finalizer(self, fn: Callable[[], None]) -> None:
         """Register *fn* to run at finalize time (used by the
@@ -311,12 +338,10 @@ def instrument_flow(
     )
 
 
-def instrument_flows(
-    telemetry: Telemetry,
-    flows,
-    cwnd_flows: int = 8,
-) -> None:
-    """Instrument every flow; cwnd gauges only for the first
-    *cwnd_flows* (time series cost scales with flows x samples)."""
+def instrument_flows(telemetry: Telemetry, flows) -> None:
+    """Instrument every flow, with cwnd gauges for the first
+    :data:`CWND_FLOWS`, and have *telemetry* follow the flows spawned
+    after this call (once it is attached to their simulator)."""
     for index, flow in enumerate(flows):
-        instrument_flow(telemetry, flow, cwnd_gauge=index < cwnd_flows)
+        instrument_flow(telemetry, flow, cwnd_gauge=index < CWND_FLOWS)
+    telemetry.follows_flows = True

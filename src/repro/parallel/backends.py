@@ -36,17 +36,9 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.parallel.cache import (
-    DECODE_ERRORS,
-    ENCODE_ERRORS,
-    CacheBackend,
-    decode_entry,
-    encode_entry,
-    parse_backend,
-)
-from repro.parallel.spec import PointSpec
+from repro.parallel.cache import CacheBackend, parse_backend
 
 __all__ = ["HttpCache", "SqliteCache", "parse_backend"]
 
@@ -119,11 +111,7 @@ class SqliteCache(CacheBackend):
         assert last is not None
         raise last
 
-    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
-        if not self.enabled:
-            self.misses += 1
-            return None
-        key = self.key(spec)
+    def read_blob(self, key: str) -> Optional[bytes]:
         try:
             row = self._with_retry(
                 lambda conn: conn.execute(
@@ -131,48 +119,31 @@ class SqliteCache(CacheBackend):
                 ).fetchone()
             )
         except sqlite3.Error:
-            self.misses += 1
             return None
-        if row is None:
-            self.misses += 1
-            return None
-        try:
-            value, wall_time = decode_entry(row[0])
-        except DECODE_ERRORS:
-            # Corrupt entry: drop it and treat as a miss.
-            try:
-                self._with_retry(
-                    lambda conn: conn.execute(
-                        "DELETE FROM entries WHERE key = ?", (key,)
-                    )
-                )
-            except sqlite3.Error:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value, wall_time
+        return None if row is None else row[0]
 
-    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
-        if not self.enabled:
-            return
-        try:
-            payload = encode_entry(value, wall_time)
-        except ENCODE_ERRORS:
-            self.enabled = False
-            return
-        key = self.key(spec)
+    def write_blob(self, key: str, data: bytes) -> None:
         now = time.time()
         try:
             self._with_retry(
                 lambda conn: conn.execute(
                     "INSERT OR REPLACE INTO entries (key, payload, created)"
                     " VALUES (?, ?, ?)",
-                    (key, payload, now),
+                    (key, data, now),
                 )
             )
-        except (sqlite3.Error, OSError):
-            self.enabled = False
+        except sqlite3.Error as exc:
+            raise OSError(f"sqlite store write failed: {exc}") from exc
+
+    def delete_blob(self, key: str) -> None:
+        try:
+            self._with_retry(
+                lambda conn: conn.execute(
+                    "DELETE FROM entries WHERE key = ?", (key,)
+                )
+            )
+        except sqlite3.Error:
+            pass
 
     def stats(self) -> Dict[str, Any]:
         out = self._base_stats()
@@ -222,8 +193,9 @@ class HttpCache(CacheBackend):
 
     S3-style by-key transfer: ``GET /cache/<key>`` returns the entry
     bytes or 404, ``PUT /cache/<key>`` stores them.  Network and server
-    errors degrade to misses (a flaky store must never fail a sweep) —
-    they are tallied in :attr:`errors` and surfaced by ``stats()``.
+    errors degrade to misses and lost puts (a flaky store must never
+    fail or disable a sweep) — they are tallied in :attr:`errors` and
+    surfaced by ``stats()``.
     Atomicity is the server's: it writes tmp-file + rename into a dir
     store, so readers never see a torn entry.
     """
@@ -255,51 +227,34 @@ class HttpCache(CacheBackend):
         headers["Connection"] = "close"
         return urllib.request.Request(url, headers=headers, **kwargs)
 
-    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
-        if not self.enabled:
-            self.misses += 1
-            return None
+    def read_blob(self, key: str) -> Optional[bytes]:
         try:
             with urllib.request.urlopen(
-                self._request(self._url(self.key(spec))),
-                timeout=self.timeout_s,
+                self._request(self._url(key)), timeout=self.timeout_s
             ) as response:
-                data = response.read()
+                return response.read()
         except urllib.error.HTTPError as exc:
             if exc.code != 404:
                 self.errors += 1
             exc.close()
-            self.misses += 1
-            return None
         except (urllib.error.URLError, OSError):
             self.errors += 1
-            self.misses += 1
-            return None
-        try:
-            value, wall_time = decode_entry(data)
-        except DECODE_ERRORS:
-            self.errors += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value, wall_time
+        return None
 
-    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
-        if not self.enabled:
-            return
-        try:
-            payload = encode_entry(value, wall_time)
-        except ENCODE_ERRORS:
-            self.enabled = False
-            return
-        request = self._request(
-            self._url(self.key(spec)), data=payload, method="PUT"
-        )
+    def write_blob(self, key: str, data: bytes) -> None:
+        """PUT the entry; a failure is counted, never raised, so ``put``
+        does not disable the store."""
+        request = self._request(self._url(key), data=data, method="PUT")
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s):
                 pass
         except (urllib.error.URLError, OSError):
             self.errors += 1
+
+    def delete_blob(self, key: str) -> None:
+        """The server has no DELETE: a corrupt entry is counted as an
+        error and stays until the next ``put`` replaces it."""
+        self.errors += 1
 
     def stats(self) -> Dict[str, Any]:
         out = self._base_stats()

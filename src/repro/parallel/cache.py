@@ -11,11 +11,12 @@ what makes dir, sqlite and HTTP stores interchangeable and
 bit-compatible (see :mod:`repro.parallel.backends`).
 
 :class:`CacheBackend` is the protocol the runner and CLI program
-against: ``get``/``put`` plus the operational surface ``stats`` and
-``prune``.  :class:`ResultCache` is the original local-directory
-implementation (entries as atomic-replace pickle files, two-level
-fan-out); it keeps its historical name, keys and on-disk format, so
-caches populated before the backend split remain readable.
+against, and the one place ``get``/``put`` are written; a backend
+supplies three blob methods under them plus the operational surface
+``stats`` and ``prune``.  :class:`ResultCache` is the original
+local-directory implementation (entries as atomic-replace pickle files,
+two-level fan-out); it keeps its historical name, keys and on-disk
+format, so caches populated before the backend split remain readable.
 
 Backends degrade gracefully: if the store cannot be created or written
 (read-only home, weird ``REPRO_CACHE_DIR``), they disable themselves
@@ -120,18 +121,19 @@ def decode_entry(data: bytes) -> Tuple[Any, float]:
 class CacheBackend:
     """The store protocol the runner and the CLI program against.
 
-    Concrete backends (dir here; sqlite and HTTP in
-    :mod:`repro.parallel.backends`) implement ``get``/``put`` over the
-    shared key scheme (:func:`spec_key`) and entry codec, plus the
-    operational surface: ``stats()`` for ``taq-experiments cache
-    stats`` and ``prune()`` for retention.  All backends expose
-    ``kind`` (a short tag: ``dir``/``sqlite``/``http``), ``enabled``
-    (False once the store is known unusable — every later lookup is a
-    silent miss) and ``hits``/``misses`` counters.
+    ``get``/``put`` are stated once, here: the shared key scheme
+    (:func:`spec_key`), the entry codec, the hit/miss tally and what a
+    corrupt entry or a failed write means.  A concrete backend (dir
+    here; sqlite and HTTP in :mod:`repro.parallel.backends`) is a blob
+    store under them — ``read_blob`` / ``write_blob`` / ``delete_blob``
+    by key — plus the operational surface: ``stats()`` for
+    ``taq-experiments cache stats`` and ``prune()`` for retention.  All
+    backends expose ``kind`` (a short tag: ``dir``/``sqlite``/``http``),
+    ``enabled`` (False once the store is known unusable — every later
+    lookup is a silent miss) and ``hits``/``misses`` counters.
     """
 
-    #: Short backend tag; also the per-backend perf-counter label
-    #: (``parallel.cache.<kind>.hits``).
+    #: Short backend tag (``stats()``, the ``/metrics`` label).
     kind = "base"
 
     version: Optional[str] = None
@@ -142,13 +144,48 @@ class CacheBackend:
     def key(self, spec: PointSpec) -> str:
         return spec_key(spec, self.version)
 
-    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
-        """Return ``(value, wall_time)`` for *spec*, or None on a miss."""
+    # -- the blob surface a backend implements --------------------------
+    def read_blob(self, key: str) -> Optional[bytes]:
+        """Entry bytes for *key*, or None when absent or unreadable
+        (never raises)."""
         raise NotImplementedError
 
-    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
-        """Store *value* for *spec*; must never raise on failure."""
+    def write_blob(self, key: str, data: bytes) -> None:
+        """Atomically store entry bytes under *key*; raises OSError when
+        the store cannot take them (``put`` then disables it)."""
         raise NotImplementedError
+
+    def delete_blob(self, key: str) -> None:
+        """Drop the entry under *key*, best-effort (never raises)."""
+        raise NotImplementedError
+
+    # -- get/put, once ---------------------------------------------------
+    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
+        """Return ``(value, wall_time)`` for *spec*, or None on a miss."""
+        if self.enabled:
+            key = self.key(spec)
+            data = self.read_blob(key)
+            if data is not None:
+                try:
+                    entry = decode_entry(data)
+                except DECODE_ERRORS:
+                    # Corrupt or alien entry: drop it and treat as a miss.
+                    self.delete_blob(key)
+                else:
+                    self.hits += 1
+                    return entry
+        self.misses += 1
+        return None
+
+    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
+        """Store *value* for *spec*; never raises — an unpicklable value
+        or an unwritable store disables the backend instead."""
+        if not self.enabled:
+            return
+        try:
+            self.write_blob(self.key(spec), encode_entry(value, wall_time))
+        except (OSError,) + ENCODE_ERRORS:
+            self.enabled = False
 
     def stats(self) -> Dict[str, Any]:
         """Operational snapshot: entry count, bytes, hit/miss counters."""
@@ -177,11 +214,10 @@ class ResultCache(CacheBackend):
     """On-disk result store mapping :func:`spec_key` to (value, wall_time).
 
     Entries are pickles written atomically (tmp file + ``os.replace``)
-    so concurrent writers never expose torn entries to readers.  Also
-    usable as a raw blob store (:meth:`read_blob` / :meth:`write_blob`)
-    — the HTTP store server serves a directory of exactly this layout,
-    so a dir cache and an HTTP store over the same root are the same
-    cache.
+    so concurrent writers never expose torn entries to readers.  The
+    HTTP store server serves a directory of exactly this layout through
+    the same blob methods, so a dir cache and an HTTP store over the
+    same root are the same cache.
 
     Parameters
     ----------
@@ -210,18 +246,13 @@ class ResultCache(CacheBackend):
         # Two-level fan-out keeps directories small on big sweeps.
         return self.root / key[:2] / f"{key}.pkl"
 
-    # -- raw blob surface (shared with the HTTP store server) -----------
     def read_blob(self, key: str) -> Optional[bytes]:
-        """Entry bytes for *key*, or None when absent/unreadable."""
         try:
             return self._path(key).read_bytes()
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
 
     def write_blob(self, key: str, data: bytes) -> None:
-        """Atomically store raw entry bytes under *key* (raises OSError)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -241,37 +272,6 @@ class ResultCache(CacheBackend):
         if not self.root.is_dir():
             return iter(())
         return self.root.glob("??/*.pkl")
-
-    # -- the CacheBackend surface ---------------------------------------
-    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
-        """Return ``(value, wall_time)`` for *spec*, or None on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            return None
-        key = self.key(spec)
-        data = self.read_blob(key)
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            value, wall_time = decode_entry(data)
-        except DECODE_ERRORS:
-            # Corrupt or unreadable entry: drop it and treat as a miss.
-            self.delete_blob(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value, wall_time
-
-    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
-        """Store *value* for *spec*; silently disables on write failure."""
-        if not self.enabled:
-            return
-        try:
-            self.write_blob(self.key(spec), encode_entry(value, wall_time))
-        except (OSError,) + ENCODE_ERRORS:
-            # OSError: unwritable dir; the rest: unpicklable values.
-            self.enabled = False
 
     def stats(self) -> Dict[str, Any]:
         out = self._base_stats()

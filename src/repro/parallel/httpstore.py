@@ -31,7 +31,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.parallel.cache import ResultCache
+from repro.parallel.cache import CacheBackend, ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.export import Family
@@ -144,7 +144,9 @@ class StoreHandler(BaseHTTPRequestHandler):
 
 
 class StoreServer(ThreadingHTTPServer):
-    """Threaded HTTP server owning one dir-backed entry store."""
+    """Threaded HTTP server owning one entry store: a dir store under
+    *root* unless *cache* hands it one (it uses the blob surface,
+    ``stats`` and ``prune`` only)."""
 
     daemon_threads = True
 
@@ -154,12 +156,12 @@ class StoreServer(ThreadingHTTPServer):
         address: Tuple[str, int] = ("127.0.0.1", 0),
         handler=StoreHandler,
         verbose: bool = False,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[CacheBackend] = None,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache(root=root)
         self.verbose = verbose
         if not self.cache.enabled:
-            raise OSError(f"cannot create store root {self.cache.root!r}")
+            raise OSError(f"cannot create store {self.cache.describe()!r}")
         super().__init__(address, handler)
 
     @property

@@ -2,10 +2,9 @@
 
 A sweep used to exist only as a Python list inside one process — kill
 the process and the fact that points 0..N were in flight died with it.
-The job store makes the sweep itself durable: every point is a *job*
-(the :class:`~repro.parallel.spec.PointSpec` plus its canonical
-scenario provenance, recorded as a v3
-:class:`~repro.obs.manifest.RunManifest`) with a state machine
+The job store makes the sweep itself durable: every point is a *job* (the
+:class:`~repro.parallel.spec.PointSpec`: function, arguments, label and
+canonical scenario document) with a state machine
 
     pending -> running -> done
                       \\-> failed
@@ -22,7 +21,11 @@ log stays proportional to the job count, not the attempt count.
 
 Job ids are the cache keys (:func:`repro.parallel.cache.spec_key`), so
 the job store and every cache backend agree on identity: a ``done``
-job's value is the cache entry under its id.
+job's value is the cache entry under its id.  The one datum a job
+record does not hold, the code version its id was hashed under, is
+logged once per run of the store, in a ``jobstore`` record next to the
+first job that run appends — where ``spec_key`` has just computed it,
+never at open.
 
 ``JobStore(None)`` is the in-memory degenerate case — same API, no
 file — which is what a plain one-shot ``ParallelRunner.run`` uses.
@@ -38,7 +41,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.parallel.cache import spec_key
+from repro.parallel.cache import code_version, spec_key
 from repro.parallel.spec import PointSpec
 
 __all__ = ["Job", "JobStore", "JOBS_FILE", "JOBS_SCHEMA_VERSION", "JOB_STATES"]
@@ -69,13 +72,6 @@ class Job:
     error: str = ""
     #: Times this job entered ``running``.
     attempts: int = 0
-    #: pid of the process that last ran it (0 before the first attempt).
-    pid: int = 0
-    created_unix: float = 0.0
-    updated_unix: float = 0.0
-    #: Provenance: the v3 run-manifest payload for this point (run_id =
-    #: job id, canonical scenario document, package source hash, ...).
-    manifest: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def spec_payload(self) -> Dict[str, Any]:
         return {
@@ -84,20 +80,6 @@ class Job:
             "label": self.spec.label,
             "scenario": self.spec.scenario,
         }
-
-
-def _job_manifest(job_id: str, spec: PointSpec) -> Dict[str, Any]:
-    """The RunManifest payload that is this job's provenance record."""
-    from repro.obs.manifest import build_manifest
-
-    seed = spec.kwargs.get("seed", 0)
-    manifest = build_manifest(
-        run_id=job_id,
-        seed=seed if isinstance(seed, int) else 0,
-        scenario=spec.scenario,
-        backend=(spec.scenario or {}).get("backend"),
-    )
-    return dataclasses.asdict(manifest)
 
 
 class JobStore:
@@ -127,6 +109,10 @@ class JobStore:
         #: Jobs found mid-run on open (crashed sweep), reverted to pending.
         self.interrupted = 0
         self._log_records = 0
+        #: The code version the log last recorded (None until one is).
+        self._code: Optional[str] = None
+        #: True once this run of the store has logged its code version.
+        self._stamped = False
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._replay()
@@ -136,9 +122,9 @@ class JobStore:
     def log_path(self) -> Optional[Path]:
         return None if self.root is None else self.root / JOBS_FILE
 
-    @property
-    def persistent(self) -> bool:
-        return self.root is not None
+    def _header(self, **fields: Any) -> Dict[str, Any]:
+        return {"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION,
+                "t": time.time(), **fields}
 
     def _append(self, record: Dict[str, Any]) -> None:
         if self.root is None:
@@ -152,8 +138,7 @@ class JobStore:
         """Rebuild state from the log; torn tail lines are ignored."""
         path = self.log_path
         if path is None or not path.is_file():
-            self._append({"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION,
-                          "t": time.time()})
+            self._append(self._header())
             return
         with open(path, encoding="utf-8") as handle:
             for line in handle:
@@ -181,6 +166,7 @@ class JobStore:
                     f"job store schema v{schema} is newer than supported "
                     f"v{JOBS_SCHEMA_VERSION}"
                 )
+            self._code = record.get("code", self._code)
             return
         if kind == "job":
             job_id = record.get("id")
@@ -201,10 +187,6 @@ class JobStore:
                 wall_time=float(record.get("wall", 0.0)),
                 error=record.get("error", "") or "",
                 attempts=int(record.get("attempts", 0)),
-                pid=int(record.get("pid", 0)),
-                created_unix=float(record.get("t", 0.0)),
-                updated_unix=float(record.get("t", 0.0)),
-                manifest=record.get("manifest", {}) or {},
             )
             if job.state not in JOB_STATES:
                 job.state = "pending"
@@ -219,10 +201,8 @@ class JobStore:
             if state not in JOB_STATES:
                 return
             job.state = state
-            job.updated_unix = float(record.get("t", job.updated_unix))
             if state == "running":
                 job.attempts = int(record.get("attempt", job.attempts + 1))
-                job.pid = int(record.get("pid", 0))
                 job.error = ""
             elif state == "done":
                 job.wall_time = float(record.get("wall", 0.0))
@@ -238,8 +218,9 @@ class JobStore:
         fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         records = 1
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            header = {"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION,
-                      "t": time.time(), "compacted": True}
+            header = self._header(compacted=True)
+            if self._code is not None:
+                header["code"] = self._code
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
             for job_id in self._order:
                 job = self.jobs[job_id]
@@ -252,9 +233,7 @@ class JobStore:
                     "wall": job.wall_time,
                     "error": job.error,
                     "attempts": job.attempts,
-                    "pid": job.pid,
-                    "t": job.created_unix,
-                    "manifest": job.manifest,
+                    "t": header["t"],
                 }
                 handle.write(
                     json.dumps(record, separators=(",", ":"), default=repr) + "\n"
@@ -279,23 +258,21 @@ class JobStore:
             job_id = spec_key(spec, self.version)
             job = self.jobs.get(job_id)
             if job is None:
-                now = time.time()
-                job = Job(
-                    job_id=job_id,
-                    spec=spec,
-                    created_unix=now,
-                    updated_unix=now,
-                    manifest=_job_manifest(job_id, spec)
-                    if self.persistent else {},
-                )
+                if not self._stamped and self.root is not None:
+                    # spec_key has just hashed the sources (or was given
+                    # a version); opening a store never does.
+                    self._stamped = True
+                    self._code = (self.version if self.version is not None
+                                  else code_version())
+                    self._append(self._header(code=self._code))
+                job = Job(job_id=job_id, spec=spec)
                 self.jobs[job_id] = job
                 self._order.append(job_id)
                 self._append({
                     "kind": "job",
                     "id": job_id,
                     "spec": job.spec_payload(),
-                    "t": now,
-                    "manifest": job.manifest,
+                    "t": time.time(),
                 })
             out.append(job)
         return out
@@ -304,12 +281,10 @@ class JobStore:
         job = self.jobs[job_id]
         job.state = "running"
         job.attempts += 1
-        job.pid = pid
         job.error = ""
-        job.updated_unix = time.time()
         self._append({"kind": "state", "id": job_id, "state": "running",
                       "attempt": job.attempts, "pid": pid,
-                      "t": job.updated_unix})
+                      "t": time.time()})
 
     def mark_done(self, job_id: str, wall_time: float = 0.0,
                   cached: bool = False) -> None:
@@ -318,31 +293,16 @@ class JobStore:
         job.wall_time = wall_time
         job.cached = cached
         job.error = ""
-        job.updated_unix = time.time()
         self._append({"kind": "state", "id": job_id, "state": "done",
                       "wall": wall_time, "cached": cached,
-                      "t": job.updated_unix})
+                      "t": time.time()})
 
     def mark_failed(self, job_id: str, error: str) -> None:
         job = self.jobs[job_id]
         job.state = "failed"
         job.error = error
-        job.updated_unix = time.time()
         self._append({"kind": "state", "id": job_id, "state": "failed",
-                      "error": error, "t": job.updated_unix})
-
-    def reset_failed(self) -> int:
-        """Re-queue failed jobs as pending; returns how many."""
-        count = 0
-        for job in self.jobs.values():
-            if job.state == "failed":
-                job.state = "pending"
-                job.error = ""
-                job.updated_unix = time.time()
-                self._append({"kind": "state", "id": job.job_id,
-                              "state": "pending", "t": job.updated_unix})
-                count += 1
-        return count
+                      "error": error, "t": time.time()})
 
     # -- views -----------------------------------------------------------
     def __len__(self) -> int:

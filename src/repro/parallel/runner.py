@@ -30,31 +30,32 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Callable, List, Optional, Sequence, TextIO
+from contextlib import nullcontext
+from typing import (Any, Callable, Iterator, List, Optional, Sequence, TextIO,
+                    Tuple)
 
 from repro.parallel.bus import Heartbeat, ProgressBus, point_key
 from repro.parallel.cache import CacheBackend
-from repro.parallel.jobs import JobStore
-
+from repro.parallel.jobs import Job, JobStore
 from repro.parallel.spec import PointResult, PointSpec
 
 #: Progress callbacks receive (done_count, total_count, latest_result).
 ProgressCallback = Callable[[int, int, PointResult], None]
 
 
-def _execute(spec: PointSpec):
-    """Worker entry point: run one spec, return (value, wall_time)."""
-    start = time.perf_counter()
-    value = spec.resolve()(**spec.kwargs)
-    return value, time.perf_counter() - start
+def _execute(spec: PointSpec, bus_dir: Optional[str] = None, index: int = 0):
+    """Worker entry point: run one spec, return (value, wall_time).
 
-
-def _execute_traced(spec: PointSpec, bus_dir: str, key: str):
-    """Worker entry point with live telemetry: same computation as
-    :func:`_execute`, bracketed by start/heartbeat/done events on the
-    sweep's progress bus (``taq-obs tail`` follows them).  A crashing
-    point emits ``failed`` instead of ``done``, and the heartbeat
-    thread is always stopped — no daemon thread outlives the point."""
+    With *bus_dir* the computation is bracketed by start/heartbeat/done
+    events on the sweep's progress bus (``taq-obs tail`` follows them).
+    A crashing point emits ``failed`` instead of ``done``, and the
+    heartbeat thread is always stopped — no daemon thread outlives the
+    point."""
+    if bus_dir is None:
+        start = time.perf_counter()
+        value = spec.resolve()(**spec.kwargs)
+        return value, time.perf_counter() - start
+    key = point_key(index, spec.describe())
     bus = ProgressBus(bus_dir)
     bus.emit(key, "start", pid=os.getpid(), label=spec.describe())
     try:
@@ -175,9 +176,8 @@ class ParallelRunner:
         ``(done, total, result)``; see :class:`ProgressPrinter`.
     perf:
         Optional :class:`repro.perf.PerfProbe`: counts cache
-        hits/misses (totals in the hot counters, per-backend under
-        ``parallel.cache.<kind>.hits/misses``) and wraps each
-        in-process point execution in a ``parallel.point`` span.  None
+        hits/misses (``probe.cache_hits`` / ``cache_misses``) and wraps
+        each in-process point execution in a ``parallel.point`` span.  None
         (the default) keeps the runner uninstrumented.  Worker
         processes (``jobs > 1``) cannot share the parent's probe, so
         pool-executed points contribute cache counters only.
@@ -226,18 +226,6 @@ class ParallelRunner:
                                  version=getattr(cache, "version", None))
         self.store = store
 
-    # -- perf accounting -------------------------------------------------
-    def _count_cache(self, hit: bool) -> None:
-        if self.perf is None:
-            return
-        kind = getattr(self.cache, "kind", "dir")
-        if hit:
-            self.perf.cache_hits += 1
-            self.perf.count(f"parallel.cache.{kind}.hits")
-        else:
-            self.perf.cache_misses += 1
-            self.perf.count(f"parallel.cache.{kind}.misses")
-
     # -- the executor ----------------------------------------------------
     def run(self, specs: Sequence[PointSpec]) -> List[PointResult]:
         """Run *specs*, returning results in spec order.
@@ -260,102 +248,78 @@ class ParallelRunner:
             bus = ProgressBus(self.bus_dir)
             bus.announce(total, getattr(self.progress, "label", "sweep"))
         for index, spec in enumerate(specs):
+            hit = None
             if self.cache is not None:
                 lookup_start = time.perf_counter()
                 hit = self.cache.get(spec)
                 lookup_time = time.perf_counter() - lookup_start
-            else:
-                hit, lookup_time = None, 0.0
-            if hit is not None:
-                self._count_cache(hit=True)
-                value, wall_time = hit
-                results[index] = PointResult(
-                    spec, value, wall_time, cached=True, lookup_time=lookup_time
-                )
-                done += 1
-                store.mark_done(jobs[index].job_id, wall_time, cached=True)
-                if bus is not None:
-                    bus.emit(point_key(index, spec.describe()), "done",
-                             wall=wall_time, cached=True)
-                self._report(done, total, results[index])
-            else:
-                if self.cache is not None:
-                    self._count_cache(hit=False)
+                if self.perf is not None:
+                    if hit is None:
+                        self.perf.cache_misses += 1
+                    else:
+                        self.perf.cache_hits += 1
+            if hit is None:
                 pending.append(index)
+                continue
+            value, wall_time = hit
+            results[index] = PointResult(
+                spec, value, wall_time, cached=True, lookup_time=lookup_time
+            )
+            done += 1
+            store.mark_done(jobs[index].job_id, wall_time, cached=True)
+            if bus is not None:
+                bus.emit(point_key(index, spec.describe()), "done",
+                         wall=wall_time, cached=True)
+            self._report(done, total, results[index])
 
+        if self.jobs == 1 or len(pending) <= 1:
+            computed = self._in_process(specs, jobs, store, pending)
+        else:
+            computed = self._in_pool(specs, jobs, store, pending)
         try:
-            if self.jobs == 1 or len(pending) <= 1:
-                for index in pending:
-                    result = self._run_one(
-                        specs[index], jobs[index].job_id, store, index,
-                        done + 1, total,
-                    )
-                    if result is not None:
-                        done += 1
-                        results[index] = result
-            else:
-                done = self._run_pool(specs, jobs, store, pending, results,
-                                      done, total)
+            for index, (value, wall_time) in computed:
+                result = results[index] = PointResult(specs[index], value, wall_time)
+                if self.cache is not None:
+                    self.cache.put(specs[index], value, wall_time)
+                store.mark_done(jobs[index].job_id, wall_time)
+                done += 1
+                self._report(done, total, result)
         finally:
+            computed.close()  # a pool must not outlive a failed sweep
             store.maybe_compact()
         return [result for result in results if result is not None]
 
-    def _execute_maybe_traced(self, spec: PointSpec, index: int):
-        if self.bus_dir is not None:
-            return _execute_traced(
-                spec, self.bus_dir, point_key(index, spec.describe())
-            )
-        return _execute(spec)
+    def _in_process(self, specs: Sequence[PointSpec], jobs: Sequence[Job],
+                    store: JobStore, pending: List[int]
+                    ) -> Iterator[Tuple[int, Tuple[Any, float]]]:
+        """The cold points, one after another on this thread."""
+        for index in pending:
+            store.mark_running(jobs[index].job_id, pid=os.getpid())
+            try:
+                with (self.perf.span("parallel.point") if self.perf is not None
+                      else nullcontext()):
+                    outcome = _execute(specs[index], self.bus_dir, index)
+            except Exception as exc:
+                store.mark_failed(jobs[index].job_id, repr(exc))
+                if self.keep_going:
+                    continue
+                raise
+            yield index, outcome
 
-    def _run_one(self, spec: PointSpec, job_id: str, store: JobStore,
-                 index: int, done: int, total: int) -> Optional[PointResult]:
-        store.mark_running(job_id, pid=os.getpid())
-        try:
-            if self.perf is not None:
-                with self.perf.span("parallel.point"):
-                    value, wall_time = self._execute_maybe_traced(spec, index)
-            else:
-                value, wall_time = self._execute_maybe_traced(spec, index)
-        except Exception as exc:
-            store.mark_failed(job_id, repr(exc))
-            if self.keep_going:
-                return None
-            raise
-        result = PointResult(spec, value, wall_time)
-        if self.cache is not None:
-            self.cache.put(spec, value, wall_time)
-        store.mark_done(job_id, wall_time)
-        self._report(done, total, result)
-        return result
-
-    def _run_pool(
-        self,
-        specs: Sequence[PointSpec],
-        jobs: Sequence,
-        store: JobStore,
-        pending: List[int],
-        results: List[Optional[PointResult]],
-        done: int,
-        total: int,
-    ) -> int:
+    def _in_pool(self, specs: Sequence[PointSpec], jobs: Sequence[Job],
+                 store: JobStore, pending: List[int]
+                 ) -> Iterator[Tuple[int, Tuple[Any, float]]]:
+        """The cold points fanned out over worker processes, in
+        completion order."""
         # Imported where the pool starts: a jobs=1 sweep never loads
         # concurrent.futures.process and multiprocessing.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if self.bus_dir is not None:
-                futures = {
-                    pool.submit(
-                        _execute_traced, specs[index], self.bus_dir,
-                        point_key(index, specs[index].describe()),
-                    ): index
-                    for index in pending
-                }
-            else:
-                futures = {
-                    pool.submit(_execute, specs[index]): index for index in pending
-                }
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
+            futures = {
+                pool.submit(_execute, specs[index], self.bus_dir, index): index
+                for index in pending
+            }
             for index in pending:
                 store.mark_running(jobs[index].job_id)
             remaining = set(futures)
@@ -364,21 +328,14 @@ class ParallelRunner:
                 for future in finished:
                     index = futures[future]
                     try:
-                        value, wall_time = future.result()
+                        outcome = future.result()
                     except Exception as exc:
                         store.mark_failed(jobs[index].job_id, repr(exc))
                         if self.keep_going:
                             continue
                         raise
-                    result = PointResult(specs[index], value, wall_time)
-                    results[index] = result
-                    if self.cache is not None:
-                        self.cache.put(specs[index], value, wall_time)
-                    store.mark_done(jobs[index].job_id, wall_time)
-                    done += 1
-                    self._report(done, total, result)
-        return done
+                    yield index, outcome
 
-    def _report(self, done: int, total: int, result: Optional[PointResult]) -> None:
-        if self.progress is not None and result is not None:
+    def _report(self, done: int, total: int, result: PointResult) -> None:
+        if self.progress is not None:
             self.progress(done, total, result)

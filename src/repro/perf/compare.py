@@ -3,10 +3,14 @@
 ``taq-perf compare baseline.json candidate.json`` renders a
 per-benchmark table of wall time and event/packet rates with relative
 deltas, and exits nonzero when any benchmark regressed beyond its
-threshold.  Regression is judged on **wall time** (the direct "did this
-change make the simulator slower" question); rates are shown for
-context and memory is reported but never gated (RSS is dominated by the
-interpreter and too platform-dependent to threshold usefully).
+threshold or did different work.  Regression is judged on **wall time**
+(the direct "did this change make the simulator slower" question);
+rates are shown for context and memory is reported but never gated (RSS
+is dominated by the interpreter and too platform-dependent to threshold
+usefully).  The work itself is gated **exactly**: a benchmark's
+``events`` and ``packets`` counts are seeded and clock-free, so at equal
+``scale`` any difference is a behaviour change — a PR that moves them on
+purpose re-records the baseline, as it would a golden.
 
 Thresholds are deliberately generous by default (+50 % wall time) so CI
 on shared runners only trips on step-change regressions, not scheduler
@@ -41,6 +45,16 @@ class BenchDelta:
     cand_packets_per_sec: float
     threshold_pct: float
     regressed: bool
+    #: The counts that differ at equal scale, as ``events 100 -> 101``
+    #: ("" when none does, or a side does not record them).
+    moved: str = ""
+
+    @property
+    def verdict(self) -> str:
+        words = ["REGRESSED"] if self.regressed else []
+        if self.moved:
+            words.append(f"MOVED: {self.moved}")
+        return "; ".join(words) or "ok"
 
 
 @dataclass
@@ -56,14 +70,41 @@ class Comparison:
         return [delta for delta in self.deltas if delta.regressed]
 
     @property
+    def moved(self) -> List[BenchDelta]:
+        return [delta for delta in self.deltas if delta.moved]
+
+    @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.moved
+
+    def verdict_lines(self, bold: str = "") -> List[str]:
+        """``FAIL`` lines (slower, then different work), else ``OK``."""
+        lines = []
+        if self.regressions:
+            names = ", ".join(delta.name for delta in self.regressions)
+            lines.append(f"{bold}FAIL{bold}: {len(self.regressions)} "
+                         f"regression(s): {names}")
+        if self.moved:
+            names = ", ".join(delta.name for delta in self.moved)
+            lines.append(f"{bold}FAIL{bold}: {len(self.moved)} benchmark(s) did "
+                         f"different work (events/packets moved; re-record the "
+                         f"baseline if intended): {names}")
+        return lines or [f"{bold}OK{bold}: {len(self.deltas)} benchmark(s) "
+                         "within thresholds"]
 
 
 def _relative(base: float, cand: float) -> float:
     if base <= 0:
         return 0.0
     return (cand - base) / base
+
+
+def _moved(base: Mapping, cand: Mapping) -> str:
+    if base.get("scale") != cand.get("scale"):
+        return ""
+    return ", ".join(
+        f"{name} {base[name]} -> {cand[name]}" for name in ("events", "packets")
+        if name in base and name in cand and base[name] != cand[name])
 
 
 def compare_documents(
@@ -97,6 +138,7 @@ def compare_documents(
                 cand_packets_per_sec=cand["packets_per_sec"],
                 threshold_pct=limit,
                 regressed=wall_delta * 100.0 > limit,
+                moved=_moved(base, cand),
             )
         )
     return Comparison(
@@ -121,24 +163,17 @@ def render_comparison(comparison: Comparison) -> str:
         f"{'events/s':>10} {'limit':>7}  verdict"
     ]
     for delta in comparison.deltas:
-        verdict = "REGRESSED" if delta.regressed else "ok"
         lines.append(
             f"{delta.name:<32} {delta.base_wall_s:>8.3f}s {delta.cand_wall_s:>8.3f}s "
             f"{delta.wall_delta * 100.0:>+7.1f}% "
             f"{_rate(delta.cand_events_per_sec):>10} "
-            f"{delta.threshold_pct:>+6.0f}%  {verdict}"
+            f"{delta.threshold_pct:>+6.0f}%  {delta.verdict}"
         )
     for name in comparison.only_in_baseline:
         lines.append(f"{name:<32} only in baseline (skipped)")
     for name in comparison.only_in_candidate:
         lines.append(f"{name:<32} only in candidate (skipped)")
-    regressions = comparison.regressions
-    if regressions:
-        names = ", ".join(delta.name for delta in regressions)
-        lines.append(f"FAIL: {len(regressions)} regression(s): {names}")
-    else:
-        lines.append(f"OK: {len(comparison.deltas)} benchmark(s) within thresholds")
-    return "\n".join(lines)
+    return "\n".join(lines + comparison.verdict_lines())
 
 
 def render_markdown(comparison: Comparison) -> str:
@@ -154,8 +189,9 @@ def render_markdown(comparison: Comparison) -> str:
         "|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for delta in comparison.deltas:
-        verdict = "**REGRESSED**" if delta.regressed else "ok"
-        name = f"**{delta.name}**" if delta.regressed else delta.name
+        failed = delta.regressed or delta.moved
+        verdict = f"**{delta.verdict}**" if failed else "ok"
+        name = f"**{delta.name}**" if failed else delta.name
         lines.append(
             f"| {name} "
             f"| {delta.base_wall_s:.3f}s "
@@ -170,15 +206,9 @@ def render_markdown(comparison: Comparison) -> str:
         lines.append(f"| {name} | — | — | — | — | — | — | only in baseline |")
     for name in comparison.only_in_candidate:
         lines.append(f"| {name} | — | — | — | — | — | — | only in candidate |")
-    regressions = comparison.regressions
-    if regressions:
-        names = ", ".join(delta.name for delta in regressions)
-        lines.append("")
-        lines.append(f"❌ **FAIL**: {len(regressions)} regression(s): {names}")
-    else:
-        lines.append("")
-        lines.append(f"✅ **OK**: {len(comparison.deltas)} benchmark(s) within thresholds")
-    return "\n".join(lines)
+    mark = "✅" if comparison.ok else "❌"
+    return "\n".join(
+        lines + [""] + [f"{mark} {line}" for line in comparison.verdict_lines("**")])
 
 
 def parse_threshold_overrides(items: List[str]) -> Dict[str, float]:

@@ -17,9 +17,8 @@ Two kinds of instrument:
   ``EventQueue.discards``, ``LinkStats``, ``queue.dropped``).
   Everything else goes through :meth:`PerfProbe.count`, a
   named-counter dict for colder paths (TAQ evictions via the
-  ``evicted`` event, per-benchmark phases, and the per-backend
-  result-store split ``parallel.cache.<kind>.hits`` / ``.misses``
-  where ``<kind>`` is ``dir``, ``sqlite``, or ``http``).
+  ``evicted`` event, per-benchmark phases); the result-cache tally is
+  the ``cache_hits`` / ``cache_misses`` pair ``ParallelRunner`` bumps.
 - **Spans** measure wall time around coarse phases (``sim.run``,
   ``parallel.point``, benchmark build/run phases) via
   ``with probe.span("name"):`` — per-span call count, total and max

@@ -115,7 +115,10 @@ def skew_enqueued(built, link, delta, _):
 
 def skew_capacity(built, link, delta, _):
     queue = built.links()[link].queue
-    return _put(queue, "capacity_pkts", max(0, len(queue) + delta))
+    # ``__len__()``, not ``len()``: a skew_buffered in the same step may
+    # have taken the running count to -1, which ``len()`` refuses here,
+    # outside the dispatch the test is about.
+    return _put(queue, "capacity_pkts", max(0, queue.__len__() + delta))
 
 
 def skew_losses(built, link, delta, _):
@@ -253,6 +256,20 @@ class FusedMachine(RuleBasedStateMachine):
 
 FusedMachine.TestCase.settings = settings(stateful_step_count=40, deadline=None)
 TestFusedDifferential = FusedMachine.TestCase
+
+
+def test_negative_running_count_with_a_capacity_skew_in_one_step():
+    """The falsifying example Hypothesis found at 45da55a: behind an
+    empty TAQ queue ``skew_buffered`` takes the count to -1 and
+    ``skew_capacity``, applied in the same step, read it with ``len()``
+    in this file's own helper."""
+    machine = FusedMachine()
+    machine.build({"kind": "taq"}, "raise", 0)
+    machine.same_documents_and_state()
+    assert machine.skews[5] is skew_buffered and machine.skews[1] is skew_capacity
+    machine.boundary(dt=0.0, shape="next",
+                     skews=[(5, 0, -1, 0), (1, 0, -1, 0)])
+    machine.same_documents_and_state()
 
 
 #: (skew, delta) pairs that leave every predicate true.

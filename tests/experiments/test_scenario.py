@@ -1,6 +1,7 @@
 """Tests for the declarative scenario runner."""
 
 import json
+import os
 
 import pytest
 
@@ -104,12 +105,12 @@ def test_scenario_file_invalid_json(tmp_path):
         ScenarioSpec.from_file(str(path))
 
 
-def test_shipped_example_scenarios_parse_and_run_small():
-    import os
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "scenarios")
 
-    root = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "scenarios")
-    for name in os.listdir(root):
-        with open(os.path.join(root, name)) as handle:
+
+def test_shipped_example_scenarios_parse_and_run_small():
+    for name in os.listdir(SHIPPED):
+        with open(os.path.join(SHIPPED, name)) as handle:
             document = json.load(handle)
         document["duration"] = 15  # shrink for test speed
         for workload in document["workloads"]:
@@ -138,3 +139,20 @@ def test_cli_scenario_command(tmp_path, capsys):
     assert "Scenario: test" in capsys.readouterr().out
     assert cli.main(["scenario"]) == 2
     assert cli.main(["scenario", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SHIPPED)))
+def test_a_bundle_records_every_timeout_of_a_shipped_document(name, tmp_path, capsys):
+    """From the bundle alone: the ``rto`` events tally to the outcome's
+    timeouts.  Three shipped documents spawn every flow mid-run (web
+    sessions, trace replay) and used to record none of them."""
+    from repro.experiments import cli
+    from repro.obs import load_metrics_jsonl
+
+    assert cli.main(["scenario", os.path.join(SHIPPED, name),
+                     "--telemetry-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (bundle,) = os.listdir(tmp_path)
+    metrics = load_metrics_jsonl(str(tmp_path / bundle / "metrics.jsonl"))
+    timeouts = metrics["series"]["outcome.timeouts"][-1][1]
+    assert metrics["counters"].get("event.rto", 0) == timeouts > 0

@@ -185,6 +185,32 @@ class TestExperimentsSpansFlag:
         # The trace the flag wrote is inspectable end to end.
         assert obs_main(["flows", str(out_path)]) == 0
 
+    def test_spans_and_telemetry_dir_are_honoured_in_one_run(self, tmp_path,
+                                                             capsys):
+        """``--spans`` used to return before ``--telemetry-dir`` (and
+        ``--csv``) were looked at.  One run writes the span file, the
+        bundle with the same spans in it, and the table."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(SCENARIO, duration=20.0)),
+                            encoding="utf-8")
+        spans, csv = tmp_path / "spans.jsonl", tmp_path / "outcome.csv"
+        code = experiments_main(
+            ["scenario", str(scenario), "--spans", str(spans),
+             "--telemetry-dir", str(tmp_path / "tele"), "--csv", str(csv)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "span trace:" in out and "telemetry bundles under" in out
+        bundle = tmp_path / "tele" / SCENARIO["name"]
+        for name in ("manifest.json", "metrics.jsonl", "events.jsonl"):
+            assert (bundle / name).is_file()
+        assert (bundle / SPANS_NAME).read_bytes() == spans.read_bytes()
+        assert csv.read_text().startswith("metric,value")
+        # The bundle answers the span questions and diffs on span counts.
+        assert obs_main(["critical-path", str(bundle), "--worst"]) == 0
+        assert obs_main(["diff", str(bundle), str(bundle), "--show-ok"]) == 0
+        assert "spans.pkt" in capsys.readouterr().out
+
     def test_spans_with_many_files_is_rejected(self, tmp_path, capsys):
         document = dict(SCENARIO, duration=1.0)
         paths = []

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.build import ScenarioSpec, build_simulation
 from repro.experiments.sweeps import run_sweep_point
 from repro.obs import (
     Telemetry,
@@ -107,3 +108,51 @@ def test_finalize_without_out_dir_stays_in_memory(tmp_path):
     assert manifest.seed == 7
     assert manifest.trace_events == 1
     assert not any(tmp_path.iterdir())
+
+
+# ----------------------------------------------------------------------
+# Flows spawned mid-run (web sessions) are followed like the rest
+# ----------------------------------------------------------------------
+WEB = {
+    "name": "web-spawned", "seed": 3, "duration": 40.0,
+    "topology": {"type": "dumbbell", "capacity_bps": 200_000, "rtt": 0.2},
+    "queue": {"kind": "taq+ac", "p_thresh": 0.1, "t_wait": 3.0},
+    "workloads": [
+        {"type": "web", "n_users": 12, "objects_per_user": 4,
+         "object_bytes": 8000, "connections": 2, "start_window": 10.0},
+        {"type": "bulk", "n_flows": 2},
+    ],
+}
+
+
+def test_every_sender_event_of_a_web_run_is_recorded():
+    built = build_simulation(ScenarioSpec.from_document(WEB))
+    at_arming = len(built.all_flows())
+    first, second = Telemetry(), Telemetry()
+    first.arm(built)
+    second.arm(built)
+    built.run()
+    flows = built.all_flows()
+    assert len(flows) >= 10 * at_arming  # most flows did not exist at arming
+    stats = [flow.sender.stats for flow in flows]
+    counters = first.registry.counters
+    assert counters["event.rto"].value == sum(s.timeouts for s in stats) > 0
+    assert counters["event.retransmit"].value == sum(s.retransmits for s in stats)
+    # One flow_done per completed transfer, each flow's own.
+    done = [e.flow_id for e in first.trace.events if e.kind == "flow_done"]
+    completed = [f.flow_id for f in flows if f.size_segments is not None and f.done]
+    assert sorted(done) == sorted(completed) and len(completed) > at_arming
+    # A second bundle on the same run sees the same events.
+    def seen(telemetry):
+        return [(e.kind, e.time, e.flow_id, e.fields) for e in telemetry.trace.events]
+
+    assert seen(first) == seen(second)
+
+
+def test_flows_are_followed_only_when_flows_were_instrumented():
+    built = build_simulation(ScenarioSpec.from_document(WEB))
+    telemetry = Telemetry()
+    telemetry.attach(built.sim)  # sampler only: no instrument_flows
+    built.run()
+    assert sum(f.sender.stats.timeouts for f in built.all_flows()) > 0
+    assert "event.rto" not in telemetry.registry.counters

@@ -12,7 +12,9 @@ one key must never expose a torn entry to a reader).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import shutil
 import sqlite3
 import time
 
@@ -33,6 +35,9 @@ SPEC = PointSpec("tests.parallel.helpers:square", {"x": 3})
 OTHER = PointSpec("tests.parallel.helpers:square", {"x": 4})
 
 BACKENDS = ("dir", "sqlite", "http")
+
+#: Stores written by the parent commit; see the README next to them.
+PARENT = os.path.join(os.path.dirname(__file__), "fixtures", "parent")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -117,6 +122,86 @@ class TestBackendMatrix:
         assert parse_backend(text, version="v1").kind == cache.kind
 
 
+class TestGetPutOnce:
+    """What ``CacheBackend.get`` / ``put`` state once, over every blob
+    store: a corrupt entry is a miss, an unpicklable value or a store
+    that cannot take a write ends the caching and never the sweep."""
+
+    def test_corrupt_entry_is_a_miss(self, backend):
+        cache, _ = backend
+        key = cache.key(SPEC)
+        cache.put(SPEC, 9, 0.1)
+        cache.write_blob(key, b"this is not a pickle")
+        assert cache.get(SPEC) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        if cache.kind == "http":
+            # The server has no DELETE: counted, and left for the next put.
+            assert cache.errors == 1
+        else:
+            assert cache.read_blob(key) is None
+            assert cache.stats()["entries"] == 0
+        cache.put(SPEC, 9, 0.2)
+        assert cache.get(SPEC) == (9, 0.2)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_truncated_entry_is_a_miss(self, backend):
+        cache, _ = backend
+        cache.put(SPEC, {"big": list(range(100))}, 0.1)
+        key = cache.key(SPEC)
+        cache.write_blob(key, cache.read_blob(key)[:10])
+        assert cache.get(SPEC) is None
+
+    def test_unpicklable_value_disables_not_raises(self, backend):
+        cache, _ = backend
+        cache.put(SPEC, lambda: None, 0.1)
+        assert not cache.enabled
+        cache.put(SPEC, 9, 0.1)  # a silent no-op from here on
+        assert cache.get(SPEC) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_failed_write_disables_or_counts(self, backend):
+        cache, _ = backend
+        if cache.kind == "dir":
+            (cache.root / cache.key(SPEC)[:2]).write_text("file in the way")
+        elif cache.kind == "sqlite":
+            cache.RETRY_BACKOFF_S = 0.0
+            with sqlite3.connect(cache.path) as conn:
+                conn.execute("DROP TABLE entries")
+        else:
+            cache.base_url = "http://127.0.0.1:1"
+        cache.put(SPEC, 9, 0.1)
+        if cache.kind == "http":
+            # A flaky store never disables a sweep: the failure is counted.
+            assert cache.enabled and cache.errors == 1
+        else:
+            assert not cache.enabled
+        assert cache.get(SPEC) is None
+
+    @pytest.mark.parametrize("kind", ["dir", "sqlite"])
+    def test_unusable_location_disables_not_raises(self, tmp_path, kind):
+        blocker = tmp_path / "file-in-the-way"
+        blocker.write_text("x")
+        cache = parse_backend(f"{kind}:{blocker / 'store'}", version="v1")
+        assert not cache.enabled
+        cache.put(SPEC, 9, 0.1)
+        assert cache.get(SPEC) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    @pytest.mark.parametrize("kind, name", [("dir", "cache"),
+                                            ("sqlite", "cache.sqlite")])
+    def test_a_store_written_by_the_parent_reads_back(self, tmp_path, kind, name):
+        source = os.path.join(PARENT, name)
+        copy = shutil.copytree if kind == "dir" else shutil.copy
+        cache = parse_backend(f"{kind}:{copy(source, tmp_path / name)}",
+                              version="v1")
+        first = PointSpec("tests.parallel.helpers:square", {"x": 0}, label="x=0")
+        assert cache.get(first) == ({"rows": [0, 1.5, "two"]}, 2.5)
+        assert cache.stats()["entries"] == 1
+        if kind == "dir":  # the layout: two-level fan-out, <key>.pkl
+            key = cache.key(first)
+            assert (tmp_path / name / key[:2] / f"{key}.pkl").is_file()
+
+
 class TestSqliteDetails:
     def test_wal_mode_is_on(self, tmp_path):
         cache = SqliteCache(str(tmp_path / "c.sqlite"), version="v1")
@@ -124,22 +209,6 @@ class TestSqliteDetails:
         with sqlite3.connect(cache.path) as conn:
             mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
-
-    def test_corrupt_payload_is_a_miss_and_dropped(self, tmp_path):
-        cache = SqliteCache(str(tmp_path / "c.sqlite"), version="v1")
-        cache.put(SPEC, 9, 0.1)
-        with sqlite3.connect(cache.path) as conn:
-            conn.execute("UPDATE entries SET payload = ?", (b"not a pickle",))
-        assert cache.get(SPEC) is None
-        assert cache.stats()["entries"] == 0
-
-    def test_unusable_path_disables_not_raises(self, tmp_path):
-        blocker = tmp_path / "file-in-the-way"
-        blocker.write_text("x")
-        cache = SqliteCache(str(blocker / "c.sqlite"), version="v1")
-        assert not cache.enabled
-        cache.put(SPEC, 9, 0.1)
-        assert cache.get(SPEC) is None
 
 
 class TestHttpDetails:

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 
 import pytest
 
 from repro.parallel import JobStore, PointSpec, spec_key
+from repro.parallel import jobs as jobs_module
 from repro.parallel.jobs import JOBS_FILE, JOBS_SCHEMA_VERSION
+
+#: Stores written by the parent commit (its job records embed a
+#: ``manifest``, its state records a ``pid``); see the README next to them.
+PARENT = os.path.join(os.path.dirname(__file__), "fixtures", "parent")
+SCENARIO = {"name": "provenance", "seed": 3, "queue": {"kind": "droptail"}}
 
 
 def specs(n):
@@ -15,20 +23,19 @@ def specs(n):
                       label=f"x={i}") for i in range(n)]
 
 
+def records(root):
+    with open(os.path.join(str(root), JOBS_FILE), encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
 class TestInMemory:
     def test_memory_store_is_not_persistent(self):
         store = JobStore(None, version="v1")
-        assert not store.persistent
         assert store.log_path is None
         jobs = store.submit(specs(3))
         assert len(store) == 3
         store.mark_done(jobs[0].job_id, wall_time=1.0)
         assert store.counts()["done"] == 1
-
-    def test_memory_store_skips_manifest_building(self):
-        store = JobStore(None, version="v1")
-        (job,) = store.submit(specs(1))
-        assert job.manifest == {}
 
 
 class TestSubmit:
@@ -51,11 +58,40 @@ class TestSubmit:
         assert one is two
         assert len(store) == 1
 
-    def test_persistent_jobs_carry_manifest_provenance(self, tmp_path):
+    def test_job_record_holds_what_something_reads(self, tmp_path):
         store = JobStore(str(tmp_path), version="v1")
         (job,) = store.submit(specs(1))
-        assert job.manifest["run_id"] == job.job_id
-        assert job.manifest["schema_version"] >= 3
+        (record,) = [r for r in records(tmp_path) if r["kind"] == "job"]
+        assert sorted(record) == ["id", "kind", "spec", "t"]
+        assert record["id"] == job.job_id
+        assert record["spec"] == {"fn": job.spec.fn, "kwargs": {"x": 0},
+                                  "label": "x=0", "scenario": None}
+
+    def test_code_version_is_logged_once_per_run_never_at_open(
+            self, tmp_path, monkeypatch):
+        def hashed_at_open():
+            raise AssertionError("opening a store hashed the sources")
+
+        monkeypatch.setattr(jobs_module, "code_version", hashed_at_open)
+        JobStore(str(tmp_path))                     # creates the log
+        store = JobStore(str(tmp_path))             # replays it
+        assert all("code" not in r for r in records(tmp_path))
+        JobStore(None).submit(specs(1))             # no log: nothing to say
+        monkeypatch.setattr(jobs_module, "code_version", lambda: "hash-a")
+        store.submit(specs(2))
+        store.submit(specs(3))                      # one more job, same run
+        assert [r.get("code") for r in records(tmp_path)
+                if r["kind"] == "jobstore"] == [None, "hash-a"]
+        # A later run of the store says it again, next to its first job.
+        again = JobStore(str(tmp_path))
+        again.submit(specs(3))                      # nothing new: no record
+        again.submit(specs(4))
+        kinds = [(r["kind"], r.get("code")) for r in records(tmp_path)]
+        assert kinds[-2:] == [("jobstore", "hash-a"), ("job", None)]
+        assert sum(1 for _, code in kinds if code) == 2
+        # A version handed to the store is the one it records.
+        JobStore(str(tmp_path / "pinned"), version="v1").submit(specs(1))
+        assert records(tmp_path / "pinned")[1]["code"] == "v1"
 
 
 class TestStateMachine:
@@ -72,14 +108,6 @@ class TestStateMachine:
         assert jobs[0].wall_time == 1.5
         assert jobs[0].attempts == 1
         assert jobs[1].error == "RuntimeError('boom')"
-
-    def test_reset_failed_requeues(self, tmp_path):
-        store = JobStore(str(tmp_path), version="v1")
-        jobs = store.submit(specs(2))
-        store.mark_failed(jobs[0].job_id, "boom")
-        assert store.reset_failed() == 1
-        assert store.counts()["pending"] == 2
-        assert jobs[0].error == ""
 
     def test_summary_payload(self, tmp_path):
         store = JobStore(str(tmp_path), version="v1")
@@ -130,6 +158,28 @@ class TestReplay:
         assert reopened.counts()["done"] == 1
         assert len(reopened) == 2
 
+    @pytest.mark.parametrize("name", ["jobs", "jobs-compacted"])
+    def test_a_log_written_by_the_parent_replays(self, tmp_path, name):
+        root = shutil.copytree(os.path.join(PARENT, name), tmp_path / name)
+        store = JobStore(str(root), version="v1")
+        done, cached, failed, killed = list(store)
+        assert [job.job_id for job in store] == [
+            spec_key(job.spec, "v1") for job in store]
+        assert (done.state, done.wall_time, done.cached) == ("done", 2.5, False)
+        assert done.spec.label == "x=0"
+        assert done.spec.scenario["name"] == "fixture"
+        assert (cached.state, cached.wall_time, cached.cached) == ("done", 0.75, True)
+        assert (failed.state, failed.error, failed.attempts) == (
+            "failed", "RuntimeError('again')", 2)
+        assert failed.spec.label == ""
+        # Caught mid-run by the kill: pending again, the attempt kept.
+        assert (killed.state, killed.attempts, store.interrupted) == ("pending", 1, 1)
+        # And the change appends to it and compacts it like its own.
+        store.submit(specs(1))
+        store.compact()
+        assert JobStore(str(root), version="v1").counts() == store.counts()
+        assert all("manifest" not in record for record in records(root))
+
     def test_newer_schema_is_refused(self, tmp_path):
         header = {"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION + 1}
         (tmp_path / JOBS_FILE).write_text(json.dumps(header) + "\n")
@@ -143,7 +193,6 @@ class TestCompaction:
             for job in jobs:
                 store.mark_running(job.job_id, pid=1)
                 store.mark_failed(job.job_id, "flaky")
-            store.reset_failed()
 
     def test_compact_snapshots_to_one_record_per_job(self, tmp_path):
         store = JobStore(str(tmp_path), version="v1")
@@ -169,9 +218,14 @@ class TestCompaction:
         lines = (tmp_path / JOBS_FILE).read_text().splitlines()
         assert len(lines) == len(jobs) + 1
 
-    def test_compacted_log_keeps_manifests(self, tmp_path):
+    def test_provenance_survives_reopen_and_compaction(self, tmp_path):
+        spec = PointSpec("tests.parallel.helpers:square", {"x": 7, "seed": 3},
+                         label="seven", scenario=SCENARIO)
         store = JobStore(str(tmp_path), version="v1")
-        (job,) = store.submit(specs(1))
-        store.compact()
-        reopened = JobStore(str(tmp_path), version="v1")
-        assert reopened.get(job.job_id).manifest["run_id"] == job.job_id
+        (job,) = store.submit([spec])
+        for compact in (False, True):
+            if compact:
+                store.compact()
+            reopened = JobStore(str(tmp_path), version="v1")
+            assert reopened.get(job.job_id).spec == spec
+            assert records(tmp_path)[0 if compact else 1]["code"] == "v1"

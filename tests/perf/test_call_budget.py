@@ -27,6 +27,18 @@ at 0.75 packets per RTT with all four observer families on.
   did when every span was an object — the flat log removed work, it
   did not move it to the reader.
 
+And what the sweep plane costs per point it does *not* compute (ROADMAP
+item 4): a resumed, fully cached sweep through the dir store, the job
+store and the progress bus — the ledger's ``sweep_resume`` without its
+cold ninth.
+
+- at most 200 calls per cached point (492 while every job record
+  embedded a ``RunManifest`` nothing read, ``get`` / ``put`` were
+  written per backend and hits were tallied three times);
+- ``fig02``'s own job records average at most 800 bytes (1 518 with the
+  manifest, half of which repeated the scenario document the record's
+  ``spec`` already holds).
+
 Calls are counted the way the perf ledger's ``py_calls_per_pkt`` counts
 them: Python frames plus calls into builtins.
 """
@@ -44,6 +56,8 @@ import repro
 import repro.core
 from repro.build import ScenarioSpec, build_simulation
 from repro.obs import save_spans
+from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
+from repro.parallel.jobs import JOBS_FILE
 from repro.perf.bench import get_benchmark
 from repro.perf.suite import TaqFlowDrive
 from tests.test_bit_identity import ALL_FOUR, armed
@@ -194,3 +208,52 @@ def test_recording_and_saving_costs_no_more_than_an_object_per_span_did():
     calls, written = count_calls(lambda: record_and_save(spec), only_under=REPRO_DIR)
     assert written > 5_000
     assert calls - unarmed <= OBJECT_PER_SPAN_CALLS, (calls - unarmed) / written
+
+
+# ----------------------------------------------------------------------
+# The sweep plane: what a point that is not computed costs
+# ----------------------------------------------------------------------
+def calls_per_cached_point(root: str, points: int = 200) -> float:
+    """A resumed sweep whose every point is a cache hit, driven as
+    ``taq-experiments --resume DIR --bus-dir DIR`` drives one: dir store,
+    durable job store, progress bus, a progress callback."""
+    specs = [PointSpec("repro.experiments.sweeps:run_sweep_point",
+                       dict(kind="droptail", capacity_bps=200_000.0,
+                            fair_share_bps=20_000.0, duration=2.0, seed=seed),
+                       label=f"p{seed:03d}") for seed in range(points)]
+    cache = ResultCache(os.path.join(root, "cache"), version="budget")
+    for spec in specs:
+        cache.put(spec, {"short_term_jain": 0.5, "seed": spec.kwargs["seed"]}, 0.25)
+    store = JobStore(os.path.join(root, "jobs"), version="budget")
+    served = []
+    runner = ParallelRunner(jobs=1, cache=cache, store=store,
+                            bus_dir=os.path.join(root, "bus"),
+                            progress=lambda done, total, result: served.append(done))
+    calls, results = count_calls(lambda: runner.run(specs))
+    assert len(results) == served[-1] == points and all(r.cached for r in results)
+    assert store.counts()["done"] == points
+    return calls / points
+
+
+def test_a_cached_point_costs_at_most_200_calls(tmp_path):
+    assert calls_per_cached_point(str(tmp_path)) <= 200
+
+
+def fig02_job_record_bytes(root: str) -> float:
+    """Mean size of the ``job`` records of fig02's own 15-point sweep."""
+    from repro.experiments import fig02_fairness_droptail as fig02
+    from repro.experiments.sweeps import sweep_specs
+
+    config = fig02.Config()
+    JobStore(root).submit(sweep_specs(
+        config.queue_kind, config.capacities_bps, config.fair_shares_bps,
+        duration=config.duration, rtt=config.rtt,
+        slice_seconds=config.slice_seconds, seed=config.seed))
+    with open(os.path.join(root, JOBS_FILE), "rb") as handle:
+        records = [line for line in handle if b'"kind":"job"' in line]
+    assert len(records) == 15
+    return sum(map(len, records)) / len(records)
+
+
+def test_fig02_job_records_average_at_most_800_bytes(tmp_path):
+    assert fig02_job_record_bytes(str(tmp_path)) <= 800

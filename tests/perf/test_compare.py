@@ -13,7 +13,9 @@ from repro.perf.compare import (
 )
 
 
-def _document(rows):
+def _document(rows, **counts):
+    """*rows* maps a benchmark to its wall time; *counts* adds ``scale``,
+    ``events`` and ``packets`` to every row (old documents have none)."""
     return {
         "schema": BENCH_SCHEMA,
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -23,6 +25,7 @@ def _document(rows):
                 "events_per_sec": 1000.0 / wall,
                 "packets_per_sec": 500.0 / wall,
                 "peak_rss_bytes": 1 << 20,
+                **counts,
             }
             for name, wall in rows.items()
         },
@@ -64,6 +67,29 @@ def test_per_benchmark_override_loosens_and_tightens():
         per_benchmark_pct={"micro": 150.0, "macro": 5.0},
     )
     assert [d.name for d in comparison.regressions] == ["macro"]
+
+
+def test_moved_counts_fail_exactly_whatever_the_clock_says():
+    baseline = _document({"a": 1.0, "b": 1.0}, scale=1.0, events=1000, packets=500)
+    same = _document({"a": 2.4, "b": 0.4}, scale=1.0, events=1000, packets=500)
+    assert compare_documents(baseline, same, threshold_pct=150.0).ok
+    doctored = _document({"a": 1.0, "b": 1.0}, scale=1.0, events=1000, packets=500)
+    doctored["benchmarks"]["b"]["events"] = 1001
+    comparison = compare_documents(baseline, doctored)
+    assert not comparison.ok and comparison.regressions == []
+    assert [d.name for d in comparison.moved] == ["b"]
+    for text in (render_comparison(comparison), render_markdown(comparison)):
+        assert "MOVED: events 1000 -> 1001" in text  # the row says which
+        assert "1 benchmark(s) did different work" in text
+        assert "OK" not in text
+
+
+def test_counts_are_compared_at_equal_scale_only():
+    baseline = _document({"a": 1.0}, scale=1.0, events=1000, packets=500)
+    smaller = _document({"a": 0.1}, scale=0.1, events=100, packets=50)
+    assert compare_documents(baseline, smaller).ok
+    # And not at all against a document that does not record them.
+    assert compare_documents(_document({"a": 1.0}), baseline).ok
 
 
 def test_one_sided_benchmarks_reported_not_failed():

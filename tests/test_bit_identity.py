@@ -17,11 +17,11 @@ layers of evidence per family:
   ``--run-slow``.
 
 Every family is armed through its public entry point: ``profiled()``,
-``recording()``, ``attach_monitors`` and ``Telemetry`` +
-``instrument_*``.  The last two have no ambient form of their own, so
-:class:`PerBuild` gives them one through the seam's ``ambient`` — which
-is also what lets a golden experiment, whose builds happen out of the
-test's sight, run under them.
+``recording()``, ``attach_monitors`` and ``Telemetry.arm``.  The last
+two are armed per build (a suite and a bundle belong to one run), so
+:func:`armed` hands them every build through the seam's ``ambient`` —
+which is also what lets a golden experiment, whose builds happen out of
+the test's sight, run under them.
 """
 
 from __future__ import annotations
@@ -36,15 +36,9 @@ import pytest
 
 from repro.build import ScenarioSpec, build_simulation
 from repro.check import attach_monitors
-from repro.obs import (
-    Telemetry,
-    instrument_flows,
-    instrument_link,
-    instrument_queue,
-    recording,
-)
+from repro.obs import Telemetry, recording
 from repro.perf import profiled
-from repro.sim.observe import Observer, ambient, implements, subscribers
+from repro.sim.observe import ambient, implements, subscribers
 from tests.experiments.test_goldens import EXPERIMENTS, GOLDEN_DIR
 
 SCENARIO = {
@@ -64,36 +58,25 @@ FAMILIES = {name: (name,) for name in ALL_FOUR}
 FAMILIES["all-four"] = ALL_FOUR
 
 
-class PerBuild(Observer):
-    """Ambient arming for the two families that are armed per build."""
-
-    def __init__(self, families):
-        self.families = families
-        self.suites = []
-        self.telemetries = []
-
-    def arm(self, built):
-        if "monitors" in self.families:
-            self.suites.append(attach_monitors(built, mode="collect"))
-        if "telemetry" in self.families:
-            telemetry = Telemetry(None, sample_interval=1.0)
-            telemetry.attach(built.sim)
-            instrument_queue(telemetry, built.queue)
-            instrument_link(telemetry, built.topology.forward, name="bottleneck")
-            instrument_flows(telemetry, built.all_flows())
-            self.telemetries.append((telemetry, built.sim))
-
-
 @contextmanager
 def armed(families):
     """Arm *families* on every simulation built inside the block."""
+    suites, telemetries = [], []
+
+    def per_build(built):
+        if "monitors" in families:
+            suites.append(attach_monitors(built, mode="collect"))
+        if "telemetry" in families:
+            telemetry = Telemetry(None, sample_interval=1.0)
+            telemetry.arm(built)
+            telemetries.append((telemetry, built.sim))
+
     with ExitStack() as stack:
         probe = stack.enter_context(profiled()) if "probe" in families else None
         recorder = stack.enter_context(recording()) if "spans" in families else None
-        per_build = stack.enter_context(ambient(PerBuild(families)))
+        stack.enter_context(ambient(SimpleNamespace(arm=per_build)))
         yield SimpleNamespace(probe=probe, recorder=recorder,
-                              suites=per_build.suites,
-                              telemetries=per_build.telemetries)
+                              suites=suites, telemetries=telemetries)
 
 
 def assert_fired(arms, families):

@@ -49,7 +49,8 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: anyway: reason -> the names it covers, as ``module:Qualified.name``.
 _KEPT_BY_REASON: Dict[str, str] = {
     "fault path: runs when an invariant breaks, a document is malformed, a "
-    "job fails or a failing fuzz case is shrunk; no clean run provokes it": """
+    "job fails, a cache entry is corrupt or a failing fuzz case is shrunk; no "
+    "clean run provokes it": """
         repro.build.errors:did_you_mean
         repro.build.errors:unknown_key_message
         repro.build.registry:Registry._unknown_message
@@ -65,6 +66,8 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.check.monitors:Monitor.violate
         repro.check.monitors:Violation.to_document
         repro.fluid.core:FluidModel._record
+        repro.parallel.backends:HttpCache.delete_blob
+        repro.parallel.backends:SqliteCache.delete_blob
         repro.parallel.jobs:JobStore.mark_failed
     """,
     "injected faults: the plugin queue kinds that prove the monitors fire "
@@ -85,11 +88,12 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.check.monitors:Monitor.on_event
         repro.net.node:Endpoint.receive
         repro.net.node:Node.receive
+        repro.parallel.cache:CacheBackend.delete_blob
         repro.parallel.cache:CacheBackend.describe
-        repro.parallel.cache:CacheBackend.get
         repro.parallel.cache:CacheBackend.prune
-        repro.parallel.cache:CacheBackend.put
+        repro.parallel.cache:CacheBackend.read_blob
         repro.parallel.cache:CacheBackend.stats
+        repro.parallel.cache:CacheBackend.write_blob
         repro.queues.base:QueueDiscipline.__len__
         repro.queues.base:QueueDiscipline.dequeue
         repro.queues.base:QueueDiscipline.enqueue
@@ -258,7 +262,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.obs.streamstats:StreamingFlowStats.worst_flows
         repro.obs.trace:EventTrace.counts_by_flow
         repro.overlay.tunnel:ArqTunnel.in_flight
-        repro.parallel.jobs:JobStore.reset_failed
         repro.sim.observe:unsubscribe
         repro.sim.rng:RngRegistry.spawn
         repro.sim.simulator:Simulator.step
