@@ -1,5 +1,5 @@
 """Behavioral diffing of telemetry bundles — ``taq-perf compare`` for
-*what the run did*, not how fast it did it.
+*what the run did*, not what it cost.
 
 Two runs can take identical wall time yet behave differently: more
 drops, extra RTO firings, a different admission verdict, worse slice
@@ -9,7 +9,8 @@ every counter, histogram and series roll-up, span counts, compact
 manifest provenance — and diffs two summaries under per-metric
 tolerance rules.  CI keeps a committed baseline summary
 (``BEHAVIOR_fig02.json``) and diffs every push's fig02 telemetry
-against it, the behavioral analogue of the ``BENCH_15.json`` perf gate.
+against it, the behavioral analogue of the exact ``BENCH_22.json`` count
+gate.
 
 Flat metric names, one value each::
 
@@ -331,8 +332,8 @@ def render_behavior_text(diff: BehaviorDiff, show_ok: bool = False) -> str:
 
 
 def render_behavior_markdown(diff: BehaviorDiff, max_rows: int = 50) -> str:
-    """GitHub-table rendering for ``$GITHUB_STEP_SUMMARY`` — the same
-    shape as ``taq-perf compare --markdown``, out-of-tolerance first."""
+    """GitHub-table rendering for ``$GITHUB_STEP_SUMMARY``,
+    out-of-tolerance first."""
     lines = [
         "| metric | A | B | Δ | rel Δ | verdict |",
         "|---|---:|---:|---:|---:|---|",

@@ -2,18 +2,15 @@
 
 Subcommands::
 
-    taq-perf run [--out BENCH_15.json] [--scale 1.0] [--repeats 1]
-                 [--only NAME ...] [--list]
-        Run the benchmark suite and write the schema-versioned BENCH
-        document (wall time, events/sec, packets/sec, peak RSS per
-        benchmark).
+    taq-perf run --out FILE.json [--scale 1.0] [--only NAME ...]
+    taq-perf run --list
+        Run the benchmark suite and write the BENCH document: events,
+        packets and Python calls per benchmark, no clock reading — two
+        runs of one tree write the same bytes.
 
     taq-perf compare baseline.json candidate.json
-                 [--threshold PCT] [--threshold-for NAME=PCT ...]
-                 [--markdown]
-        Diff two BENCH documents; exit non-zero when any benchmark's
-        wall time regressed beyond its threshold.  ``--markdown``
-        renders a GitHub table (CI pipes it to $GITHUB_STEP_SUMMARY).
+        Diff two BENCH documents with ``==``; exit 1 when any count
+        moved, up or down, or when no row could be compared.
 
     taq-perf profile (--bench NAME | --scenario FILE.json)
                  [--out PREFIX] [--scale 1.0] [--sample-interval 0.001]
@@ -48,42 +45,35 @@ def _cmd_run(args) -> int:
         for name, bench in sorted(load_suite().items()):
             print(f"{name:<32} [{bench.group}] {bench.description}")
         return 0
+    if not args.out:
+        # No default: the obvious one is the committed baseline's name,
+        # and a partial or scaled run would silently replace it.
+        print("error: run needs --out FILE (or --list)", file=sys.stderr)
+        return 2
     try:
         results = run_suite(
             names=args.only or None,
             scale=args.scale,
-            repeats=args.repeats,
             log=lambda line: print(line, file=sys.stderr),
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     write_bench(bench_document(results), args.out)
-    total = sum(result.wall_time_s for result in results)
-    print(f"wrote {args.out}: {len(results)} benchmark(s), {total:.1f}s total")
+    print(f"wrote {args.out}: {len(results)} benchmark(s)")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    from repro.perf.compare import compare_files, parse_threshold_overrides
+    from repro.perf.bench import compare_documents, load_bench, render_comparison
 
     try:
-        overrides = parse_threshold_overrides(args.threshold_for)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        comparison, text = compare_files(
-            args.baseline,
-            args.candidate,
-            threshold_pct=args.threshold,
-            per_benchmark_pct=overrides,
-            markdown=args.markdown,
-        )
+        comparison = compare_documents(load_bench(args.baseline),
+                                       load_bench(args.candidate))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    print(render_comparison(comparison))
     return 0 if comparison.ok else 1
 
 
@@ -134,42 +124,28 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.perf.bench import DEFAULT_BENCH_NAME
-    from repro.perf.compare import DEFAULT_THRESHOLD_PCT
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taq-perf",
-        description="Benchmark suite, BENCH regression gate and profiler "
+        description="Benchmark suite, exact BENCH count gate and profiler "
                     "(see docs/performance.md).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run benchmarks, write a BENCH document")
-    run.add_argument("--out", default=DEFAULT_BENCH_NAME,
-                     help=f"output path (default: {DEFAULT_BENCH_NAME})")
+    run.add_argument("--out", metavar="FILE",
+                     help="output path (required unless --list)")
     run.add_argument("--scale", type=float, default=1.0,
                      help="problem-size multiplier (default: 1.0)")
-    run.add_argument("--repeats", type=int, default=1,
-                     help="timing repeats per benchmark; best is kept")
     run.add_argument("--only", action="append", metavar="NAME",
                      help="run only this benchmark (repeatable)")
     run.add_argument("--list", action="store_true",
                      help="list registered benchmarks and exit")
     run.set_defaults(func=_cmd_run)
 
-    compare = sub.add_parser("compare", help="diff two BENCH documents")
+    compare = sub.add_parser("compare", help="diff two BENCH documents, exactly")
     compare.add_argument("baseline")
     compare.add_argument("candidate")
-    compare.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_PCT,
-                         help="wall-time regression threshold, percent "
-                              f"(default: {DEFAULT_THRESHOLD_PCT:.0f})")
-    compare.add_argument("--threshold-for", action="append", default=[],
-                         metavar="NAME=PCT",
-                         help="per-benchmark threshold override (repeatable)")
-    compare.add_argument("--markdown", action="store_true",
-                         help="render a GitHub-flavoured markdown table "
-                              "(for $GITHUB_STEP_SUMMARY)")
     compare.set_defaults(func=_cmd_compare)
 
     profile = sub.add_parser(
@@ -187,8 +163,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile.add_argument("--top", type=int, default=15,
                          help="cumulative-time rows to print (default: 15)")
     profile.set_defaults(func=_cmd_profile)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -68,9 +68,6 @@ class SpanStats:
         if seconds > self.max_s:
             self.max_s = seconds
 
-    def summary(self) -> Dict[str, float]:
-        return {"calls": self.calls, "total_s": self.total_s, "max_s": self.max_s}
-
 
 class _SpanTimer:
     """Context manager feeding one :class:`SpanStats` (re-entrant safe:
@@ -177,14 +174,6 @@ class PerfProbe(Observer):
             if value:
                 merged[name] = merged.get(name, 0) + value
         return {name: merged[name] for name in sorted(merged)}
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "counters": self.counter_summary(),
-            "spans": {
-                name: self.spans[name].summary() for name in sorted(self.spans)
-            },
-        }
 
     def render(self) -> str:
         """Plain-text roll-up (the ``taq-perf`` narrow-format report)."""

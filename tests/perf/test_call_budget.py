@@ -39,8 +39,9 @@ cold ninth.
   manifest, half of which repeated the scenario document the record's
   ``spec`` already holds).
 
-Calls are counted the way the perf ledger's ``py_calls_per_pkt`` counts
-them: Python frames plus calls into builtins.
+Calls are counted by the counter every BENCH row is recorded with
+(``repro.perf.bench.count_calls``), the way the perf ledger's
+``py_calls_per_pkt`` counts them: Python frames plus calls into builtins.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import gc
 import io
 import os
-import sys
 
 import pytest
 
@@ -58,33 +58,12 @@ from repro.build import ScenarioSpec, build_simulation
 from repro.obs import save_spans
 from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
 from repro.parallel.jobs import JOBS_FILE
-from repro.perf.bench import get_benchmark
+from repro.perf.bench import count_calls, get_benchmark
 from repro.perf.suite import TaqFlowDrive
 from tests.test_bit_identity import ALL_FOUR, armed
 
 CORE_DIR = os.path.dirname(repro.core.__file__) + os.sep
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
-
-
-def count_calls(fn, only_under=None):
-    """Calls made while *fn* runs, and *fn*'s result.  With
-    *only_under*, only frames of files under that directory and the
-    builtins they call."""
-    calls = [0]
-
-    def profiler(frame, event, arg):
-        # For "c_call" the frame is the caller's.
-        if (event == "call" or event == "c_call") and (
-            only_under is None or frame.f_code.co_filename.startswith(only_under)
-        ):
-            calls[0] += 1
-
-    sys.setprofile(profiler)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(None)
-    return calls[0], result
 
 
 def core_calls_per_packet(flows: int) -> float:

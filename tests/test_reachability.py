@@ -202,12 +202,10 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.tcp.tfrc:TfrcFlow.done
     """,
     "data-dependent: the roll-ups Telemetry.summary() and the run report "
-    "include when a span recorder or a probe rides along": """
+    "include when a span recorder rides along": """
         repro.obs.spans:SpanRecorder.counts_by_kind
         repro.obs.spans:SpanRecorder.summary
         repro.obs.trace:EventTrace.counts_by_kind
-        repro.perf.probe:PerfProbe.summary
-        repro.perf.probe:SpanStats.summary
     """,
     "the Dumbbell regime arithmetic on the other topologies: taq-check diff "
     "and the sweeps call it on whichever topology a document names": """
@@ -516,11 +514,8 @@ def _commands(work: str) -> Iterator[Tuple[List[str], int]]:
 
     yield PERF + ["run", "--list"], 0
     yield PERF + ["run", "--out", at("bench.json")], 0
-    baseline = os.path.join(ROOT, "BENCH_15.json")
-    yield PERF + ["compare", baseline, at("bench.json"),
-                  "--threshold", "1000"], 0
-    yield PERF + ["compare", baseline, at("bench.json"), "--threshold", "1000",
-                  "--threshold-for", "event_heap_churn=2000", "--markdown"], 0
+    yield PERF + ["compare", os.path.join(ROOT, "BENCH_22.json"),
+                  at("bench.json")], 0
     yield PERF + ["profile", "--bench", "queue_taq_saturation",
                   "--out", at("profile-bench")], 0
     yield PERF + ["profile", "--scenario", FIG08,
