@@ -50,6 +50,8 @@ def _require_mapping(value: Any, context: str) -> Mapping[str, Any]:
 def _number(value: Any, key: str, context: str, minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{key!r} in {context} must be a number, got {value!r}")
+    if value != value:
+        raise SpecError(f"{key!r} in {context} must be a number, got NaN")
     if minimum is not None and value < minimum:
         raise SpecError(f"{key!r} in {context} must be >= {minimum}, got {value!r}")
     return float(value)
@@ -317,9 +319,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioSpec":
+        def reject_constant(literal: str) -> Any:
+            # json.load accepts NaN / Infinity / -Infinity, which are not JSON.
+            raise SpecError(f"invalid JSON in {path}: {literal} is not a JSON number")
+
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                document = json.load(handle)
+                document = json.load(handle, parse_constant=reject_constant)
             except json.JSONDecodeError as exc:
                 raise SpecError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_document(document)

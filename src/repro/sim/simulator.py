@@ -52,15 +52,15 @@ class Simulator:
         self, delay: float, callback: Callable[..., Any], args: tuple = ()
     ) -> Event:
         """Schedule *callback* to run *delay* seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # not `delay < 0`: that is False for NaN
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         return self._push(self.now + delay, callback, args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], args: tuple = ()
     ) -> Event:
         """Schedule *callback* at absolute *time* (must not be in the past)."""
-        if time < self.now:
+        if not time >= self.now:  # not `time < now`: False for NaN
             raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
         return self._push(time, callback, args)
 
@@ -85,7 +85,7 @@ class Simulator:
         events = self.events
         limit = float("inf") if until is None else until
         if self.max_events is None:
-            # One wheel scan per event via pop_due and no budget check,
+            # One queue call per event via pop_due and no budget check,
             # armed or not.  processed still advances per iteration —
             # callbacks read it mid-run.
             pop_due = events.pop_due

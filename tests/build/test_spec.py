@@ -102,6 +102,21 @@ def test_non_integer_seed_rejected():
         ScenarioSpec.from_document(base_document(seed=1.5))
 
 
+@pytest.mark.parametrize("section, key", [
+    (None, "duration"),
+    ("topology", "rtt"),
+    ("queue", "buffer_rtts"),
+    ("metrics", "slice_seconds"),
+])
+def test_nan_is_not_a_number(section, key):
+    # NaN fails every `value < minimum` test, so the range check alone
+    # lets it through to the clock.
+    document = base_document()
+    (document if section is None else document[section])[key] = float("nan")
+    with pytest.raises(SpecError, match=f"'{key}'.*NaN"):
+        ScenarioSpec.from_document(document)
+
+
 def test_plugins_must_be_module_names():
     with pytest.raises(SpecError, match="plugins"):
         ScenarioSpec.from_document(base_document(plugins=[42]))

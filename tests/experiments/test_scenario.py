@@ -141,6 +141,22 @@ def test_cli_scenario_command(tmp_path, capsys):
     assert cli.main(["scenario", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_rejects_a_nan_literal_before_anything_runs(tmp_path, capsys):
+    # json.load accepts the non-JSON literal NaN; it used to pass
+    # validation, reach the clock and die mid-run with a traceback.
+    from repro.experiments import cli
+
+    document = base_document(
+        workloads=[{"type": "short", "lengths": [5], "start_time": 0.0}])
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(document).replace('"start_time": 0.0', '"start_time": NaN'))
+    assert cli.main(["scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scenario error:") and "NaN" in line
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SHIPPED)))
 def test_a_bundle_records_every_timeout_of_a_shipped_document(name, tmp_path, capsys):
     """From the bundle alone: the ``rto`` events tally to the outcome's

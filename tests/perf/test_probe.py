@@ -33,7 +33,7 @@ def test_simulator_counters():
     counters = probe.counter_summary()
     assert counters["sim.callbacks_dispatched"] == 8
     # events_popped counts live dispatches (read from
-    # Simulator.processed); the two cancelled events left the wheel
+    # Simulator.processed); the two cancelled events left the store
     # through EventQueue.discards.
     assert counters["sim.events_popped"] == 8
     assert counters["sim.heap_discards"] == 2

@@ -61,6 +61,19 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_nan_never_reaches_the_clock():
+    # `nan < 0` and `nan < now` are both False: the guards must be
+    # written as `not x >= bound`.  inf stays a legal "never".
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert len(sim.events) == 0
+    assert sim.schedule(float("inf"), lambda: None).pending
+    assert sim.schedule_at(float("inf"), lambda: None).pending
+
+
 def test_max_events_guard():
     sim = Simulator(max_events=10)
 
