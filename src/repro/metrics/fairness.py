@@ -57,6 +57,9 @@ class SliceGoodputCollector:
         self.slice_seconds = slice_seconds
         self._slices: Dict[int, Dict[int, int]] = {}
         self.flow_ids: set = set()
+        # The slice the last delivery fell in, and its per-flow table.
+        self._index: Optional[int] = None
+        self._current: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def observe(self, packet: Packet, now: float) -> None:
@@ -64,9 +67,18 @@ class SliceGoodputCollector:
         if packet.kind != DATA:
             return
         index = int(now / self.slice_seconds)
-        per_flow = self._slices.setdefault(index, {})
-        per_flow[packet.flow_id] = per_flow.get(packet.flow_id, 0) + packet.size
-        self.flow_ids.add(packet.flow_id)
+        if index != self._index:
+            self._index = index
+            self._current = self._slices.setdefault(index, {})
+        per_flow = self._current
+        flow_id = packet.flow_id
+        if flow_id in per_flow:
+            per_flow[flow_id] += packet.size
+        else:
+            # A flow's first delivery in this slice; flow_ids is the union
+            # of every slice's keys.
+            per_flow[flow_id] = packet.size
+            self.flow_ids.add(flow_id)
 
     # ------------------------------------------------------------------
     def slice_indices(self) -> List[int]:

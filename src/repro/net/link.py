@@ -57,19 +57,10 @@ class LinkStats:
         self.queue_delay_total = 0.0
         self.queue_delay_max = 0.0
         self.queue_delay_samples = 0
+        # Deterministic reservoir of queueing delays, filled by the link
+        # at each transmission start: the first RESERVOIR samples, then
+        # every 17th overwrites one slot.
         self._delay_reservoir: List[float] = []
-
-    def note_queue_delay(self, delay: float) -> None:
-        """Record one packet's time spent waiting in the queue."""
-        self.queue_delay_total += delay
-        self.queue_delay_samples += 1
-        if delay > self.queue_delay_max:
-            self.queue_delay_max = delay
-        # Deterministic reservoir: keep every k-th sample once full.
-        if len(self._delay_reservoir) < self.RESERVOIR:
-            self._delay_reservoir.append(delay)
-        elif self.queue_delay_samples % 17 == 0:
-            self._delay_reservoir[self.queue_delay_samples % self.RESERVOIR] = delay
 
     def mean_queue_delay(self) -> float:
         if self.queue_delay_samples == 0:
@@ -80,7 +71,7 @@ class LinkStats:
         """The queueing-delay reservoir sample, in observation order.
 
         A deterministic subsample of every packet's time-in-queue (see
-        :meth:`note_queue_delay`); consumers such as
+        :meth:`Link._transmit_next`); consumers such as
         ``repro.obs.instrument_link`` fold it into their own histograms.
         """
         return list(self._delay_reservoir)
@@ -192,24 +183,35 @@ class Link:
             # Mid-serialization arrival: arm one wakeup for the whole
             # burst that accumulates before the transmitter frees up.
             self._wakeup_armed = True
-            self.sim.schedule_at(self._free_at, self._on_wakeup)
+            self.sim.schedule_at(self._free_at, self._transmit_next)
             return True
-        self._begin_serialization(now)
+        self._transmit_next()
         return True
 
-    def _on_wakeup(self) -> None:
+    def _transmit_next(self) -> None:
+        """Start serializing the head packet, if any: the wakeup's
+        callback, and what an arrival at an idle transmitter calls."""
         self._wakeup_armed = False
-        self._begin_serialization(self.sim.now)
-
-    def _begin_serialization(self, now: float) -> None:
+        now = self.sim.now
         packet = self._q_dequeue(now)
         if packet is None:
             return
-        self.stats.note_queue_delay(now - packet.enqueued_at)
+        # The packet's time in queue into LinkStats, inline: one frame
+        # per packet fewer.
+        stats = self.stats
+        delay = now - packet.enqueued_at
+        stats.queue_delay_total += delay
+        samples = stats.queue_delay_samples = stats.queue_delay_samples + 1
+        if delay > stats.queue_delay_max:
+            stats.queue_delay_max = delay
+        if samples <= stats.RESERVOIR:
+            stats._delay_reservoir.append(delay)
+        elif samples % 17 == 0:
+            stats._delay_reservoir[samples % stats.RESERVOIR] = delay
         if self.obs is not None:
             self.obs.tx(self, packet, now)
         tx_time = packet.tx_bits / self.capacity_bps
-        self.stats.busy_time += tx_time
+        stats.busy_time += tx_time
         end = now + tx_time
         self._free_at = end
         if self._q_len():
@@ -218,7 +220,7 @@ class Link:
             # the next dequeue still precedes this packet's delivery
             # within the same timestamp.
             self._wakeup_armed = True
-            self.sim.schedule_at(end, self._on_wakeup)
+            self.sim.schedule_at(end, self._transmit_next)
         self._schedule_delivery(packet, end)
 
     def _schedule_delivery(self, packet: Packet, end: float) -> None:

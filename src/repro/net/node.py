@@ -61,9 +61,9 @@ class Host(Node):
         self._receivers.pop(flow_id, None)
 
     def receive(self, packet: Packet, now: float) -> None:
-        if packet.kind in (ACK, SYNACK):
-            endpoint = self._senders.get(packet.flow_id)
-        else:
-            endpoint = self._receivers.get(packet.flow_id)
-        if endpoint is not None:
-            endpoint.receive(packet, now)
+        table = self._senders if packet.kind in (ACK, SYNACK) else self._receivers
+        try:
+            endpoint = table[packet.flow_id]
+        except KeyError:
+            return  # the flow has finished and unbound
+        endpoint.receive(packet, now)

@@ -39,8 +39,9 @@ class Event:
     has fired or been cancelled, cancelling again is a no-op.
     """
 
-    # ``EventQueue.push`` is the only constructor.  ``_queue`` is the
-    # owning queue while scheduled (None once popped or cancelled).
+    # Built only by ``EventQueue.push`` and the scheduling methods of
+    # ``Simulator``, which repeat its body.  ``_queue`` is the owning
+    # queue while scheduled (None once popped or cancelled).
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_queue")
 
     def cancel(self) -> None:
@@ -50,7 +51,14 @@ class Event:
         self.cancelled = True
         queue = self._queue
         if queue is not None:
-            queue._remove(self)
+            # Delete the entry here rather than through a queue method:
+            # every timer restart cancels, so this is one frame per
+            # restart.  (time, seq) sorts immediately before its own
+            # (time, seq, event) entry, so bisect_left lands on it.
+            pending = queue._pending
+            del pending[bisect_left(pending, (self.time, self.seq))]
+            self._queue = None
+            queue.discards += 1
 
     @property
     def pending(self) -> bool:
@@ -72,9 +80,10 @@ class EventQueue:
     differentially against a reference heap in
     ``tests/sim/test_events_differential.py``).
 
-    ``push`` builds its :class:`Event` inline and ``pop_due`` repeats
-    the pop body, because at millions of events per run every spare
-    Python call frame shows up in the benchmarks.
+    ``push`` builds its :class:`Event` inline, and the simulator's
+    scheduling methods and run loop repeat the push and pop bodies on
+    ``_pending`` itself, because at millions of events per run every
+    spare Python call frame shows up in the benchmarks.
     """
 
     __slots__ = ("_pending", "_next_seq", "discards")
@@ -90,7 +99,7 @@ class EventQueue:
         """Schedule *callback(\\*args)* at absolute *time* and return its handle."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event.__new__(Event)
+        event = Event()
         event.time = time
         event.seq = seq
         event.callback = callback
@@ -111,36 +120,10 @@ class EventQueue:
         event._queue = None
         return event
 
-    def pop_due(self, limit: float) -> Optional[Event]:
-        """Pop the earliest event if its time is ``<= limit``, else ``None``.
-
-        The run loop's combination of :meth:`peek_time` and :meth:`pop`
-        in one frame: this is the hottest call in a run.
-        """
-        pending = self._pending
-        if not pending:
-            return None
-        head = pending[0]
-        if head[0] > limit:
-            return None
-        del pending[0]
-        event = head[2]
-        event._queue = None
-        return event
-
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest pending event, or ``None``."""
         pending = self._pending
         return pending[0][0] if pending else None
-
-    def _remove(self, event: Event) -> None:
-        """Delete a cancelled event's entry (called by :meth:`Event.cancel`)."""
-        pending = self._pending
-        # (time, seq) sorts immediately before its own (time, seq, event)
-        # entry, so bisect_left lands exactly on the entry to delete.
-        del pending[bisect_left(pending, (event.time, event.seq))]
-        event._queue = None
-        self.discards += 1
 
     def __len__(self) -> int:
         """Number of live (pending) events."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -35,9 +36,9 @@ class Simulator:
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
         self.events = EventQueue()
-        # Bound-method cache for the per-event scheduling path (the
-        # queue is fixed for the simulator's lifetime).
-        self._push = self.events.push
+        # The queue's sorted list, which scheduling and the run loop edit
+        # in place (the queue is fixed for the simulator's lifetime).
+        self._pending = self.events._pending
         self.max_events = max_events
         self.processed = 0
         #: The observer slot (:mod:`repro.sim.observe`).  ``event`` fires
@@ -54,7 +55,22 @@ class Simulator:
         """Schedule *callback* to run *delay* seconds from now."""
         if not delay >= 0:  # not `delay < 0`: that is False for NaN
             raise SimulationError(f"negative or NaN delay {delay!r}")
-        return self._push(self.now + delay, callback, args)
+        time = self.now + delay
+        # EventQueue.push's body, repeated here and in schedule_at: every
+        # packet, wakeup and timer is scheduled through one of the two,
+        # and this way each costs one frame instead of two.
+        events = self.events
+        seq = events._next_seq
+        events._next_seq = seq + 1
+        event = Event()
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = event.fired = False
+        event._queue = events
+        insort(self._pending, (time, seq, event))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], args: tuple = ()
@@ -62,7 +78,18 @@ class Simulator:
         """Schedule *callback* at absolute *time* (must not be in the past)."""
         if not time >= self.now:  # not `time < now`: False for NaN
             raise SimulationError(f"cannot schedule at {time!r}, now is {self.now!r}")
-        return self._push(time, callback, args)
+        events = self.events
+        seq = events._next_seq
+        events._next_seq = seq + 1
+        event = Event()
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = event.fired = False
+        event._queue = events
+        insort(self._pending, (time, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Running
@@ -85,20 +112,28 @@ class Simulator:
         events = self.events
         limit = float("inf") if until is None else until
         if self.max_events is None:
-            # One queue call per event via pop_due and no budget check,
-            # armed or not.  processed still advances per iteration —
-            # callbacks read it mid-run.
-            pop_due = events.pop_due
+            # No budget check and no queue call: the loop pops the sorted
+            # list itself (EventQueue.pop's body), armed or not, so an
+            # event costs the frame of its callback and nothing else.
+            # processed still advances per iteration — callbacks read it
+            # mid-run.
+            pending = self._pending
             if on_event is None:
-                while (event := pop_due(limit)) is not None:
-                    self.now = event.time
+                while pending and (head := pending[0])[0] <= limit:
+                    del pending[0]
+                    event = head[2]
+                    event._queue = None
+                    self.now = head[0]
                     event.fired = True
                     event.callback(*event.args)
                     self.processed += 1
             else:
-                while (event := pop_due(limit)) is not None:
+                while pending and (head := pending[0])[0] <= limit:
+                    del pending[0]
+                    event = head[2]
+                    event._queue = None
                     on_event(self, event, self.now)
-                    self.now = event.time
+                    self.now = head[0]
                     event.fired = True
                     event.callback(*event.args)
                     self.processed += 1

@@ -89,8 +89,8 @@ class TcpFlow:
         self.delivery_log: List[Tuple[float, int]] = []
         self._record = record_deliveries
         self.tx_jitter = tx_jitter
-        self._jitter_rng = (
-            dumbbell.sim.rng.stream("tx-jitter") if tx_jitter > 0 else None
+        self._jitter_random = (
+            dumbbell.sim.rng.stream("tx-jitter").random if tx_jitter > 0 else None
         )
         self._completion_callbacks: List[Callable[["TcpFlow", float], None]] = []
 
@@ -149,10 +149,12 @@ class TcpFlow:
         packet.dst = self.dumbbell.receiver_host
         packet.extra_delay = self.extra_rtt / 2.0
         packet.sent_at = self.dumbbell.sim.now
-        if self._jitter_rng is not None:
-            delay = self._jitter_rng.uniform(0.0, self.tx_jitter)
+        if self._jitter_random is not None:
+            # random.uniform(0.0, tx_jitter) without its frame: it returns
+            # 0.0 + (tx_jitter - 0.0) * random(), which is exactly this.
             self.dumbbell.sim.schedule(
-                delay, self.dumbbell.data_entry.send, (packet,)
+                self.tx_jitter * self._jitter_random(),
+                self.dumbbell.data_entry.send, (packet,)
             )
         else:
             self.dumbbell.data_entry.send(packet)

@@ -139,7 +139,7 @@ class TCPReceiver:
             ACK,
             ack_seq=self.rcv_next,
             size=HEADER_BYTES,
-            sack=self._sack_blocks(),
+            sack=self._sack_blocks() if self.sack_enabled else None,
             pool_id=self.pool_id,
         )
         self.acks_sent += 1

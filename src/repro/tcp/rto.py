@@ -92,7 +92,11 @@ class RtoEstimator:
     def rto(self) -> float:
         """Current retransmission timeout, backoff applied, clamped."""
         value = self._base_rto * (2 ** self.backoff_exponent)
-        return min(self.max_rto, max(self.min_rto, value))
+        # min(max_rto, max(min_rto, value)) without the two builtin
+        # calls: every timer (re)start reads this.
+        if not value > self.min_rto:
+            value = self.min_rto
+        return value if value < self.max_rto else self.max_rto
 
     @property
     def base_rto(self) -> float:

@@ -270,25 +270,41 @@ class TCPSender:
         if self.obs is not None:
             self.obs.sent(self, packet, self.sim.now)
         self._transmit(packet)
-        self._ensure_timer()
+        # Arm the retransmission timer unless one is pending.
+        timer = self._timer
+        if timer is None or timer.cancelled or timer.fired:
+            self._timer = self.sim.schedule(self.rto.rto, self._on_timeout)
 
     def _try_send(self) -> None:
         if self.state != "established":
             return
-        limit = self._data_limit()
-        cwnd = self._effective_cwnd()
-        while self._pipe() < cwnd and self.snd_next < limit:
+        # _data_limit, _effective_cwnd and, without SACK, _pipe inline:
+        # this loop runs on every ACK.  Sending never moves cwnd, so the
+        # effective window is read once.
+        limit = self.total_segments
+        if limit is None:
+            limit = 1 << 62
+        cwnd = self.cwnd
+        if self.max_cwnd is not None and self.max_cwnd < cwnd:
+            cwnd = self.max_cwnd
+        cwnd = int(cwnd)
+        if cwnd < 1:
+            cwnd = 1
+        sack = self.sack_enabled
+        while self.snd_next < limit and (
+            self._pipe() if sack else self.snd_next - self.snd_una
+        ) < cwnd:
             seq = self.snd_next
-            if self.sack_enabled and seq in self._scoreboard:
+            if sack and seq in self._scoreboard:
                 # Receiver already holds this one; skip without sending.
                 self.snd_next += 1
                 continue
             retransmit = seq < self.high_water
-            self.snd_next += 1
-            self.high_water = max(self.high_water, self.snd_next)
+            self.snd_next = seq + 1
+            if seq >= self.high_water:
+                self.high_water = seq + 1
             self._send_segment(seq, retransmit)
-            cwnd = self._effective_cwnd()
-        if self.sack_enabled and self.in_recovery:
+        if sack and self.in_recovery:
             self._sack_retransmit_holes()
 
     def _sack_retransmit_holes(self) -> None:
@@ -321,7 +337,7 @@ class TCPSender:
         if packet.kind == SYNACK:
             self._on_synack(now)
             return
-        if packet.kind != ACK or self.state not in ("established",):
+        if packet.kind != ACK or self.state != "established":
             return
         if packet.sack and self.sack_enabled:
             for lo, hi in packet.sack:
@@ -365,11 +381,16 @@ class TCPSender:
             if self._timed_seq not in self._ever_retransmitted:
                 self.rto.sample(now - self._timed_at)
             self._timed_seq = None
-        for seq in range(self.snd_una, ack_seq):
-            self._ever_retransmitted.discard(seq)
-            self._scoreboard.discard(seq)
+        # Both sets are empty on most ACKs: test before walking the range.
+        if self._ever_retransmitted:
+            for seq in range(self.snd_una, ack_seq):
+                self._ever_retransmitted.discard(seq)
+        if self._scoreboard:
+            for seq in range(self.snd_una, ack_seq):
+                self._scoreboard.discard(seq)
         self.snd_una = ack_seq
-        self.snd_next = max(self.snd_next, ack_seq)
+        if ack_seq > self.snd_next:
+            self.snd_next = ack_seq
         self.dupacks = 0
 
         if self.in_recovery:
@@ -384,12 +405,14 @@ class TCPSender:
                 if not self.sack_enabled:
                     self._send_segment(self.snd_una, retransmit=True)
         else:
-            if self.cwnd < self.ssthresh:
-                self.cwnd += 1.0  # slow start: +1 per new ACK
+            cwnd = self.cwnd
+            if cwnd < self.ssthresh:
+                cwnd += 1.0  # slow start: +1 per new ACK
             else:
-                self.cwnd += 1.0 / max(1.0, self.cwnd)  # congestion avoidance
-            if self.max_cwnd is not None:
-                self.cwnd = min(self.cwnd, self.max_cwnd)
+                cwnd += 1.0 / (cwnd if cwnd > 1.0 else 1.0)  # congestion avoidance
+            if self.max_cwnd is not None and self.max_cwnd < cwnd:
+                cwnd = self.max_cwnd
+            self.cwnd = cwnd
 
         if self.total_segments is not None and self.snd_una >= self.total_segments:
             self._complete(now)
@@ -420,10 +443,6 @@ class TCPSender:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def _ensure_timer(self) -> None:
-        if self._timer is None or not self._timer.pending:
-            self._timer = self.sim.schedule(self.rto.rto, self._on_timeout)
-
     def _restart_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()

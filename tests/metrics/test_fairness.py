@@ -89,3 +89,28 @@ def test_shut_out_fraction():
 def test_invalid_slice_width():
     with pytest.raises(ValueError):
         SliceGoodputCollector(0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                          st.floats(min_value=0.0, max_value=50.0),
+                          st.sampled_from([DATA, DATA, ACK]),
+                          st.integers(min_value=40, max_value=1500)),
+                max_size=60))
+def test_property_observe_matches_setdefault_form(deliveries):
+    # observe() keeps the current slice's table and adds a flow id only
+    # on its first delivery in a slice; the plain setdefault / get form
+    # must agree on every table, its insertion order and the flow set,
+    # also when deliveries go back to an earlier slice.
+    col = SliceGoodputCollector(slice_seconds=7.0)
+    slices, flow_ids = {}, set()
+    for flow, now, kind, size in deliveries:
+        col.observe(Packet(flow, kind, seq=0, size=size), now)
+        if kind == DATA:
+            per_flow = slices.setdefault(int(now / 7.0), {})
+            per_flow[flow] = per_flow.get(flow, 0) + size
+            flow_ids.add(flow)
+    assert col._slices == slices
+    assert [list(t.items()) for t in col._slices.values()] == [
+        list(t.items()) for t in slices.values()]
+    assert col.flow_ids == flow_ids

@@ -5,6 +5,7 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import DATA, Packet
 from repro.queues.droptail import DropTailQueue
+from repro.sim.observe import Observer
 from repro.sim.simulator import Simulator
 
 
@@ -109,3 +110,39 @@ def test_idle_link_restarts_on_new_arrival():
     sim.run()
     assert len(sink.arrivals) == 2
     assert sink.arrivals[1][0] == pytest.approx(2.0)
+
+
+def test_queue_delay_stats_follow_the_reservoir_rule():
+    # The link folds each packet's time in queue into LinkStats inline;
+    # replay the rule on the delays an observer sees at transmission
+    # start, past the reservoir's size so the every-17th overwrite runs.
+    class TxDelays(Observer):
+        def __init__(self):
+            self.delays = []
+
+        def tx(self, link, packet, now):
+            self.delays.append(now - packet.enqueued_at)
+
+    sim = Simulator()
+    link = make_link(sim, capacity=8e6, delay=0.0, buffer_pkts=8)
+    seen = TxDelays()
+    link.obs = seen
+    sink = Sink()
+    rng = sim.rng.stream("arrivals")
+    t = 0.0
+    for _ in range(6000):
+        t += rng.expovariate(1000.0)
+        sim.schedule_at(t, link.send, (packet(size=1000, sink=sink),))
+    sim.run()
+    reservoir, total, largest = [], 0.0, 0.0
+    for samples, delay in enumerate(seen.delays, start=1):
+        total += delay
+        largest = max(largest, delay)
+        if len(reservoir) < link.stats.RESERVOIR:
+            reservoir.append(delay)
+        elif samples % 17 == 0:
+            reservoir[samples % link.stats.RESERVOIR] = delay
+    stats = link.stats
+    assert stats.queue_delay_samples == len(seen.delays) > 2 * stats.RESERVOIR
+    assert (stats.queue_delay_total, stats.queue_delay_max) == (total, largest)
+    assert stats.delay_samples() == reservoir

@@ -12,6 +12,10 @@ Complements ``tests/sim/test_properties.py``: those tests check the
 queue against the *specification* (sorted order, FIFO ties); these
 check it against an independent *implementation*, so a bug must appear
 in two unrelated structures at once to slip through.
+
+``Simulator.schedule`` / ``schedule_at`` repeat ``EventQueue.push``'s
+body and ``Simulator.run`` pops the sorted list itself, so the last test
+puts the same reference behind the simulator's own entry points.
 """
 
 import heapq
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
 
 
 class ReferenceHeap:
@@ -174,3 +179,66 @@ def test_differential_with_infinite_times():
         _assert_same_state(queue, reference)
     _drain(queue, reference)
     assert queue.discards == len(pairs[::5])
+
+
+_delays = st.one_of(
+    st.integers(min_value=0, max_value=3).map(float),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _delays),
+        st.tuples(st.just("schedule_at"), _delays),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("run"), _delays),
+    ),
+    min_size=1,
+    max_size=80,
+))
+def test_simulator_scheduling_and_run_loop_match_reference(script):
+    # Every fired event must be the reference's head at that moment, and
+    # schedules one child (alternating the two methods), so pushes also
+    # land mid-run, between pops of the same timestamp.
+    sim = Simulator()
+    reference = ReferenceHeap()
+    handles = []  # (Event, reference key), in push order
+    cancels = 0
+
+    def schedule(delay, at):
+        index = len(handles)
+        if at:
+            time = sim.now + delay
+            event = sim.schedule_at(time, fire, (index,))
+        else:
+            event = sim.schedule(delay, fire, (index,))
+            time = sim.now + delay
+        handles.append((event, reference.push(time)))
+
+    def fire(index):
+        event, key = handles[index]
+        assert reference.pop() == key == (sim.now, event.seq)
+        if len(handles) < 300:
+            schedule(float(index % 3), at=index % 2 == 0)
+
+    for op, value in script:
+        if op in ("schedule", "schedule_at"):
+            schedule(value, at=op == "schedule_at")
+        elif op == "cancel":
+            if handles:
+                event, key = handles[value % len(handles)]
+                if event.pending:
+                    event.cancel()
+                    reference.cancel(key)
+                    cancels += 1
+        else:
+            until = sim.now + value
+            sim.run(until=until)
+            assert sim.now == until
+            head = reference.peek_time()
+            assert head is None or head > until
+        assert len(sim.events) == len(reference)
+        assert sim.events.peek_time() == reference.peek_time()
+    assert sim.events.discards == cancels
