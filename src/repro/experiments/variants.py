@@ -55,9 +55,6 @@ class Result:
                 return p.short_term_jain
         raise KeyError((transport, queue_kind))
 
-    def best_non_taq(self) -> float:
-        return max(p.short_term_jain for p in self.points)
-
     def table(self) -> TableResult:
         table = TableResult(
             title="§2.3: transport variants x queue disciplines, sub-packet regime",

@@ -24,7 +24,7 @@ It exits SPR mode once the window grows past ``SPR_EXIT_CWND`` without
 a timeout — i.e. when the network stops looking like a small packet
 regime, it behaves exactly like NewReno again.
 
-Measured trade-off (see ``benchmarks/test_spr.py`` and EXPERIMENTS.md):
+Measured trade-off (see ``tests/experiments/test_verdicts.py`` and EXPERIMENTS.md):
 when *all* flows adopt SPR-TCP over a plain DropTail bottleneck,
 short-term fairness recovers to TAQ-like levels with near-zero shut-out
 flows, in exchange for a markedly higher bottleneck loss rate (the

@@ -1,6 +1,6 @@
 """Smoke + unit tests of each experiment module at tiny scale.
 
-The benchmarks assert the *shapes* at realistic scale; these tests
+The verdicts (``test_verdicts.py``) assert the *shapes* at default scale; these tests
 assert the machinery — configs, result containers, derived metrics —
 at scales that run in well under a second each.
 """

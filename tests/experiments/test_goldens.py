@@ -5,7 +5,8 @@ The CSVs in ``goldens/`` were captured from each experiment's
 tests re-run the same defaults through the refactored construction path
 and require byte-for-byte identical tables — the hard invariant of the
 build-plane refactor.  A legitimate behaviour change must re-capture
-the golden in the same commit and say why.
+the golden in the same commit and say why; ``test_verdicts.py`` then
+checks the re-recorded table still makes the claims EXPERIMENTS.md makes.
 
 Every test is marked ``slow`` except a fast subset (fig09, pool, rttf,
 spr, variants-free subset is still tens of seconds); CI's

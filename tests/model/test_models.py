@@ -100,6 +100,8 @@ def test_property_full_census_is_distribution(p):
 def test_timeout_probability_monotone_in_p():
     values = [timeout_probability(p) for p in (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)]
     assert values == sorted(values)
+    # Sharp rise through the tipping region.
+    assert values[2] > 2.0 * values[0]
 
 
 def test_silence_probability_monotone_in_p():

@@ -55,6 +55,7 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.build.errors:unknown_key_message
         repro.build.registry:Registry._unknown_message
         repro.build.registry:Registry.kinds
+        repro.build.spec:ScenarioSpec.from_file.reject_constant
         repro.check.differential:DifferentialReport.failures
         repro.check.fuzz:_candidates
         repro.check.fuzz:_candidates.clone
@@ -97,6 +98,10 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.queues.base:QueueDiscipline.__len__
         repro.queues.base:QueueDiscipline.dequeue
         repro.queues.base:QueueDiscipline.enqueue
+    """,
+    "a sys.setprofile hook: the interpreter calls it with tracing off, so "
+    "the audit's settrace hook never sees it run": """
+        repro.perf.bench:count_calls.profiler
     """,
     "called by http.server by name (request dispatch, logging)": """
         repro.parallel.httpstore:StoreHandler.do_PUT
@@ -154,18 +159,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.experiments.fig12_admission_cdf:Result.chart
         repro.metrics.asciichart:cdf_chart
         repro.metrics.downloads:cdf_points
-    """,
-    "read by benchmarks/ (the per-figure shape benchmarks), which assert on "
-    "the result objects the CLIs only print": """
-        repro.experiments.fig01_download_times:Result.spread
-        repro.experiments.fig03_buffer_tradeoff:Result.required_buffer
-        repro.experiments.fig11_testbed:Result.jain
-        repro.experiments.hang_times:Result.point
-        repro.experiments.padhye_comparison:ComparisonPoint.error
-        repro.experiments.variants:Result.best_non_taq
-        repro.experiments.variants:Result.jain
-        repro.metrics.downloads:spread_orders_of_magnitude
-        repro.metrics.evolution:FlowEvolution.total
     """,
     "reference implementation a test compares against: the model side of a "
     "model-vs-simulation or chain-vs-fluid agreement check (ROADMAP 1)": """
@@ -247,6 +240,14 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.core.prediction:Prediction.safe
         repro.core.prediction:_window_estimate
         repro.core.prediction:predict_next_state
+        repro.experiments.fig01_download_times:Result.spread
+        repro.experiments.fig03_buffer_tradeoff:Result.required_buffer
+        repro.experiments.fig11_testbed:Result.jain
+        repro.experiments.hang_times:Result.point
+        repro.experiments.padhye_comparison:ComparisonPoint.error
+        repro.experiments.variants:Result.jain
+        repro.metrics.downloads:spread_orders_of_magnitude
+        repro.metrics.evolution:FlowEvolution.total
         repro.metrics.hangs:fraction_with_hang_over
         repro.model.chain:MarkovChain.absorbing_states
         repro.model.chain:MarkovChain.expected_return_time
