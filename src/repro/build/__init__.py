@@ -14,6 +14,8 @@ if/elif chain:
 
 Out-of-tree modules register the same way and enter JSON scenarios via
 the document's ``"plugins"`` list (see :func:`load_plugins`).
+:func:`point` marks the functions a :class:`repro.parallel.PointSpec`
+may name: a sweep runs marked points only.
 """
 
 from repro.build.errors import (
@@ -40,7 +42,7 @@ from repro.build.registries import (
     load_builtins,
     load_plugins,
 )
-from repro.build.registry import Registry
+from repro.build.registry import Registry, point
 from repro.build.spec import (
     BackendSpec,
     MetricsSpec,
@@ -78,4 +80,5 @@ __all__ = [
     "load_builtins",
     "load_plugins",
     "manifest_payloads",
+    "point",
 ]

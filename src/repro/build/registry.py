@@ -32,6 +32,13 @@ from repro.build.errors import (
 )
 
 
+def point(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Mark *fn* as a point function: the only kind of callable a
+    :class:`repro.parallel.PointSpec` resolves by name."""
+    fn.repro_point = True  # type: ignore[attr-defined]
+    return fn
+
+
 class Registry:
     """A named collection of kind -> builder mappings.
 

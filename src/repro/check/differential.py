@@ -380,25 +380,6 @@ def compare_backends(
 # Jobs differential
 # ----------------------------------------------------------------------
 
-def scenario_point(document: Dict[str, Any]) -> Dict[str, Any]:
-    """Picklable sweep-point target: run a scenario document, return a
-    plain comparable dict (what ``compare_jobs`` diffs across workers)."""
-    from repro.experiments.scenario import run_scenario
-
-    outcome = run_scenario(document)
-    return {
-        "name": outcome.name,
-        "short_term_jain": outcome.short_term_jain,
-        "long_term_jain": outcome.long_term_jain,
-        "utilization": outcome.utilization,
-        "loss_rate": outcome.loss_rate,
-        "timeouts": outcome.timeouts,
-        "completed_transfers": outcome.completed_transfers,
-        "total_transfers": outcome.total_transfers,
-        "extras": dict(sorted(outcome.extras.items())),
-    }
-
-
 def compare_jobs(
     spec: ScenarioSpec, jobs_a: int = 1, jobs_b: int = 2, points: int = 3
 ) -> DifferentialReport:
@@ -418,7 +399,7 @@ def compare_jobs(
         documents.append(document)
     specs = [
         PointSpec(
-            fn="repro.check.differential:scenario_point",
+            fn="repro.experiments.scenario:run_scenario",
             kwargs={"document": document},
             label=document["name"],
         )

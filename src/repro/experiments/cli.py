@@ -164,7 +164,6 @@ def _run_scenarios(args) -> int:
                     "repro.experiments.scenario:run_scenario",
                     dict(document=spec.to_document()),
                     label=spec.name,
-                    scenario=spec.canonical(),
                 )
                 for spec in specs
             ]

@@ -10,12 +10,13 @@ delay) each JFI level costs — §2.4's "trading delay for fairness".
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
-from repro.experiments.runner import TableResult, dumbbell_spec, run_point
-from repro.parallel import ParallelRunner, PointSpec
+from repro.experiments.runner import TableResult
+from repro.experiments.sweeps import sweep_specs
+from repro.parallel import ParallelRunner
 
 
 @dataclass
@@ -72,93 +73,6 @@ class Result:
         return str(self.table())
 
 
-@dataclass
-class BufferPoint:
-    """One measured (fair share, buffer) cell — picklable."""
-
-    fair_share_pkts: float
-    buffer_rtts: float
-    jfi: float
-    mean_delay: float
-    p95_delay: float
-    telemetry: Optional[dict] = None
-
-
-def buffer_point_scenario(
-    fair_share_pkts: float,
-    buffer_rtts: float,
-    capacity_bps: float,
-    rtt: float = 0.2,
-    pkt_size: int = 500,
-    slice_seconds: float = 20.0,
-    seed: int = 1,
-    duration: float = 120.0,
-) -> ScenarioSpec:
-    """The declarative description of one (fair share, buffer) cell."""
-    fair_share_bps = fair_share_pkts * pkt_size * 8 / rtt
-    n_flows = max(2, round(capacity_bps / fair_share_bps))
-    return dumbbell_spec(
-        "droptail",
-        capacity_bps,
-        rtt=rtt,
-        pkt_size=pkt_size,
-        seed=seed,
-        slice_seconds=slice_seconds,
-        buffer_rtts=buffer_rtts,
-        duration=duration,
-        name=f"fig03-buf{buffer_rtts:g}rtt-share{fair_share_pkts:g}pkt",
-        workloads=[
-            WorkloadSpec(
-                "bulk",
-                dict(
-                    n_flows=n_flows,
-                    start_window=5.0,
-                    extra_rtt_max=0.1,
-                    first_flow_id=0,
-                    rng_name="bulk-starts",
-                ),
-            )
-        ],
-    )
-
-
-def run_buffer_point(
-    fair_share_pkts: float,
-    buffer_rtts: float,
-    capacity_bps: float,
-    rtt: float,
-    pkt_size: int,
-    slice_seconds: float,
-    seed: int,
-    duration: float,
-    telemetry_dir: Optional[str] = None,
-    sample_interval: float = 1.0,
-) -> BufferPoint:
-    """Measure one (fair share, buffer) cell of the tradeoff grid."""
-    scenario = buffer_point_scenario(
-        fair_share_pkts, buffer_rtts, capacity_bps,
-        rtt=rtt, pkt_size=pkt_size, slice_seconds=slice_seconds,
-        seed=seed, duration=duration,
-    )
-    built = build_simulation(scenario)
-    flows = built.flows
-    payload = run_point(
-        built,
-        f"droptail-buf{buffer_rtts:g}rtt-share{fair_share_pkts:g}pkt-seed{seed}",
-        telemetry_dir,
-        sample_interval,
-    )
-    stats = built.topology.forward.stats
-    return BufferPoint(
-        fair_share_pkts=fair_share_pkts,
-        buffer_rtts=buffer_rtts,
-        jfi=built.collector.mean_short_term_jain([f.flow_id for f in flows]),
-        mean_delay=stats.mean_queue_delay(),
-        p95_delay=stats.queue_delay_percentile(95),
-        telemetry=payload,
-    )
-
-
 def run(
     config: Config = Config(),
     *,
@@ -168,46 +82,34 @@ def run(
     telemetry_dir=None,
     sample_interval: float = 1.0,
 ) -> Result:
+    # Every (buffer, share) cell is a droptail sweep point; the buffers
+    # share one batch so a process pool sees every cell at once.
     result = Result()
-    # Telemetry kwargs enter the specs only when enabled, keeping the
-    # uninstrumented path's cache keys unchanged.
-    extra = {}
-    if telemetry_dir is not None:
-        extra = dict(telemetry_dir=telemetry_dir, sample_interval=sample_interval)
-    specs = []
+    cells, specs = [], []
     for buffer_rtts in config.buffer_rtts:
         # Max queueing delay this buffer implies at line rate.
         result.max_delay[buffer_rtts] = buffer_rtts * config.rtt
-        for fair_share_pkts in config.fair_shares_pkts_per_rtt:
-            specs.append(
-                PointSpec(
-                    "repro.experiments.fig03_buffer_tradeoff:run_buffer_point",
-                    dict(
-                        fair_share_pkts=fair_share_pkts,
-                        buffer_rtts=buffer_rtts,
-                        capacity_bps=config.capacity_bps,
-                        rtt=config.rtt,
-                        pkt_size=config.pkt_size,
-                        slice_seconds=config.slice_seconds,
-                        seed=config.seed,
-                        duration=config.duration,
-                        **extra,
-                    ),
-                    label=f"droptail buf={buffer_rtts:g}rtt share={fair_share_pkts:g}pkt",
-                    scenario=buffer_point_scenario(
-                        fair_share_pkts, buffer_rtts, config.capacity_bps,
-                        rtt=config.rtt, pkt_size=config.pkt_size,
-                        slice_seconds=config.slice_seconds,
-                        seed=config.seed, duration=config.duration,
-                    ).canonical(),
-                )
-            )
+        cells.extend((f, buffer_rtts) for f in config.fair_shares_pkts_per_rtt)
+        specs.extend(sweep_specs(
+            "droptail",
+            [config.capacity_bps],
+            [f * config.pkt_size * 8 / config.rtt
+             for f in config.fair_shares_pkts_per_rtt],
+            # One bundle directory per buffer: cells of equal share
+            # would otherwise share a bundle name.
+            telemetry_dir=(None if telemetry_dir is None else
+                           os.path.join(telemetry_dir, f"buf{buffer_rtts:g}rtt")),
+            sample_interval=sample_interval,
+            duration=config.duration,
+            rtt=config.rtt,
+            slice_seconds=config.slice_seconds,
+            seed=config.seed,
+            buffer_rtts=buffer_rtts,
+            pkt_size=config.pkt_size,
+        ))
     runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
-    for point_result in runner.run(specs):
+    for cell, point_result in zip(cells, runner.run(specs)):
         point = point_result.value
-        result.jfi[(point.fair_share_pkts, point.buffer_rtts)] = point.jfi
-        result.measured_delay[(point.fair_share_pkts, point.buffer_rtts)] = (
-            point.mean_delay,
-            point.p95_delay,
-        )
+        result.jfi[cell] = point.short_term_jain
+        result.measured_delay[cell] = (point.mean_queue_delay, point.p95_queue_delay)
     return result

@@ -15,19 +15,11 @@ drives the *unmodified* TAQ queue through jittered links and a LAN hop
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.build import (
-    MetricsSpec,
-    QueueSpec,
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-    build_simulation,
-)
-from repro.experiments.runner import TableResult, run_point
-from repro.experiments.sweeps import flows_for_fair_share
-from repro.parallel import ParallelRunner, PointSpec
+from repro.experiments.runner import TableResult
+from repro.experiments.sweeps import SweepPoint, sweep_specs
+from repro.parallel import ParallelRunner
 
 
 @dataclass
@@ -49,27 +41,13 @@ class Config:
 
 
 @dataclass
-class TestbedPoint:
-    queue_kind: str
-    capacity_bps: float
-    n_flows: int
-    fair_share_bps: float
-    short_term_jain: float
-    utilization: float
-    telemetry: Optional[dict] = None
-
-
-@dataclass
 class Result:
-    points: List[TestbedPoint] = field(default_factory=list)
+    #: queue kind -> its sweep points, capacity-major as swept.
+    points: Dict[str, List[SweepPoint]] = field(default_factory=dict)
 
     def jain(self, kind: str, capacity: float, fair_share: float) -> float:
-        for p in self.points:
-            if (
-                p.queue_kind == kind
-                and p.capacity_bps == capacity
-                and abs(p.fair_share_bps - fair_share) < 1.0
-            ):
+        for p in self.points.get(kind, ()):
+            if p.capacity_bps == capacity and abs(p.fair_share_bps - fair_share) < 1.0:
                 return p.short_term_jain
         raise KeyError((kind, capacity, fair_share))
 
@@ -79,87 +57,15 @@ class Result:
             headers=("queue", "capacity_kbps", "flows", "fair_share_bps",
                      "short_jfi", "util"),
         )
-        for p in self.points:
-            table.add(p.queue_kind, p.capacity_bps / 1000, p.n_flows,
-                      p.fair_share_bps, p.short_term_jain, p.utilization)
+        for kind, points in self.points.items():
+            for p in points:
+                table.add(kind, p.capacity_bps / 1000, p.n_flows,
+                          p.fair_share_bps, p.short_term_jain, p.utilization)
         table.notes.append("paper: TAQ handles these rates on basic hardware; TAQ > DT")
         return table
 
     def __str__(self) -> str:
         return str(self.table())
-
-
-def testbed_point_scenario(
-    queue_kind: str,
-    capacity_bps: float,
-    fair_share_bps: float,
-    duration: float,
-    rtt: float,
-    slice_seconds: float,
-    seed: int,
-) -> ScenarioSpec:
-    """The declarative description of one testbed sweep point."""
-    n_flows = flows_for_fair_share(capacity_bps, fair_share_bps)
-    return ScenarioSpec(
-        name=(
-            f"fig11-{queue_kind}-{int(capacity_bps)}bps-"
-            f"share{int(fair_share_bps)}"
-        ),
-        seed=seed,
-        duration=duration,
-        topology=TopologySpec(capacity_bps=capacity_bps, kind="testbed", rtt=rtt),
-        queue=QueueSpec(kind=queue_kind),
-        workloads=[
-            WorkloadSpec(
-                "bulk",
-                dict(
-                    n_flows=n_flows,
-                    start_window=5.0,
-                    extra_rtt_max=0.1,
-                    first_flow_id=0,
-                    rng_name="bulk-starts",
-                ),
-            )
-        ],
-        metrics=MetricsSpec(slice_seconds=slice_seconds),
-    )
-
-
-def run_testbed_point(
-    queue_kind: str,
-    capacity_bps: float,
-    fair_share_bps: float,
-    duration: float,
-    rtt: float,
-    slice_seconds: float,
-    seed: int,
-    telemetry_dir: Optional[str] = None,
-    sample_interval: float = 1.0,
-) -> TestbedPoint:
-    """Measure one testbed sweep point — picklable for the pool."""
-    n_flows = flows_for_fair_share(capacity_bps, fair_share_bps)
-    scenario = testbed_point_scenario(
-        queue_kind, capacity_bps, fair_share_bps, duration, rtt,
-        slice_seconds, seed,
-    )
-    built = build_simulation(scenario)
-    bed, collector, flows = built.topology, built.collector, built.flows
-    payload = run_point(
-        built,
-        f"testbed-{queue_kind}-{int(capacity_bps)}bps-"
-        f"share{int(fair_share_bps)}-seed{seed}",
-        telemetry_dir,
-        sample_interval,
-    )
-    return TestbedPoint(
-        queue_kind=queue_kind,
-        capacity_bps=capacity_bps,
-        n_flows=n_flows,
-        fair_share_bps=capacity_bps / n_flows,
-        short_term_jain=collector.mean_short_term_jain([f.flow_id for f in flows]),
-        utilization=bed.forward.stats.utilization(capacity_bps, duration),
-        telemetry=payload,
-    )
 
 
 def run(
@@ -171,31 +77,25 @@ def run(
     telemetry_dir=None,
     sample_interval: float = 1.0,
 ) -> Result:
-    extra = {}
-    if telemetry_dir is not None:
-        extra = dict(telemetry_dir=telemetry_dir, sample_interval=sample_interval)
-    specs = [
-        PointSpec(
-            "repro.experiments.fig11_testbed:run_testbed_point",
-            dict(
-                queue_kind=kind,
-                capacity_bps=capacity,
-                fair_share_bps=fair_share,
+    specs = []
+    for kind in config.queue_kinds:
+        specs.extend(
+            sweep_specs(
+                kind,
+                config.capacities_bps,
+                config.fair_shares_bps,
+                telemetry_dir=telemetry_dir,
+                sample_interval=sample_interval,
                 duration=config.duration,
                 rtt=config.rtt,
                 slice_seconds=config.slice_seconds,
                 seed=config.seed,
-                **extra,
-            ),
-            label=f"testbed {kind} {capacity / 1000:g}Kbps share={fair_share:g}bps",
-            scenario=testbed_point_scenario(
-                kind, capacity, fair_share, config.duration, config.rtt,
-                config.slice_seconds, config.seed,
-            ).canonical(),
+                topology="testbed",
+            )
         )
-        for kind in config.queue_kinds
-        for capacity in config.capacities_bps
-        for fair_share in config.fair_shares_bps
-    ]
+    result = Result()
     runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
-    return Result(points=[result.value for result in runner.run(specs)])
+    for point_result in runner.run(specs):
+        kind = point_result.spec.kwargs["kind"]
+        result.points.setdefault(kind, []).append(point_result.value)
+    return result

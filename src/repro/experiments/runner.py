@@ -31,10 +31,13 @@ def dumbbell_spec(
     duration: float = 0.0,
     name: str = "dumbbell-bench",
     workloads: Sequence = (),
+    topology: str = "dumbbell",
     **queue_kwargs,
 ) -> ScenarioSpec:
     """Queue *kind* (any registered one) on a dumbbell, sliced goodput
     collected: ``build_simulation(dumbbell_spec(...))`` is the wired run.
+    ``topology="testbed"`` puts the same bench on the emulated hardware
+    of §5.4 (Fig 11).
 
     ``reverse_tap=False`` leaves TAQ in one-way mode (§3.3): epochs are
     estimated from SYN-to-first-data gaps and burst spacing only.
@@ -46,7 +49,9 @@ def dumbbell_spec(
         name=name,
         seed=seed,
         duration=duration,
-        topology=TopologySpec(capacity_bps=capacity_bps, rtt=rtt, pkt_size=pkt_size),
+        topology=TopologySpec(
+            capacity_bps=capacity_bps, kind=topology, rtt=rtt, pkt_size=pkt_size
+        ),
         queue=QueueSpec(
             kind=kind,
             buffer_rtts=buffer_rtts,

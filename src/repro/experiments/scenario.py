@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Union
 
-from repro.build import ScenarioSpec, build_simulation
+from repro.build import ScenarioSpec, build_simulation, point
 from repro.experiments.runner import TableResult
 
 
@@ -84,6 +84,7 @@ class ScenarioOutcome:
         return str(self.table())
 
 
+@point
 def run_scenario(document: Union[Dict[str, Any], ScenarioSpec]) -> ScenarioOutcome:
     """Execute a scenario document (or a pre-built spec) and return its
     metrics."""

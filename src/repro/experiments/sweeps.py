@@ -1,9 +1,11 @@
-"""The fair-share fairness sweep shared by Figs 2, 8 and 11.
+"""The fair-share fairness sweep shared by Figs 2, 3, 8 and 11.
 
 One sweep point = (bottleneck capacity, per-flow fair share): the flow
 count is ``capacity / fair_share`` long-running flows, and the metric is
-the mean 20-second-slice Jain index (plus the whole-run "long-term" JFI
-and utilization for context).
+the mean 20-second-slice Jain index (plus the whole-run "long-term" JFI,
+utilization and queueing delay for context).  The figures differ only in
+the keyword arguments they pass through to :func:`dumbbell_spec`: Fig 3
+sets ``buffer_rtts`` and ``pkt_size``, Fig 11 ``topology="testbed"``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
+from repro.build import ScenarioSpec, WorkloadSpec, build_simulation, point
 from repro.experiments.runner import dumbbell_spec, run_point
 from repro.parallel import ParallelRunner, PointSpec, ProgressPrinter, ResultCache
 
@@ -34,6 +36,9 @@ class SweepPoint:
     #: ``repro.obs`` payload (bundle path, manifest, metric summary)
     #: when the point ran with telemetry enabled; None otherwise.
     telemetry: Optional[Dict[str, Any]] = None
+    #: Bottleneck queueing delay, seconds: mean and 95th percentile.
+    mean_queue_delay: float = 0.0
+    p95_queue_delay: float = 0.0
 
 
 def flows_for_fair_share(capacity_bps: float, fair_share_bps: float) -> int:
@@ -51,12 +56,9 @@ def sweep_point_scenario(
     seed: int = 1,
     **queue_kwargs,
 ) -> ScenarioSpec:
-    """The declarative description of one sweep point.
-
-    :func:`run_sweep_point` builds exactly this spec, and
-    :func:`sweep_specs` attaches its canonical form to each
-    :class:`~repro.parallel.PointSpec` for provenance.
-    """
+    """The declarative description of one sweep point, the spec
+    :func:`run_sweep_point` builds (*queue_kwargs* go to
+    :func:`dumbbell_spec`)."""
     n_flows = flows_for_fair_share(capacity_bps, fair_share_bps)
     return dumbbell_spec(
         kind,
@@ -82,6 +84,7 @@ def sweep_point_scenario(
     )
 
 
+@point
 def run_sweep_point(
     kind: str,
     capacity_bps: float,
@@ -123,6 +126,7 @@ def run_sweep_point(
     flow_ids = [f.flow_id for f in flows]
     indices = built.collector.slice_indices()
     steady = indices[len(indices) // 2] if indices else 0
+    stats = built.topology.forward.stats
     return SweepPoint(
         capacity_bps=capacity_bps,
         n_flows=n_flows,
@@ -130,12 +134,14 @@ def run_sweep_point(
         packets_per_rtt=built.topology.packets_per_rtt(n_flows),
         short_term_jain=built.collector.mean_short_term_jain(flow_ids),
         long_term_jain=built.collector.long_term_jain(flow_ids),
-        utilization=built.topology.forward.stats.utilization(capacity_bps, duration),
+        utilization=stats.utilization(capacity_bps, duration),
         loss_rate=built.queue.loss_rate(),
         timeouts=sum(f.sender.stats.timeouts for f in flows),
         repetitive_timeouts=sum(f.sender.stats.repetitive_timeouts for f in flows),
         shut_out_fraction=built.collector.shut_out_fraction(steady, flow_ids),
         telemetry=payload,
+        mean_queue_delay=stats.mean_queue_delay(),
+        p95_queue_delay=stats.queue_delay_percentile(95),
     )
 
 
@@ -167,9 +173,6 @@ def sweep_specs(
                 **kwargs,
             ),
             label=f"{kind} {capacity / 1000:g}Kbps share={fair_share:g}bps",
-            scenario=sweep_point_scenario(
-                kind, capacity, fair_share, **kwargs
-            ).canonical(),
         )
         for capacity in capacities_bps
         for fair_share in fair_shares_bps

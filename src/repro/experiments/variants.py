@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.build import ScenarioSpec, WorkloadSpec, build_simulation
+from repro.build import ScenarioSpec, WorkloadSpec, build_simulation, point
 from repro.experiments.runner import TableResult, dumbbell_spec
 from repro.parallel import ParallelRunner, PointSpec
 
@@ -111,26 +111,7 @@ def scenario_for(transport: str, queue_kind: str, config: Config) -> ScenarioSpe
     )
 
 
-def _run_point(transport: str, queue_kind: str, config: Config) -> VariantPoint:
-    built = build_simulation(scenario_for(transport, queue_kind, config))
-    built.run()
-    flows = built.flows
-    if transport == "tfrc":
-        timeouts = -1  # TFRC has no retransmission timeouts
-    else:
-        timeouts = sum(f.sender.stats.timeouts for f in flows)
-    flow_ids = [f.flow_id for f in flows]
-    return VariantPoint(
-        transport=transport,
-        queue_kind=queue_kind,
-        short_term_jain=built.collector.mean_short_term_jain(flow_ids),
-        utilization=built.topology.forward.stats.utilization(
-            config.capacity_bps, config.duration
-        ),
-        timeouts=timeouts,
-    )
-
-
+@point
 def run_variant_point(
     transport: str,
     queue_kind: str,
@@ -141,7 +122,7 @@ def run_variant_point(
     slice_seconds: float,
     seed: int,
 ) -> VariantPoint:
-    """Picklable scalar-argument wrapper around :func:`_run_point`."""
+    """Measure one (transport, queue) matrix cell — picklable for the pool."""
     config = Config(
         capacity_bps=capacity_bps,
         n_flows=n_flows,
@@ -150,7 +131,22 @@ def run_variant_point(
         slice_seconds=slice_seconds,
         seed=seed,
     )
-    return _run_point(transport, queue_kind, config)
+    built = build_simulation(scenario_for(transport, queue_kind, config))
+    built.run()
+    flows = built.flows
+    if transport == "tfrc":
+        timeouts = -1  # TFRC has no retransmission timeouts
+    else:
+        timeouts = sum(f.sender.stats.timeouts for f in flows)
+    return VariantPoint(
+        transport=transport,
+        queue_kind=queue_kind,
+        short_term_jain=built.collector.mean_short_term_jain(
+            [f.flow_id for f in flows]
+        ),
+        utilization=built.topology.forward.stats.utilization(capacity_bps, duration),
+        timeouts=timeouts,
+    )
 
 
 def _point_spec(transport: str, queue_kind: str, config: Config) -> PointSpec:
@@ -167,7 +163,6 @@ def _point_spec(transport: str, queue_kind: str, config: Config) -> PointSpec:
             seed=config.seed,
         ),
         label=f"{transport}/{queue_kind}",
-        scenario=scenario_for(transport, queue_kind, config).canonical(),
     )
 
 

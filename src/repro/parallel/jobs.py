@@ -3,8 +3,8 @@
 A sweep used to exist only as a Python list inside one process — kill
 the process and the fact that points 0..N were in flight died with it.
 The job store makes the sweep itself durable: every point is a *job* (the
-:class:`~repro.parallel.spec.PointSpec`: function, arguments, label and
-canonical scenario document) with a state machine
+:class:`~repro.parallel.spec.PointSpec`: function, arguments and label)
+with a state machine
 
     pending -> running -> done
                       \\-> failed
@@ -78,7 +78,6 @@ class Job:
             "fn": self.spec.fn,
             "kwargs": self.spec.kwargs,
             "label": self.spec.label,
-            "scenario": self.spec.scenario,
         }
 
 
@@ -177,7 +176,6 @@ class JobStore:
                 fn=payload.get("fn", ""),
                 kwargs=payload.get("kwargs", {}) or {},
                 label=payload.get("label", "") or "",
-                scenario=payload.get("scenario"),
             )
             job = Job(
                 job_id=job_id,

@@ -12,8 +12,9 @@ remote sweep live.
 
 On top of the store endpoints::
 
-    POST /submit   {"points": [{"fn", "kwargs", "label"?, "scenario"?}, ...]}
+    POST /submit   {"points": [{"fn", "kwargs"?, "label"?}, ...]}
                    -> {"submitted": N, "known": M, "ids": [...]}
+                   400 unless every fn names a @point function
     GET  /status   job-store summary + per-job states
     GET  /results  done jobs only: id, label, wall, cached
                    (fetch a value via GET /cache/<id>)
@@ -114,12 +115,20 @@ class ExperimentService:
         for point in points:
             if not isinstance(point, dict) or "fn" not in point:
                 raise ValueError('each point needs at least a "fn"')
-            specs.append(PointSpec(
-                fn=point["fn"],
-                kwargs=point.get("kwargs", {}) or {},
-                label=point.get("label", "") or "",
-                scenario=point.get("scenario"),
-            ))
+            unknown = sorted(set(point) - {"fn", "kwargs", "label"})
+            if unknown:
+                raise ValueError(f"unknown point keys {unknown}; "
+                                 "accepted: fn, kwargs, label")
+            spec = PointSpec(fn=point["fn"], kwargs=point.get("kwargs", {}),
+                             label=point.get("label", "") or "")
+            if not isinstance(spec.kwargs, dict):
+                raise ValueError(f"{spec.fn!r}: kwargs must be an object")
+            # Nothing reaches the job store until every point resolves.
+            try:
+                spec.resolve()
+            except (ImportError, AttributeError, ValueError) as exc:
+                raise ValueError(f"cannot run {spec.fn!r}: {exc}") from None
+            specs.append(spec)
         with self._lock:
             before = len(self.store)
             submitted = self.store.submit(specs)

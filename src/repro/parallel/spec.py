@@ -2,16 +2,18 @@
 
 A :class:`PointSpec` names its target function by dotted path
 (``"package.module:callable"``) rather than holding the callable
-itself, so a spec crosses process boundaries as three plain strings
-and a kwargs dict — no closure pickling, no dependence on how the
-parent process imported things.
+itself, so a spec crosses process boundaries as two plain strings and
+a kwargs dict — no closure pickling, no dependence on how the parent
+process imported things.  Only a function marked with
+:func:`repro.build.point` resolves: a spec that arrives over the wire
+(``taq-serve``'s ``/submit``) can name a sweep point, never ``os:system``.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 
 @dataclass
@@ -21,8 +23,8 @@ class PointSpec:
     Parameters
     ----------
     fn:
-        Dotted path ``"package.module:callable"`` (the attribute part
-        may itself be dotted, e.g. ``"mod:Class.method"``).
+        Dotted path ``"package.module:callable"`` of a module-level
+        function marked with :func:`repro.build.point`.
     kwargs:
         Keyword arguments for the call.  Must be picklable for
         ``jobs > 1`` and JSON-stable for caching — scalars, strings
@@ -30,29 +32,22 @@ class PointSpec:
         (queue kind, capacity, fair share, seed, duration, ...).
     label:
         Optional human-readable tag used by progress reporting.
-    scenario:
-        Optional canonical :class:`repro.build.ScenarioSpec` document
-        (``spec.canonical()``) describing the run this point performs.
-        Pure provenance: it rides along to manifests and reports but is
-        excluded from the cache key (like ``label``), so attaching it
-        never invalidates previously cached results.
     """
 
     fn: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
-    scenario: Optional[Dict[str, Any]] = None
 
     def resolve(self) -> Callable[..., Any]:
-        """Import and return the target callable."""
-        module_name, _, attr_path = self.fn.partition(":")
-        if not attr_path:
+        """Import and return the target, refusing any unmarked callable."""
+        module_name, _, attr = self.fn.partition(":")
+        if not attr:
             raise ValueError(
                 f"spec fn {self.fn!r} must look like 'package.module:callable'"
             )
-        target: Any = importlib.import_module(module_name)
-        for attr in attr_path.split("."):
-            target = getattr(target, attr)
+        target = getattr(importlib.import_module(module_name), attr)
+        if getattr(target, "repro_point", False) is not True:
+            raise ValueError(f"spec fn {self.fn!r} is not a @point function")
         return target
 
     def describe(self) -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.build.harness import build_queue, build_simulation
+from repro.build.registry import point
 from repro.build.spec import (
     BackendSpec,
     MetricsSpec,
@@ -364,6 +365,7 @@ def fluid_taq_million(scale: float) -> BenchCounts:
 # ----------------------------------------------------------------------
 # parallel: the sweep engine
 # ----------------------------------------------------------------------
+@point
 def _sweep_point(seed: int, duration: float) -> int:
     """One pool-executed point: a tiny bulk run; returns events processed.
 

@@ -47,6 +47,20 @@ def test_fig03_tiny_run_required_buffer():
     assert "Fig 3" in str(result)
 
 
+def test_fig03_telemetry_writes_one_bundle_per_cell(tmp_path):
+    config = fig3.Config(
+        capacity_bps=200_000.0, fair_shares_pkts_per_rtt=(0.5, 1.0),
+        buffer_rtts=(1.0, 2.0), duration=5.0, slice_seconds=2.5,
+    )
+    result = fig3.run(config, telemetry_dir=str(tmp_path))
+    bundles = sorted(path.parent.relative_to(tmp_path)
+                     for path in tmp_path.glob("*/*/manifest.json"))
+    # Equal shares at different buffers land in their buffer's directory.
+    assert [str(b.parent) for b in bundles] == ["buf1rtt"] * 2 + ["buf2rtt"] * 2
+    assert len({b.name for b in bundles}) == 2
+    assert len(result.jfi) == len(bundles) == 4
+
+
 def test_fig06_census_from_rounds_basic():
     rounds = {1: [(0.0, 0.2, 2), (1.0, 1.2, 3)]}
     epochs = {1: 0.2}

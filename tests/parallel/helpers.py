@@ -1,27 +1,36 @@
 """Tiny importable point functions for the engine tests.
 
 Worker processes resolve spec functions by dotted path, so these must
-live in a real module (``tests`` is a package), not in a test body.
+live in a real module (``tests`` is a package), not in a test body,
+and carry the ``@point`` mark.
 """
 
 import time
 
+from repro.build import point
 
+
+@point
 def square(x):
     return x * x
 
 
+@point
 def slow_square(x, delay=0.05):
     time.sleep(delay)
     return x * x
 
 
+@point
 def boom(message="boom"):
     raise RuntimeError(message)
 
 
 def hammer_backend(backend_spec, value, rounds, version="v1"):
     """Rewrite the canonical ``square(x=3)`` entry *rounds* times.
+
+    Not a ``@point``: the resolve tests use it as the importable
+    function a spec may not name.
 
     Runs as the body of a child process in the concurrent-writer
     tests, so it must be importable by dotted path and build its own

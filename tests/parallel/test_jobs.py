@@ -15,7 +15,6 @@ from repro.parallel.jobs import JOBS_FILE, JOBS_SCHEMA_VERSION
 #: Stores written by the parent commit (its job records embed a
 #: ``manifest``, its state records a ``pid``); see the README next to them.
 PARENT = os.path.join(os.path.dirname(__file__), "fixtures", "parent")
-SCENARIO = {"name": "provenance", "seed": 3, "queue": {"kind": "droptail"}}
 
 
 def specs(n):
@@ -65,7 +64,7 @@ class TestSubmit:
         assert sorted(record) == ["id", "kind", "spec", "t"]
         assert record["id"] == job.job_id
         assert record["spec"] == {"fn": job.spec.fn, "kwargs": {"x": 0},
-                                  "label": "x=0", "scenario": None}
+                                  "label": "x=0"}
 
     def test_code_version_is_logged_once_per_run_never_at_open(
             self, tmp_path, monkeypatch):
@@ -166,8 +165,10 @@ class TestReplay:
         assert [job.job_id for job in store] == [
             spec_key(job.spec, "v1") for job in store]
         assert (done.state, done.wall_time, done.cached) == ("done", 2.5, False)
-        assert done.spec.label == "x=0"
-        assert done.spec.scenario["name"] == "fixture"
+        # The parent's records still carry a "scenario" key; replay
+        # reads fn, kwargs and label and leaves the rest.
+        assert done.spec == PointSpec("tests.parallel.helpers:square",
+                                      {"x": 0}, label="x=0")
         assert (cached.state, cached.wall_time, cached.cached) == ("done", 0.75, True)
         assert (failed.state, failed.error, failed.attempts) == (
             "failed", "RuntimeError('again')", 2)
@@ -178,7 +179,8 @@ class TestReplay:
         store.submit(specs(1))
         store.compact()
         assert JobStore(str(root), version="v1").counts() == store.counts()
-        assert all("manifest" not in record for record in records(root))
+        assert all("manifest" not in record and "scenario" not in record.get("spec", {})
+                   for record in records(root))
 
     def test_newer_schema_is_refused(self, tmp_path):
         header = {"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION + 1}
@@ -220,7 +222,7 @@ class TestCompaction:
 
     def test_provenance_survives_reopen_and_compaction(self, tmp_path):
         spec = PointSpec("tests.parallel.helpers:square", {"x": 7, "seed": 3},
-                         label="seven", scenario=SCENARIO)
+                         label="seven")
         store = JobStore(str(tmp_path), version="v1")
         (job,) = store.submit([spec])
         for compact in (False, True):

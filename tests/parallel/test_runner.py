@@ -30,6 +30,12 @@ class TestResolve:
         with pytest.raises(AttributeError):
             PointSpec("tests.parallel.helpers:no_such_fn", {}).resolve()
 
+    @pytest.mark.parametrize("fn", ["tests.parallel.helpers:hammer_backend",
+                                    "os:getcwd", "os:system"])
+    def test_unmarked_function_is_refused(self, fn):
+        with pytest.raises(ValueError, match="not a @point function"):
+            PointSpec(fn, {}).resolve()
+
     def test_describe_prefers_label(self):
         assert PointSpec(SQUARE, {"x": 1}, label="point A").describe() == "point A"
         assert "square" in PointSpec(SQUARE, {"x": 1}).describe()

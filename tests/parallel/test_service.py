@@ -168,6 +168,34 @@ class TestValidation:
         assert err.value.code == 400
         err.value.close()
 
+    @pytest.mark.parametrize("points", [
+        [{"fn": "os:getcwd"}],
+        # A valid point in the same batch is not stored either.
+        [{"fn": SQUARE, "kwargs": {"x": 1}}, {"fn": "os:getcwd"}],
+        [{"fn": SQUARE, "kwargs": {"x": 1}, "scenario": {}}],
+        [{"fn": SQUARE, "kwargs": [1]}],
+        [{"fn": "tests.parallel.no_such_module:f"}],
+    ], ids=["unmarked", "mixed-batch", "unknown-key", "kwargs-list", "no-module"])
+    def test_a_point_that_cannot_run_is_400_and_nothing_is_stored(
+            self, server, points):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post_json(f"{server.url}/submit", {"points": points})
+        assert err.value.code == 400
+        err.value.close()
+        assert get_json(f"{server.url}/status")["total"] == 0
+
+    def test_os_system_is_refused_and_never_runs(self, server, tmp_path):
+        marker = tmp_path / "ran"
+        point = {"fn": "os:system", "kwargs": {"command": f"touch {marker}"}}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post_json(f"{server.url}/submit", {"points": [point]})
+        assert err.value.code == 400
+        assert "not a @point function" in err.value.read().decode("utf-8")
+        err.value.close()
+        time.sleep(0.2)  # the executor would have picked it up by now
+        assert not marker.exists()
+        assert get_json(f"{server.url}/status")["total"] == 0
+
     def test_store_endpoints_still_work(self, server):
         assert get_json(f"{server.url}/stats")["kind"] == "dir"
         # The plain-text liveness contract survives behind ?plain=1.

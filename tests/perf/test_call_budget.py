@@ -40,9 +40,9 @@ cold ninth.
 - at most 200 calls per cached point (492 while every job record
   embedded a ``RunManifest`` nothing read, ``get`` / ``put`` were
   written per backend and hits were tallied three times);
-- ``fig02``'s own job records average at most 800 bytes (1 518 with the
-  manifest, half of which repeated the scenario document the record's
-  ``spec`` already holds).
+- ``fig02``'s own job records average at most 400 bytes (1 518 with the
+  manifest, 731 while each ``spec`` still carried a scenario document
+  nothing read).
 
 Calls are counted by the counter every BENCH row is recorded with
 (``repro.perf.bench.count_calls``), the way the perf ledger's
@@ -249,5 +249,5 @@ def fig02_job_record_bytes(root: str) -> float:
     return sum(map(len, records)) / len(records)
 
 
-def test_fig02_job_records_average_at_most_800_bytes(tmp_path):
-    assert fig02_job_record_bytes(str(tmp_path)) <= 800
+def test_fig02_job_records_average_at_most_400_bytes(tmp_path):
+    assert fig02_job_record_bytes(str(tmp_path)) <= 400
