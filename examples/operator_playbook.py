@@ -2,16 +2,15 @@
 """An operator's afternoon with a TAQ middlebox.
 
 A walk through the operational surface of the library: run a scenario,
-inspect the middlebox with :func:`repro.core.taq_report`, capture a
-packet trace and run the §2.3-style census on it, and query the
-admission controller's visible wait queue.
+inspect the middlebox with :func:`repro.core.taq_report`, read the
+§2.3 census off the slice goodput collector every run attaches, and
+query the admission controller's visible wait queue.
 
 Run:  python examples/operator_playbook.py
 """
 
 import itertools
 
-from repro.analysis import PacketTraceRecorder, build_timelines, slice_census
 from repro.build import build_simulation
 from repro.core import AdmissionController, taq_report
 from repro.experiments.runner import dumbbell_spec
@@ -28,11 +27,9 @@ def main() -> None:
     admission = AdmissionController(p_thresh=0.1, t_wait=5.0)
     built = build_simulation(dumbbell_spec("taq", CAPACITY, rtt=RTT, seed=13,
                                            admission=admission))
-    recorder = PacketTraceRecorder()
-    built.topology.forward.add_delivery_tap(recorder.observe)
 
     # --- 2. Offer a pathological load ---------------------------------
-    spawn_bulk_flows(built.topology, 90, start_window=5.0, extra_rtt_max=0.1)
+    bulk = spawn_bulk_flows(built.topology, 90, start_window=5.0, extra_rtt_max=0.1)
     flow_ids = itertools.count(10_000)
     sessions = [
         WebUser(built.topology, user_id, [15_000] * 6, flow_ids, connections=4,
@@ -56,13 +53,13 @@ def main() -> None:
     else:
         print("\nno pools waiting for admission")
 
-    # --- 5. The pcap-style census (§2.3) -------------------------------
-    timelines = build_timelines(recorder.records)
-    print(f"\ntrace: {len(recorder.records)} packets over "
-          f"{len(timelines)} flows")
-    print(f"{'slice':>8} {'shut down':>10} {'top-40% share':>14}")
-    for start, shut_down, capture in slice_census(timelines, 20.0, 20.0, DURATION):
-        print(f"{start:>7.0f}s {shut_down:>9.0%} {capture:>13.0%}")
+    # --- 5. The §2.3 census over the bulk flows, per full 20 s slice ----
+    collector, flow_ids = built.collector, [f.flow_id for f in bulk]
+    print(f"\n{'slice':>8} {'shut out':>10} {'top-40% share':>14}")
+    for index in range(1, int(DURATION / collector.slice_seconds)):
+        print(f"{index * collector.slice_seconds:>7.0f}s "
+              f"{collector.shut_out_fraction(index, flow_ids):>9.0%} "
+              f"{collector.capture_share(index, flow_ids):>13.0%}")
 
     completed = sum(len(u.samples) for u in sessions)
     print(f"\nweb sessions completed {completed} objects; "

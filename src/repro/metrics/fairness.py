@@ -18,6 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.net.packet import DATA, Packet
 
+#: The busiest share of the population whose bytes :meth:`capture_share`
+#: counts (§2.3: "roughly 40% of the flows consume more than 80% of the
+#: link bandwidth").
+TOP_CONSUMERS = 0.4
+
 
 def jain_index(allocations: Sequence[float]) -> float:
     """Jain's fairness index of *allocations* (zeros included).
@@ -136,3 +141,16 @@ class SliceGoodputCollector:
         if not goodputs:
             return 0.0
         return sum(1 for g in goodputs if g == 0.0) / len(goodputs)
+
+    def capture_share(
+        self, index: int, flow_ids: Optional[Iterable[int]] = None
+    ) -> float:
+        """Share of slice *index*'s bytes that went to the busiest
+        :data:`TOP_CONSUMERS` of the population, at least one flow (§2.3
+        reports over 80% for DropTail); 0.0 when the slice carried nothing."""
+        goodputs = sorted(self.slice_goodputs(index, flow_ids), reverse=True)
+        total = sum(goodputs)
+        if total == 0.0:
+            return 0.0
+        top = max(1, int(len(goodputs) * TOP_CONSUMERS))
+        return sum(goodputs[:top]) / total

@@ -1,10 +1,9 @@
 """The structured run trace: one JSON line per simulation event.
 
-Where :mod:`repro.analysis.trace` records *packets* (the simulator's
-pcap), this records *decisions*: drops, retransmissions, RTO firings
-and their backoff exponents, TAQ admit/evict/penalty-box verdicts, and
-flow state transitions.  Together they let any run be replayed the way
-the paper's authors read ns2 traces.
+It records *decisions* rather than packets: drops, retransmissions,
+RTO firings and their backoff exponents, TAQ admit/evict/penalty-box
+verdicts, and flow state transitions, so any run can be replayed the
+way the paper's authors read ns2 traces.
 
 The on-disk format is JSON lines with a schema header as the first
 record::
@@ -76,8 +75,7 @@ class TraceEvent:
 class EventTrace:
     """An in-memory event accumulator with a hard record cap.
 
-    The cap works like :class:`repro.analysis.trace.PacketTraceRecorder`'s:
-    recording stops at ``limit`` and :attr:`truncated` is set, so an
+    Recording stops at ``limit`` and :attr:`truncated` is set, so an
     instrumented run on a busy topology cannot eat the heap.
     """
 

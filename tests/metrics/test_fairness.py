@@ -84,6 +84,38 @@ def test_shut_out_fraction():
     col = SliceGoodputCollector(10.0)
     col.observe(data(1), 1.0)
     assert col.shut_out_fraction(0, [1, 2, 3, 4]) == pytest.approx(0.75)
+    assert col.shut_out_fraction(0, []) == 0.0  # an empty population
+
+
+def test_capture_share_top_heavy():
+    col = SliceGoodputCollector(10.0)
+    for i in range(80):
+        col.observe(data(1), 1.0 + 0.01 * i)
+    col.observe(data(2), 1.0)
+    col.observe(data(3), 1.5)
+    # Top 40% of 3 flows = 1 flow = flow 1 with 80/82 of the bytes.
+    assert col.capture_share(0, [1, 2, 3]) == pytest.approx(80 / 82)
+    assert col.capture_share(1, [1, 2, 3]) == 0.0  # a slice that carried nothing
+
+
+def test_paper_2_3_census_from_live_simulation():
+    """End to end: the §2.3 census read off the collector every run attaches."""
+    from repro.build import build_simulation
+    from repro.experiments.runner import dumbbell_spec
+    from repro.workloads import spawn_bulk_flows
+
+    built = build_simulation(dumbbell_spec("droptail", 600_000, rtt=0.2, seed=1))
+    flows = spawn_bulk_flows(built.topology, 120, start_window=5.0, extra_rtt_max=0.1)
+    built.sim.run(until=90.0)
+    flow_ids = [f.flow_id for f in flows]
+    slices = (1, 2, 3)  # the full 20 s slices from 20 s to 80 s
+    shut_out = [built.collector.shut_out_fraction(i, flow_ids) for i in slices]
+    capture = [built.collector.capture_share(i, flow_ids) for i in slices]
+    # A visible fraction of flows is fully shut down per 20 s slice, and
+    # the top 40% of flows take the bulk of the bytes (paper: ~30% and
+    # >80% respectively at its scale).
+    assert max(shut_out) > 0.05
+    assert max(capture) > 0.6
 
 
 def test_invalid_slice_width():

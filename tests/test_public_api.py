@@ -2,12 +2,23 @@
 
 A downstream user's first contact is ``from repro import ...`` and the
 subpackage façades; every name advertised in an ``__all__`` must exist,
-and the headline classes must be importable from the documented paths.
+the headline classes must be importable from the documented paths, and
+every ``from repro... import ...`` line in the docs must still import.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: One ``from repro... import a, b as c`` statement, in a code block or
+#: inline in prose.
+DOCUMENTED_IMPORT = re.compile(
+    r"from (repro[\w.]*) import (\w+(?: as \w+)?(?:, *\w+(?: as \w+)?)*)"
+)
 
 PACKAGES = [
     "repro",
@@ -21,7 +32,6 @@ PACKAGES = [
     "repro.workloads",
     "repro.testbed",
     "repro.overlay",
-    "repro.analysis",
 ]
 
 
@@ -40,6 +50,37 @@ def test_headline_imports():
     from repro.overlay import ArqTunnel, OverlayDumbbell  # noqa: F401
     from repro.tcp.spr import SprSender  # noqa: F401
     from repro.tcp.tfrc import TfrcFlow  # noqa: F401
+
+
+def documented_imports():
+    """``(where, module, names)`` for every documented import statement."""
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    for path in docs:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for match in DOCUMENTED_IMPORT.finditer(line):
+                names = [n.split(" as ")[0].strip() for n in match.group(2).split(",")]
+                yield f"{path.relative_to(ROOT)}:{lineno}", match.group(1), names
+
+
+def test_documented_imports_resolve():
+    imports = list(documented_imports())
+    assert imports, "no documented import found"
+    failures = []
+    for where, module_name, names in imports:
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError as exc:
+            failures.append(f"{where}: {exc}")
+            continue
+        for name in names:
+            if hasattr(module, name):
+                continue
+            try:  # `from package import submodule`
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                failures.append(f"{where}: {module_name} has no {name}")
+    assert not failures, "\n".join(failures)
 
 
 def test_version_is_set():

@@ -112,7 +112,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
     "protocol hook the interpreter calls by name: __repr__ or the container "
     "protocol (len, bool, in) of a public class, a debugging aid; a module "
     "__getattr__, which serves `from package import Name`": """
-        repro.analysis.trace:PacketTraceRecorder.__len__
         repro.build.registry:Registry.__contains__
         repro.build.registry:Registry.__repr__
         repro.model.chain:MarkovChain.__repr__
@@ -227,11 +226,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
     # unit tests alone.  CHANGES.md (PR 17) has the sizes and test counts;
     # delete a group here together with its tests.
     "staged for deletion: only its own unit tests reach it": """
-        repro.analysis.flowview:silence_periods
-        repro.analysis.trace:PacketTraceRecorder.dropped
-        repro.analysis.trace:PacketTraceRecorder.flows
-        repro.analysis.trace:load_trace
-        repro.analysis.trace:save_trace
         repro.build.registry:Registry.unregister
         repro.check.suite:MonitorSuite.by_name
         repro.check.suite:MonitorSuite.detach
