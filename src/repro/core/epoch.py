@@ -16,6 +16,10 @@ The estimator is intentionally defensive: estimates are clamped to a
 sane range and the weighted moving average damps one-off outliers,
 reflecting §3.2's point that middlebox RTT estimation is too noisy to
 drive the idealized model directly.
+
+The estimator holds the state and the moving average (``_feed``); the
+TAQ queue makes the observations inline, in ``TAQQueue.enqueue`` (SYN,
+data, burst gaps) and ``TAQQueue.observe_reverse`` (ACKs).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Dict, Optional
 
 
 class EpochEstimator:
-    """Per-flow epoch estimation from passive observation.
+    """Per-flow epoch estimation state from passive observation.
 
     Parameters
     ----------
@@ -73,50 +77,3 @@ class EpochEstimator:
         else:
             self.estimate += self.alpha * (measurement - self.estimate)
         self.samples += 1
-
-    # ------------------------------------------------------------------
-    # Observations
-    # ------------------------------------------------------------------
-    def observe_syn(self, now: float) -> None:
-        self._syn_time = now
-
-    def observe_data(self, seq: int, now: float) -> None:
-        """Record a forwarded data packet (both modes)."""
-        if not self._first_data_seen:
-            self._first_data_seen = True
-            if self._syn_time is not None:
-                # One-way bootstrap: SYN to first data spans one RTT
-                # (SYN->SYNACK->request->response collapses to ~1 RTT at
-                # the middlebox when it sits near the server side).
-                self._feed(now - self._syn_time)
-        else:
-            self._observe_burst_gap(now)
-        if len(self._pending) < 64:
-            self._pending.setdefault(seq, now)
-        self._last_data_time = now
-
-    def observe_ack(self, ack_seq: int, now: float) -> None:
-        """Record a reverse-path ACK (two-way mode only)."""
-        # Sample against the newest data packet this ACK covers: older
-        # covered packets include queueing of earlier epochs and would
-        # overestimate the RTT.
-        best_seq = -1
-        for seq in self._pending:
-            if seq < ack_seq and seq > best_seq:
-                best_seq = seq
-        if best_seq >= 0:
-            self._feed(now - self._pending[best_seq])
-            self._pending = {s: t for s, t in self._pending.items() if s >= ack_seq}
-
-    def _observe_burst_gap(self, now: float) -> None:
-        """One-way refinement: bursts open epochs in normal states."""
-        if self._last_data_time is None:
-            return
-        gap = now - self._last_data_time
-        if gap > self.burst_gap_factor * self.estimate:
-            # New burst: inter-burst start-to-start spacing samples the epoch.
-            if self._burst_start is not None:
-                self._feed(now - self._burst_start)
-            self._burst_start = now
-        elif self._burst_start is None:
-            self._burst_start = now

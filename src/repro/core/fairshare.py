@@ -20,7 +20,8 @@ from repro.core.tracker import FlowRecord, FlowTracker
 
 
 class FairShareEstimator:
-    """Classifies flows as below or above their fair share.
+    """A flow's fair share, against which ``TAQQueue.enqueue`` classifies
+    it as below or above (``rate_bps > share * headroom``).
 
     Parameters
     ----------
@@ -83,9 +84,3 @@ class FairShareEstimator:
             return equal_share
         weight = (1.0 / max(1e-3, record.epoch_length)) / inverse_rtt_sum
         return self.capacity_bps * weight
-
-    def is_above_share(self, record: FlowRecord, now: float) -> bool:
-        """True when the flow's estimated rate exceeds its share."""
-        if self.capacity_bps <= 0:
-            return False
-        return record.rate_bps > self.fair_share_bps(record, now) * self.headroom

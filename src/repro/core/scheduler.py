@@ -72,6 +72,9 @@ LEVEL2_CLASSES = (
     PacketClass.OVER_PENALIZED,
 )
 
+RECOVERY = PacketClass.RECOVERY
+ABOVE_FAIR_SHARE = PacketClass.ABOVE_FAIR_SHARE
+
 
 def _eviction_order() -> Dict[PacketClass, Tuple[Tuple[PacketClass, ...], ...]]:
     """For each arriving class, the groups of FIFO classes it may evict
@@ -190,7 +193,9 @@ class TAQScheduler:
         attempts* ("limit the number of new connections in the system",
         §4.2), not the data of flows that already connected.  Returns
         ``(accepted, evicted)``: the caller must account the evicted
-        packet (if any) as a drop.
+        packet (if any) as a drop.  A full buffer pushes out the tail of
+        the longest backlog of the lowest protection rank below or at
+        *klass* (its own queue being the longest rejects the arrival).
         """
         stats = self.stats[klass]
         if connection_attempt and self._buffered_syns >= self.new_flow_capacity:
@@ -198,11 +203,33 @@ class TAQScheduler:
             return False, None
         evicted: Optional[Packet] = None
         if self.buffered >= self.capacity_pkts:
-            evicted = self._evict_for(klass, priority)
+            fifos = self._fifos
+            for group in EVICTION_ORDER[klass]:
+                victim_class, longest = None, 0
+                for member in group:
+                    fifo = fifos[member]
+                    if fifo:
+                        backlog = len(fifo)
+                        if backlog > longest:
+                            victim_class, longest = member, backlog
+                if victim_class is not None:
+                    if victim_class is not klass:  # else a pointless swap
+                        evicted = fifos[victim_class].pop()
+                        self.buffered -= 1
+                        if evicted.kind == SYN and self._buffered_syns > 0:
+                            self._buffered_syns -= 1
+                        self.stats[victim_class].dropped += 1
+                    break
+            else:
+                # RECOVERY, alone at the top rank, only yields to its own kind.
+                if klass is RECOVERY:
+                    evicted = self._evict_recovery_if_lower(priority)
+                    if evicted is not None:
+                        stats.dropped += 1
             if evicted is None:
                 stats.dropped += 1
                 return False, None
-        if klass is PacketClass.RECOVERY:
+        if klass is RECOVERY:
             self._tiebreak += 1
             heapq.heappush(self._recovery, (-priority, self._tiebreak, packet))
         else:
@@ -213,46 +240,10 @@ class TAQScheduler:
         stats.enqueued += 1
         return True, evicted
 
-    def _evict_for(self, arriving: PacketClass, priority: float) -> Optional[Packet]:
-        """Push out the most expendable buffered packet to admit one of
-        class *arriving*, or None when nothing buffered is expendable.
-
-        Search order: strictly lower protection ranks first; within a
-        rank, steal from the longest backlog.  A same-rank eviction
-        never picks the arriving packet's own (shorter-or-equal) queue
-        unless it is the longest — and evicting one's own FIFO tail to
-        append oneself is rejected as a pointless swap.
-        """
-        fifos = self._fifos
-        for group in EVICTION_ORDER[arriving]:
-            victim_class, longest = None, 0
-            for klass in group:
-                backlog = len(fifos[klass])
-                if backlog > longest:
-                    victim_class, longest = klass, backlog
-            if victim_class is not None:
-                if victim_class is arriving:
-                    # Our own queue holds the longest backlog: dropping
-                    # our own tail and appending ourselves is a no-op
-                    # swap, so reject the arrival instead.
-                    return None
-                victim = fifos[victim_class].pop()
-                self._note_departure(victim)
-                self.stats[victim_class].dropped += 1
-                return victim
-        # RECOVERY, alone at the top rank, only yields to its own kind.
-        if arriving is PacketClass.RECOVERY:
-            victim = self._evict_recovery_if_lower(priority)
-            if victim is not None:
-                self.stats[PacketClass.RECOVERY].dropped += 1
-                return victim
-        return None
-
     def _evict_recovery_if_lower(self, arriving_priority: float) -> Optional[Packet]:
         """Evict the least-prioritized recovery packet, but only if the
-        arriving recovery packet outranks it."""
-        if not self._recovery:
-            return None
+        arriving recovery packet outranks it (called on a full buffer
+        with every FIFO empty, so recovery holds it all)."""
         # The first entry, in heap-array order, of the lowest priority.
         index, negated = 0, self._recovery[0][0]
         for i, entry in enumerate(self._recovery):
@@ -264,73 +255,69 @@ class TAQScheduler:
         self._recovery[index] = self._recovery[-1]
         self._recovery.pop()
         heapq.heapify(self._recovery)
-        self._note_departure(victim)
+        self.buffered -= 1
+        if victim.kind == SYN and self._buffered_syns > 0:
+            self._buffered_syns -= 1
         return victim
 
     # ------------------------------------------------------------------
     # Dequeue
     # ------------------------------------------------------------------
-    def _recovery_under_cap(self) -> bool:
-        window = self._recent_services
-        if not window:
-            return True
-        return self._recent_recovery / len(window) < self.recovery_service_share
-
     def dequeue(self) -> Optional[Packet]:
-        """Pick the next packet per the 3-level hierarchy."""
+        """Pick the next packet per the 3-level hierarchy, and settle
+        the running counts of its departure."""
+        recovery = self._recovery
+        window = self._recent_services
         # Level 1: recovery, under its service cap (work-conserving:
         # also when recovery is all that is buffered).
-        if self._recovery and (
-            self.buffered == len(self._recovery) or self._recovery_under_cap()
+        if recovery and (
+            self.buffered == len(recovery)
+            or not window
+            or self._recent_recovery / len(window) < self.recovery_service_share
         ):
-            return self._serve(PacketClass.RECOVERY)
-        # Level 2: demand-proportional among the three middle queues —
-        # the longest backlog, rotating among ties.
-        fifos = self._fifos
-        longest = ties = 0
-        for klass in LEVEL2_CLASSES:
-            backlog = len(fifos[klass])
-            if backlog > longest:
-                longest, ties, choice = backlog, 1, klass
-            elif backlog == longest:
-                ties += 1
-        if longest:
-            self._level2_rotation += 1
-            if ties > 1:
-                turn = self._level2_rotation % ties
-                for klass in LEVEL2_CLASSES:
-                    if len(fifos[klass]) == longest:
-                        if turn == 0:
-                            choice = klass
-                            break
-                        turn -= 1
-            return self._serve(choice)
-        # Level 3: above fair share.
-        if fifos[PacketClass.ABOVE_FAIR_SHARE]:
-            return self._serve(PacketClass.ABOVE_FAIR_SHARE)
-        # Only a capped recovery backlog remains: serve it anyway.
-        if self._recovery:
-            return self._serve(PacketClass.RECOVERY)
-        return None
-
-    def _serve(self, klass: PacketClass) -> Packet:
-        window = self._recent_services
-        if klass is PacketClass.RECOVERY:
-            _, _, packet = heapq.heappop(self._recovery)
+            klass = RECOVERY
+        else:
+            # Level 2: demand-proportional among the three middle queues
+            # — the longest backlog, rotating among ties.
+            fifos = self._fifos
+            longest = ties = 0
+            for member in LEVEL2_CLASSES:
+                fifo = fifos[member]
+                backlog = len(fifo) if fifo else 0
+                if backlog > longest:
+                    longest, ties, klass = backlog, 1, member
+                elif backlog == longest:
+                    ties += 1
+            if longest:
+                self._level2_rotation += 1
+                if ties > 1:
+                    turn = self._level2_rotation % ties
+                    for member in LEVEL2_CLASSES:
+                        fifo = fifos[member]
+                        if fifo and len(fifo) == longest:
+                            if turn == 0:
+                                klass = member
+                                break
+                            turn -= 1
+            # Level 3: above fair share.  (A recovery backlog alone was
+            # served at Level 1: it is then all that is buffered.)
+            elif fifos[ABOVE_FAIR_SHARE]:
+                klass = ABOVE_FAIR_SHARE
+            else:
+                return None
+        if klass is RECOVERY:
+            packet = heapq.heappop(recovery)[2]
             self._recent_recovery += 1
         else:
             packet = self._fifos[klass].popleft()
-        self._note_departure(packet)
-        window.append(klass)
-        if len(window) > self.service_window:
-            if window.popleft() is PacketClass.RECOVERY:
-                self._recent_recovery -= 1
-        self.stats[klass].served += 1
-        return packet
-
-    def _note_departure(self, packet: Packet) -> None:
-        """Every way out of the buffer — service and both kinds of
-        eviction — settles the running counts here."""
+        # Every way out of the buffer — service here, both kinds of
+        # eviction above — settles the running counts the same way.
         self.buffered -= 1
         if packet.kind == SYN and self._buffered_syns > 0:
             self._buffered_syns -= 1
+        window.append(klass)
+        if len(window) > self.service_window:
+            if window.popleft() is RECOVERY:
+                self._recent_recovery -= 1
+        self.stats[klass].served += 1
+        return packet

