@@ -4,7 +4,8 @@
 The whole evaluation stack (dumbbell, TCP, metrics, workloads) works
 against the small :class:`repro.queues.base.QueueDiscipline` interface:
 ``enqueue(packet, now) -> bool``, ``dequeue(now) -> Packet | None``,
-``__len__``.  This example implements **CHOKe** (CHOose and Keep /
+``__len__``, and the ``enqueued`` ledger (buffered and not evicted, so
+``enqueued == dequeued + len(queue)``).  This example implements **CHOKe** (CHOose and Keep /
 CHOose and Kill, Pan et al. 2000) — a stateless fairness scheme the
 paper does not evaluate — in ~30 lines, runs it against DropTail and
 TAQ in a small packet regime, and prints the comparison.
@@ -45,6 +46,7 @@ class ChokeQueue(QueueDiscipline):
             victim = self._fifo[victim_index]
             if victim.flow_id == packet.flow_id:
                 del self._fifo[victim_index]
+                self.enqueued -= 1  # the victim leaves the ledger too
                 self._record_drop(victim, now)
                 self._record_drop(packet, now)
                 return False

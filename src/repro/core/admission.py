@@ -115,6 +115,8 @@ class AdmissionController:
             return True
         self._gc(now)
         if pool_id in self.admitted:
+            # To the end of the table: it stays in last-activity order.
+            del self.admitted[pool_id]
             self.admitted[pool_id] = now
             return True
         if self._loss_rate < self.p_thresh * self.safety_margin:
@@ -187,10 +189,17 @@ class AdmissionController:
         ]
 
     def _gc(self, now: float) -> None:
-        stale = [
-            pool
-            for pool, last in self.admitted.items()
-            if now - last > self.pool_idle_timeout
-        ]
+        """Forget the pools idle for longer than ``pool_idle_timeout``.
+
+        ``admitted`` is in last-activity order: an admission appends, a
+        refresh moves its pool to the end, and the clock never runs
+        backwards.  So the idle pools are a prefix of the table, and the
+        scan stops at the first live one.
+        """
+        stale = []
+        for pool, last in self.admitted.items():
+            if not now - last > self.pool_idle_timeout:
+                break
+            stale.append(pool)
         for pool in stale:
             del self.admitted[pool]

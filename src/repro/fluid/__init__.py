@@ -2,9 +2,10 @@
 
 The packet backend (:mod:`repro.sim`) simulates every packet; this
 package simulates the *distribution* of flows over the paper's Markov
-window states (ROADMAP item 2, McDonald–Reynier in PAPERS.md).  Cost
-per step is independent of the flow count, so N = 10^6 is as cheap as
-N = 4 — the price is that results are expectations of an approximation,
+window states (McDonald–Reynier in PAPERS.md; CHANGES.md's mean-field
+fluid backend entry records how it was built).  Cost per step is
+independent of the flow count, so N = 10^6 is as cheap as N = 4 — the
+price is that results are expectations of an approximation,
 which is why the fluid backend ships inside a differential test
 campaign (`tests/fluid/`, :func:`repro.check.differential.compare_backends`)
 rather than on its own.  See ``docs/fluid.md`` for the model, the

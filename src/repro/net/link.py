@@ -145,7 +145,12 @@ class Link:
         # methods instead of chasing queue attributes on every packet.
         self._q_enqueue = queue.enqueue
         self._q_dequeue = queue.dequeue
-        self._q_len = queue.__len__
+        #: What serialization start calls to put a packet on the wire,
+        #: as ``(delivery time, self._deliver, (packet,))`` while
+        #: ``_free_at`` holds the serialization end: the simulator's
+        #: ``schedule_at`` itself.  A subclass that needs an event at
+        #: serialization end (``repro.testbed.emulation``) replaces it.
+        self._launch = sim.schedule_at
 
     # ------------------------------------------------------------------
     # Taps: passive observers of traffic entering the link (e.g. the TAQ
@@ -214,35 +219,37 @@ class Link:
         stats.busy_time += tx_time
         end = now + tx_time
         self._free_at = end
-        if self._q_len():
-            # More packets already waiting: the wakeup is armed *before*
-            # the delivery is scheduled so that, on a zero-delay link,
-            # the next dequeue still precedes this packet's delivery
-            # within the same timestamp.
+        if self.queue.enqueued != samples:
+            # More packets already waiting.  Occupancy is read off the
+            # queue's ledger, which every discipline keeps as
+            # ``enqueued == dequeued + len(queue)`` (the conservation
+            # monitor asserts it), and ``samples`` counts this link's
+            # dequeues.  The wakeup is armed *before* the delivery is
+            # scheduled so that, on a zero-delay link, the next dequeue
+            # still precedes this packet's delivery within the same
+            # timestamp.
             self._wakeup_armed = True
             self.sim.schedule_at(end, self._transmit_next)
-        self._schedule_delivery(packet, end)
-
-    def _schedule_delivery(self, packet: Packet, end: float) -> None:
-        """Schedule :meth:`_deliver` for a packet whose serialization
-        finishes at *end*.  Subclass hook: overrides may interpose an
-        event at *end* (e.g. to draw per-packet delivery noise in
-        serialization order — see ``repro.testbed.emulation``)."""
-        self.sim.schedule_at(end + (self.delay + packet.extra_delay),
-                             self._deliver, (packet,))
+        self._launch(end + (self.delay + packet.extra_delay),
+                     self._deliver, (packet,))
 
     def _deliver(self, packet: Packet) -> None:
-        self.stats.delivered += 1
-        self.stats.bytes_delivered += packet.size
+        """The far end of the wire: count, tap, observe, then hand the
+        packet to the next hop or to ``packet.dst``, the endpoint that
+        consumes it."""
+        now = self.sim.now
+        stats = self.stats
+        stats.delivered += 1
+        stats.bytes_delivered += packet.size
         for tap in self._delivery_taps:
-            tap(packet, self.sim.now)
+            tap(packet, now)
         if self.obs is not None:
-            self.obs.delivered(self, packet, self.sim.now)
+            self.obs.delivered(self, packet, now)
         if self.next_link is not None:
             # Chained hop (e.g. LAN ingress feeding the bottleneck).
             self.next_link.send(packet)
         elif packet.dst is not None:
-            packet.dst.receive(packet, self.sim.now)
+            packet.dst.receive(packet, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} {self.capacity_bps/1000:.0f}Kbps {self.delay*1000:.0f}ms>"

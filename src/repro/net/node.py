@@ -1,9 +1,12 @@
 """Nodes: anything that can receive a packet.
 
-The dumbbell experiments only need two hosts (an aggregate sender side
-and an aggregate receiver side), each demultiplexing packets to per-flow
-endpoints.  DATA/SYN/FIN packets go to the flow's receiver half;
-ACK/SYNACK packets go to the sender half.
+A link hands each packet it delivers to ``packet.dst``: any object with
+``receive(packet, now)``.  A TCP flow addresses its packets to the
+other half of the connection directly (:mod:`repro.tcp.flow`).  A
+:class:`Host` stands in for one side of the dumbbell for transports
+that address a side instead (TFRC), demultiplexing to per-flow
+endpoints: DATA/SYN/FIN packets go to the flow's receiver half,
+ACK/SYNACK packets to its sender half.
 """
 
 from __future__ import annotations
@@ -55,15 +58,10 @@ class Host(Node):
         """Register the endpoint that consumes DATA/SYN/FIN for *flow_id*."""
         self._receivers[flow_id] = endpoint
 
-    def unbind(self, flow_id: int) -> None:
-        """Remove both halves of a finished flow (late packets are dropped)."""
-        self._senders.pop(flow_id, None)
-        self._receivers.pop(flow_id, None)
-
     def receive(self, packet: Packet, now: float) -> None:
         table = self._senders if packet.kind in (ACK, SYNACK) else self._receivers
         try:
             endpoint = table[packet.flow_id]
         except KeyError:
-            return  # the flow has finished and unbound
+            return  # no such flow: dropped
         endpoint.receive(packet, now)

@@ -35,12 +35,19 @@ class QueueDiscipline:
 
     Contract
     --------
+    ``enqueued`` counts the packets buffered and not evicted since, so
+    ``enqueued == dequeued + len(queue)`` holds between calls: a
+    push-out takes its victim back off ``enqueued``.  The link's lazy
+    transmitter reads occupancy this way, against its own count of
+    dequeues, instead of calling ``len()`` after every dequeue; the
+    conservation monitor (:mod:`repro.check`) asserts the identity.
+
     ``dequeue`` must be **pure on empty**: when the buffer holds no
     packet it returns None without mutating any discipline state.  The
-    link's lazy transmitter relies on this — it probes occupancy with
-    ``len()`` instead of issuing speculative dequeues, so a discipline
-    whose empty dequeue had side effects (e.g. starting an idle period)
-    must apply them where the occupancy actually changes.
+    transmitter never dequeues speculatively, but a ledger that
+    overcounts makes it wake for an empty queue; a discipline whose
+    empty dequeue had side effects (e.g. starting an idle period) must
+    apply them where the occupancy actually changes.
 
     Subclasses may declare ``__slots__`` (the hierarchy is slotted to
     keep per-queue attribute access cheap on the per-packet path);

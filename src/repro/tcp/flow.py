@@ -1,17 +1,19 @@
 """Connection glue: a sender/receiver pair wired onto a dumbbell.
 
 :class:`TcpFlow` owns one TCP connection end-to-end: it builds the
-sender and receiver halves, binds them to the dumbbell's hosts, routes
-the sender's packets onto the data path and the receiver's ACKs onto the
-ack path, applies the flow's private access delay, and records
-application-visible milestones (start, first byte, completion).
+sender and receiver halves and wires each to the other across the
+dumbbell — the sender's packets onto the data path, addressed to the
+receiver, the receiver's ACKs onto the ack path, addressed to the
+sender, both carrying the flow's private access delay — and records
+application-visible milestones (start, in-order progress, completion).
+The halves stamp and send their own packets, so nothing of the flow's
+runs per packet.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.net.packet import Packet
 from repro.net.topology import Dumbbell
 from repro.tcp.receiver import TCPReceiver
 from repro.tcp.rto import RtoEstimator
@@ -81,15 +83,11 @@ class TcpFlow:
         self.flow_id = flow_id
         self.size_segments = size_segments
         self.start_time = start_time
-        self.extra_rtt = extra_rtt
         self.mss = mss if mss is not None else dumbbell.pkt_size
         self.pool_id = pool_id
         self.completed_at: Optional[float] = None
-        self.first_delivery_at: Optional[float] = None
         self.delivery_log: List[Tuple[float, int]] = []
-        self._record = record_deliveries
-        self.tx_jitter = tx_jitter
-        self._jitter_random = (
+        jitter_random = (
             dumbbell.sim.rng.stream("tx-jitter").random if tx_jitter > 0 else None
         )
         self._completion_callbacks: List[Callable[["TcpFlow", float], None]] = []
@@ -108,7 +106,7 @@ class TcpFlow:
             factory = TCPSender
         self.variant = variant if variant is not None else ("sack" if sack else "newreno")
         sender_kwargs = dict(
-            transmit=self._send_data_path,
+            transmit=dumbbell.data_entry.send,
             mss=self.mss,
             total_segments=size_segments,
             max_cwnd=max_cwnd,
@@ -129,59 +127,36 @@ class TcpFlow:
             self.sender.SYN_BACKOFF_CAP = 1
         self.receiver = TCPReceiver(
             flow_id,
-            send=self._send_ack_path,
+            send=dumbbell.ack_entry.send,
             sack=sack,
             sim=dumbbell.sim,
-            on_delivery=self._on_delivery,
+            on_delivery=self._on_delivery if record_deliveries else None,
         )
         self.receiver.pool_id = pool_id
-        dumbbell.sender_host.bind_sender(flow_id, self.sender)
-        dumbbell.receiver_host.bind_receiver(flow_id, self.receiver)
+        # Each half addresses its packets to the other, past half the
+        # flow's private access RTT in each direction (``extra_rtt``).
+        self.sender.dst = self.receiver
+        self.receiver.dst = self.sender
+        self.extra_rtt = extra_rtt
+        self.sender.tx_jitter = tx_jitter
+        self.sender.jitter_random = jitter_random
         dumbbell.sim.schedule_at(start_time, self.sender.open)
         # Flows spawned mid-run (web sessions) join an armed run here.
         if dumbbell.sim.obs is not None:
             dumbbell.sim.obs.flow_spawned(dumbbell.sim, self)
 
     # ------------------------------------------------------------------
-    # Packet routing
-    # ------------------------------------------------------------------
-    def _send_data_path(self, packet: Packet) -> None:
-        packet.dst = self.dumbbell.receiver_host
-        packet.extra_delay = self.extra_rtt / 2.0
-        packet.sent_at = self.dumbbell.sim.now
-        if self._jitter_random is not None:
-            # random.uniform(0.0, tx_jitter) without its frame: it returns
-            # 0.0 + (tx_jitter - 0.0) * random(), which is exactly this.
-            self.dumbbell.sim.schedule(
-                self.tx_jitter * self._jitter_random(),
-                self.dumbbell.data_entry.send, (packet,)
-            )
-        else:
-            self.dumbbell.data_entry.send(packet)
-
-    def _send_ack_path(self, packet: Packet) -> None:
-        packet.dst = self.dumbbell.sender_host
-        packet.extra_delay = self.extra_rtt / 2.0
-        packet.sent_at = self.dumbbell.sim.now
-        self.dumbbell.ack_entry.send(packet)
-
-    # ------------------------------------------------------------------
     # Application-level accounting
     # ------------------------------------------------------------------
     def _on_delivery(self, in_order_segments: int, now: float) -> None:
-        if self.first_delivery_at is None:
-            self.first_delivery_at = now
-        if self._record:
-            self.delivery_log.append((now, in_order_segments))
+        self.delivery_log.append((now, in_order_segments))
 
     def _on_complete(self, now: float) -> None:
         self.completed_at = now
-        # Release the demux entries: workloads churning through many
-        # short flows (web sessions) would otherwise grow the host
-        # tables without bound.  Packets still in flight for this flow
-        # are dropped at the host, as they would be at a closed socket.
-        self.dumbbell.sender_host.unbind(self.flow_id)
-        self.dumbbell.receiver_host.unbind(self.flow_id)
+        # Packets still in flight for this flow are dropped on arrival,
+        # as they would be at a closed socket: the receiver by closing,
+        # the sender by being done.
+        self.receiver.closed = True
         for callback in self._completion_callbacks:
             callback(self, now)
 
@@ -190,6 +165,16 @@ class TcpFlow:
         self._completion_callbacks.append(callback)
 
     # ------------------------------------------------------------------
+    @property
+    def extra_rtt(self) -> float:
+        """Propagation RTT private to this flow (its access path)."""
+        return self._extra_rtt
+
+    @extra_rtt.setter
+    def extra_rtt(self, value: float) -> None:
+        self._extra_rtt = value
+        self.sender.extra_delay = self.receiver.extra_delay = value / 2.0
+
     @property
     def rtt(self) -> float:
         """Propagation RTT of this flow (base + private access delay)."""

@@ -69,47 +69,67 @@ class TCPReceiver:
         self._ack_pending = False
         self.fin_received = False
         self.pool_id = -1
+        #: Where ACKs go, stamped on each (wired by
+        #: :class:`~repro.tcp.flow.TcpFlow`; the defaults are a bare
+        #: packet's): the sender half, past the flow's one-way access
+        #: delay.
+        self.dst = None
+        self.extra_delay = 0.0
+        #: Set when the owning flow completes: whatever still arrives
+        #: for the connection is dropped unanswered, as at a closed socket.
+        self.closed = False
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, now: float) -> None:
         """Consume a packet arriving from the data path."""
-        if packet.kind == SYN:
-            self._send_synack(now)
+        if self.closed:
             return
-        if packet.kind == FIN:
-            self.fin_received = True
-            self._emit_ack(now)
-            return
-        if packet.kind != DATA:
-            return
-        self.segments_received += 1
-        seq = packet.seq
-        if seq < self.rcv_next or seq in self.out_of_order:
-            self.duplicate_segments += 1
-            self._emit_ack(now)  # duplicate data still triggers an ACK
-            return
-        if seq == self.rcv_next:
-            self.rcv_next += 1
-            while self.rcv_next in self.out_of_order:
-                self.out_of_order.discard(self.rcv_next)
+        kind = packet.kind
+        if kind == DATA:
+            self.segments_received += 1
+            seq = packet.seq
+            if seq < self.rcv_next or seq in self.out_of_order:
+                self.duplicate_segments += 1  # still triggers an ACK
+            elif seq == self.rcv_next:
                 self.rcv_next += 1
-            if self.on_delivery is not None:
-                self.on_delivery(self.rcv_next, now)
-            if self.delayed_ack and not self._ack_pending and not self.out_of_order:
-                self._ack_pending = True
-                if self.sim is not None:
-                    self._delack_timer = self.sim.schedule(
-                        self.DELACK_TIMEOUT, self._flush_delayed_ack
-                    )
-                return
-            self._ack_pending = False
-            if self._delack_timer is not None:
-                self._delack_timer.cancel()
-                self._delack_timer = None
-            self._emit_ack(now)
+                while self.rcv_next in self.out_of_order:
+                    self.out_of_order.discard(self.rcv_next)
+                    self.rcv_next += 1
+                if self.on_delivery is not None:
+                    self.on_delivery(self.rcv_next, now)
+                if self.delayed_ack and not self._ack_pending and not self.out_of_order:
+                    self._ack_pending = True
+                    if self.sim is not None:
+                        self._delack_timer = self.sim.schedule(
+                            self.DELACK_TIMEOUT, self._flush_delayed_ack
+                        )
+                    return
+                self._ack_pending = False
+                if self._delack_timer is not None:
+                    self._delack_timer.cancel()
+                    self._delack_timer = None
+            else:
+                self.out_of_order.add(seq)  # out-of-order: immediate dupACK
+        elif kind == FIN:
+            self.fin_received = True
+        elif kind == SYN:
+            self._reply(SYNACK, 0)
+            return
         else:
-            self.out_of_order.add(seq)
-            self._emit_ack(now)  # out-of-order: immediate dupACK
+            return
+        # _reply, inline: every data segment draws an ACK.
+        ack = Packet(
+            self.flow_id,
+            ACK,
+            ack_seq=self.rcv_next,
+            size=HEADER_BYTES,
+            sack=self._sack_blocks() if self.sack_enabled else None,
+            pool_id=self.pool_id,
+        )
+        ack.dst = self.dst
+        ack.extra_delay = self.extra_delay
+        self.acks_sent += 1
+        self._send(ack)
 
     # ------------------------------------------------------------------
     def _sack_blocks(self) -> Optional[List[Tuple[int, int]]]:
@@ -133,31 +153,26 @@ class TCPReceiver:
             blocks.append((run_start, previous + 1))
         return blocks[:3]  # header space limits real SACK to a few blocks
 
-    def _emit_ack(self, now: float) -> None:
-        ack = Packet(
+    def _reply(self, kind: str, ack_seq: int,
+               sack: Optional[List[Tuple[int, int]]] = None) -> None:
+        """Put a *kind* packet acknowledging *ack_seq* on the reverse
+        path, addressed to the sender half."""
+        packet = Packet(
             self.flow_id,
-            ACK,
-            ack_seq=self.rcv_next,
+            kind,
+            ack_seq=ack_seq,
             size=HEADER_BYTES,
-            sack=self._sack_blocks() if self.sack_enabled else None,
+            sack=sack,
             pool_id=self.pool_id,
         )
+        packet.dst = self.dst
+        packet.extra_delay = self.extra_delay
         self.acks_sent += 1
-        self._send(ack)
+        self._send(packet)
 
     def _flush_delayed_ack(self) -> None:
         """RFC 1122: a held ACK must leave within DELACK_TIMEOUT."""
         if self._ack_pending:
             self._ack_pending = False
-            self._emit_ack(self.sim.now if self.sim is not None else 0.0)
-
-    def _send_synack(self, now: float) -> None:
-        synack = Packet(
-            self.flow_id,
-            SYNACK,
-            ack_seq=0,
-            size=HEADER_BYTES,
-            pool_id=self.pool_id,
-        )
-        self.acks_sent += 1
-        self._send(synack)
+            self._reply(ACK, self.rcv_next,
+                        self._sack_blocks() if self.sack_enabled else None)

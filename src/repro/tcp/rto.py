@@ -59,6 +59,11 @@ class RtoEstimator:
         self.has_sample = False
         self.backoff_exponent = 0
         self._base_rto = min_rto if min_rto >= 1.0 else 1.0  # RFC 6298 initial 1s
+        #: Current retransmission timeout, backoff applied, clamped.  A
+        #: plain attribute, not a property: every timer (re)start reads
+        #: it, and only the mutators below move its inputs.
+        self.rto = 0.0
+        self._refresh()
 
     # ------------------------------------------------------------------
     def sample(self, rtt: float) -> None:
@@ -78,25 +83,34 @@ class RtoEstimator:
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         self._base_rto = self.srtt + max(self.granularity, 4.0 * self.rttvar)
         self.backoff_exponent = 0
+        self._refresh()
 
     def backoff(self) -> None:
         """Double the timeout after a retransmission timeout fires."""
         if self.backoff_exponent < self.max_backoff:
             self.backoff_exponent += 1
+            self._refresh()
 
     def reset_backoff(self) -> None:
         """Collapse backoff without a new sample (used on forward progress)."""
         self.backoff_exponent = 0
+        self._refresh()
 
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, backoff applied, clamped."""
+    def cap_backoff(self, cap: int) -> None:
+        """Lower the backoff cap to *cap*, pulling the current exponent
+        down to it (SPR mode's bounded doubling)."""
+        self.max_backoff = cap
+        if self.backoff_exponent > cap:
+            self.backoff_exponent = cap
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Recompute :attr:`rto` from the base timeout and the backoff."""
         value = self._base_rto * (2 ** self.backoff_exponent)
-        # min(max_rto, max(min_rto, value)) without the two builtin
-        # calls: every timer (re)start reads this.
+        # min(max_rto, max(min_rto, value)) without the two builtin calls.
         if not value > self.min_rto:
             value = self.min_rto
-        return value if value < self.max_rto else self.max_rto
+        self.rto = value if value < self.max_rto else self.max_rto
 
     @property
     def base_rto(self) -> float:

@@ -148,6 +148,16 @@ class TCPSender:
         self.rto = rto if rto is not None else RtoEstimator()
         self.on_complete = on_complete
         self.pool_id = -1
+        #: Where this sender's packets go, stamped on each as it leaves
+        #: (wired by :class:`~repro.tcp.flow.TcpFlow`; the defaults are
+        #: a bare packet's): the endpoint that consumes them, the flow's
+        #: private one-way access delay, and the host's transmit jitter
+        #: — with ``jitter_random`` set, a packet reaches *transmit*
+        #: ``tx_jitter * jitter_random()`` seconds after it is sent.
+        self.dst = None
+        self.extra_delay = 0.0
+        self.tx_jitter = 0.0
+        self.jitter_random: Optional[Callable[[], float]] = None
 
         #: The observer slot (:mod:`repro.sim.observe`).  None (the
         #: default) keeps the send path free of instrumentation.
@@ -192,7 +202,7 @@ class TCPSender:
         packet = Packet(self.flow_id, SYN, size=HEADER_BYTES, pool_id=self.pool_id)
         if self.obs is not None:
             self.obs.sent(self, packet, self.sim.now)
-        self._transmit(packet)
+        self._emit(packet)
         timeout = self.SYN_TIMEOUT * (2 ** min(self.stats.syn_retries, self.SYN_BACKOFF_CAP))
         self._syn_timer = self.sim.schedule(timeout, self._on_syn_timeout)
 
@@ -236,6 +246,19 @@ class TCPSender:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
+    def _emit(self, packet: Packet) -> None:
+        """Stamp *packet* for its path and hand it to *transmit*, after
+        the host's jitter when there is one."""
+        packet.dst = self.dst
+        packet.extra_delay = self.extra_delay
+        jitter = self.jitter_random
+        if jitter is None:
+            self._transmit(packet)
+        else:
+            # random.uniform(0.0, tx_jitter) without its frame: it returns
+            # 0.0 + (tx_jitter - 0.0) * random(), which is exactly this.
+            self.sim.schedule(self.tx_jitter * jitter(), self._transmit, (packet,))
+
     def _send_segment(self, seq: int, retransmit: bool) -> None:
         packet = Packet(
             self.flow_id,
@@ -269,7 +292,14 @@ class TCPSender:
             self._round_sent += 1
         if self.obs is not None:
             self.obs.sent(self, packet, self.sim.now)
-        self._transmit(packet)
+        # _emit, inline: one frame per data segment fewer.
+        packet.dst = self.dst
+        packet.extra_delay = self.extra_delay
+        jitter = self.jitter_random
+        if jitter is None:
+            self._transmit(packet)
+        else:
+            self.sim.schedule(self.tx_jitter * jitter(), self._transmit, (packet,))
         # Arm the retransmission timer unless one is pending.
         timer = self._timer
         if timer is None or timer.cancelled or timer.fired:
@@ -500,7 +530,7 @@ class TCPSender:
         fin = Packet(self.flow_id, FIN, size=HEADER_BYTES, pool_id=self.pool_id)
         if self.obs is not None:
             self.obs.sent(self, fin, now)
-        self._transmit(fin)
+        self._emit(fin)
         if self.obs is not None:
             self.obs.flow_done(self, now)
         if self.on_complete is not None:

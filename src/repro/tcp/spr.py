@@ -71,8 +71,7 @@ class SprSender(TCPSender):
             return
         self.spr_mode = True
         self.spr_entries += 1
-        self.rto.max_backoff = self.SPR_BACKOFF_CAP
-        self.rto.backoff_exponent = min(self.rto.backoff_exponent, self.SPR_BACKOFF_CAP)
+        self.rto.cap_backoff(self.SPR_BACKOFF_CAP)
 
     def _exit_spr(self) -> None:
         if not self.spr_mode:

@@ -60,6 +60,7 @@ class JitteredLink(Link):
         self.jitter_rng = jitter_rng
         self.processing_range = processing_range
         self.jitter_mean = jitter_mean
+        self._launch = self._launch_at_serialization_end
 
     def _noise(self) -> float:
         low, high = self.processing_range
@@ -68,12 +69,13 @@ class JitteredLink(Link):
             noise += self.jitter_rng.expovariate(1.0 / self.jitter_mean)
         return noise
 
-    def _schedule_delivery(self, packet: Packet, end: float) -> None:
+    def _launch_at_serialization_end(self, at: float, deliver, args: tuple) -> None:
         # The noise draw must happen at serialization *end*, not when the
         # delivery is scheduled: the forward and reverse links share one
         # named RNG stream, so draws have to occur in wire order for runs
-        # to stay reproducible.  Interpose a dispatch event at `end`.
-        self.sim.schedule_at(end, self._noisy_delivery_dispatch, (packet,))
+        # to stay reproducible.  Interpose a dispatch event at the end
+        # (``_free_at``); the noiseless arrival time *at* goes unused.
+        self.sim.schedule_at(self._free_at, self._noisy_delivery_dispatch, args)
 
     def _noisy_delivery_dispatch(self, packet: Packet) -> None:
         total_delay = self.delay + packet.extra_delay + self._noise()

@@ -1,6 +1,8 @@
 """Unit tests for flow-pool admission control."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionController
 
@@ -101,3 +103,45 @@ def test_parameter_validation():
         AdmissionController(p_thresh=0.0)
     with pytest.raises(ValueError):
         AdmissionController(p_thresh=1.5)
+
+
+def full_scan_gc(controller, now):
+    """What ``_gc`` computed before it stopped at the first live pool:
+    every admitted pool idle past the timeout, wherever it sits."""
+    for pool in [pool for pool, last in controller.admitted.items()
+                 if now - last > controller.pool_idle_timeout]:
+        del controller.admitted[pool]
+
+
+class FullScanController(AdmissionController):
+    def _gc(self, now):
+        full_scan_gc(self, now)
+
+
+_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=-1, max_value=12),  # pool (-1: unpooled)
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=5.0, max_value=25.0)),  # idle gap
+        st.booleans(),  # a lossy measurement interval first
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps, st.sampled_from([0.5, 2.0, 10.0]))
+def test_prefix_gc_keeps_what_the_full_scan_keeps(steps, timeout):
+    kwargs = dict(pool_idle_timeout=timeout, t_wait=1.0, measure_interval=1.0)
+    fast, reference = AdmissionController(**kwargs), FullScanController(**kwargs)
+    now = 0.0
+    for pool, gap, lossy in steps:
+        now += gap
+        for controller in (fast, reference):
+            controller.note_arrival(now)
+            if lossy:
+                controller.note_drop(now)
+        assert fast.admits(pool, now) == reference.admits(pool, now)
+        assert fast.admitted == reference.admitted
+        assert list(fast.admitted.values()) == sorted(fast.admitted.values())
+        assert fast.waiting == reference.waiting

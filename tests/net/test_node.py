@@ -55,15 +55,3 @@ def test_flows_are_isolated():
     assert a.received == []
     assert len(b.received) == 1
 
-
-def test_unbind_removes_both_halves():
-    host = Host("h")
-    sender, receiver = Endpoint(), Endpoint()
-    host.bind_sender(1, sender)
-    host.bind_receiver(1, receiver)
-    host.unbind(1)
-    host.receive(Packet(1, DATA, seq=0), 0.0)
-    host.receive(Packet(1, ACK, ack_seq=1), 0.0)
-    assert sender.received == []
-    assert receiver.received == []
-    host.unbind(1)  # idempotent

@@ -3,7 +3,7 @@
 ``TCPSender._try_send`` computes the data limit, the effective window
 and (without SACK) the pipe inline instead of through ``_data_limit``,
 ``_effective_cwnd`` and ``_pipe``; ``_on_new_ack`` grows cwnd and
-``RtoEstimator.rto`` clamps the timeout without ``min`` / ``max``.  Each
+``RtoEstimator._refresh`` clamps the timeout without ``min`` / ``max``.  Each
 is compared here with the helper-based form it replaced, from random
 states that include ``max_cwnd`` below cwnd, exact ties, windows under
 one packet and the SACK path.
@@ -124,6 +124,7 @@ def test_rto_clamp_matches_min_max(min_rto, span, tie, base, exponent):
     estimator._base_rto = {"free": base, "min": estimator.min_rto,
                            "max": estimator.max_rto}[tie]
     estimator.backoff_exponent = 0 if tie != "free" else exponent
+    estimator._refresh()
     value = estimator._base_rto * (2 ** estimator.backoff_exponent)
     expected = min(estimator.max_rto, max(estimator.min_rto, value))
     assert estimator.rto == expected
