@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.build import MetricsSpec, QueueSpec, ScenarioSpec, TopologySpec
@@ -98,7 +98,7 @@ def run_point(
     )
     return {
         "bundle_dir": telemetry.out_dir,
-        "manifest": asdict(manifest),
+        "manifest": manifest.to_dict(),
         "summary": telemetry.summary(),
     }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 #: Bump when manifest fields change incompatibly.
@@ -63,15 +63,36 @@ class RunManifest:
     created_unix: float = 0.0
     schema_version: int = MANIFEST_SCHEMA_VERSION
 
+    def to_dict(self) -> Dict[str, Any]:
+        """``dataclasses.asdict(self)``, built field by field: dicts and
+        lists are copied all the way down, as ``asdict`` copies them,
+        without its per-value dataclass checks and deep copies of
+        scalars."""
+        return _copied({name: getattr(self, name) for name in _FIELDS})
+
     def to_json(self) -> str:
+        # Encoding reads the fields without changing them, so unlike
+        # ``to_dict`` it needs no copies.
         payload = {"schema": "repro.obs.manifest"}
-        payload.update(asdict(self))
+        payload.update((name, getattr(self, name)) for name in _FIELDS)
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
             handle.write("\n")
+
+
+_FIELDS = tuple(RunManifest.__dataclass_fields__)
+
+
+def _copied(value: Any) -> Any:
+    """*value*, a dict or a list, copied down to its scalars."""
+    if isinstance(value, dict):
+        return {key: _copied(item) if isinstance(item, (dict, list)) else item
+                for key, item in value.items()}
+    return [_copied(item) if isinstance(item, (dict, list)) else item
+            for item in value]
 
 
 def build_manifest(

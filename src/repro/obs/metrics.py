@@ -21,6 +21,19 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 #: Bump when the metrics JSONL layout changes.
 METRICS_SCHEMA_VERSION = 1
 
+#: One line's JSON (``json.dumps`` with these arguments, minus the
+#: encoder it would build per call).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _rank(ordered: List[float], q: float) -> float:
+    """The nearest-rank percentile ``q`` in [0, 100] of *ordered*
+    (sorted ascending); 0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    index = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
+    return ordered[index]
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -90,27 +103,18 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Approximate percentile ``q`` in [0, 100] from the reservoir."""
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        index = min(
-            len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1))))
-        )
-        return ordered[index]
-
     def summary(self) -> Dict[str, float]:
         if self.count == 0:
             return {"count": 0}
+        ordered = sorted(self._reservoir)
         return {
             "count": self.count,
             "mean": self.mean(),
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": _rank(ordered, 50),
+            "p95": _rank(ordered, 95),
+            "p99": _rank(ordered, 99),
         }
 
 
@@ -129,24 +133,18 @@ class TimeSeries:
     def values(self) -> List[float]:
         return [value for _, value in self.samples]
 
-    def percentile(self, q: float) -> float:
-        values = sorted(self.values())
-        if not values:
-            return 0.0
-        index = min(len(values) - 1, max(0, int(round(q / 100.0 * (len(values) - 1)))))
-        return values[index]
-
     def summary(self) -> Dict[str, float]:
         values = self.values()
         if not values:
             return {"count": 0}
+        ordered = sorted(values)
         return {
             "count": len(values),
             "mean": sum(values) / len(values),
             "min": min(values),
             "max": max(values),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
+            "p50": _rank(ordered, 50),
+            "p95": _rank(ordered, 95),
             "last": values[-1],
         }
 
@@ -219,42 +217,31 @@ class MetricsRegistry:
 
     def to_jsonl(self) -> Iterator[str]:
         """Render every metric as one JSON line (header line first)."""
-        yield json.dumps(
-            {
-                "type": "meta",
-                "schema": "repro.obs.metrics",
-                "version": METRICS_SCHEMA_VERSION,
-            },
-            separators=(",", ":"),
-        )
+        yield _encode({
+            "type": "meta",
+            "schema": "repro.obs.metrics",
+            "version": METRICS_SCHEMA_VERSION,
+        })
         for name in sorted(self.counters):
-            yield json.dumps(
-                {"type": "counter", "name": name, "value": self.counters[name].value},
-                separators=(",", ":"),
-            )
+            yield _encode({"type": "counter", "name": name,
+                           "value": self.counters[name].value})
         for name in sorted(self.histograms):
             payload = {"type": "histogram", "name": name}
             payload.update(self.histograms[name].summary())
-            yield json.dumps(payload, separators=(",", ":"))
+            yield _encode(payload)
         for name in sorted(self.series):
-            yield json.dumps(
-                {
-                    "type": "series",
-                    "name": name,
-                    "samples": [[t, v] for t, v in self.series[name].samples],
-                },
-                separators=(",", ":"),
-            )
+            yield _encode({
+                "type": "series",
+                "name": name,
+                "samples": [[t, v] for t, v in self.series[name].samples],
+            })
 
     def write_jsonl(self, path: str) -> int:
         """Write :meth:`to_jsonl` to *path*; returns lines written."""
-        count = 0
+        lines = list(self.to_jsonl())
         with open(path, "w", encoding="utf-8") as handle:
-            for line in self.to_jsonl():
-                handle.write(line)
-                handle.write("\n")
-                count += 1
-        return count
+            handle.write("".join([line + "\n" for line in lines]))
+        return len(lines)
 
 
 def load_metrics_jsonl(source) -> Dict[str, Any]:

@@ -4,37 +4,45 @@ A sweep that fans out over a process pool is invisible while it runs:
 the parent's progress line only moves when a point *finishes*.  The bus
 makes the in-flight state observable.  When armed (``bus_dir`` on the
 runner, or the ``TAQ_OBS_BUS`` environment variable), the parent writes
-a sweep header and every worker appends ``start`` / ``heartbeat`` /
-``done`` events to its point's own append-only JSONL file:
+a sweep header, then one ``cached`` record naming every point the
+result cache served with the wall time each one saved, and every
+worker appends ``start`` / ``heartbeat`` / ``done`` events to the point
+it computes, in that point's own append-only JSONL file:
 
     bus/
       _sweep.jsonl            {"kind": "sweep", "total": 40, ...}
+                              {"kind": "cached", "points": {"p001-...": 9.8}}
       p000-taq-load-0.4.jsonl {"kind": "start", "pid": ...}
                               {"kind": "heartbeat", "elapsed": 5.0}
                               {"kind": "done", "wall": 12.3}
-      p001-....jsonl          ...
+      p002-....jsonl          ...
 
-One writer per file and line-buffered appends keep the format safe
-without locks (heartbeats come from a daemon thread inside the worker
-that owns the file).  ``taq-obs tail BUS_DIR`` follows the directory
-and renders a live table; any other consumer can read the files with
-one ``json.loads`` per line.  The bus records progress only — results
-never pass through it — so an armed sweep stays bit-identical to an
-unarmed one.
+:func:`read_bus` expands a ``cached`` record into one ``done`` event
+(``cached: true``) per point, placed by its time among the point's own
+events, so a bus whose hits each have a file of their own (as older
+sweeps wrote them) reads the same.  One writer per file and
+line-buffered appends keep the format safe without locks (heartbeats
+come from a daemon thread inside the worker that owns the file).
+``taq-obs tail BUS_DIR`` follows the directory and renders a live
+table; any other consumer can read the files with one ``json.loads``
+per line.  The bus records progress only — results never pass through
+it — so an armed sweep stays bit-identical to an unarmed one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = ["ProgressBus", "point_key", "read_bus", "render_tail"]
 
-SWEEP_FILE = "_sweep.jsonl"
+SWEEP_KEY = "_sweep"
+SWEEP_FILE = SWEEP_KEY + ".jsonl"
 
 #: Seconds between worker heartbeats.
 HEARTBEAT_INTERVAL = 5.0
@@ -42,10 +50,16 @@ HEARTBEAT_INTERVAL = 5.0
 #: A point with no beat for this many intervals renders as "stalled?".
 STALL_INTERVALS = 3.0
 
+_UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: One event's JSON (``json.dumps`` with these arguments, minus the
+#: encoder it would build per call).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def point_key(index: int, label: str) -> str:
     """Stable, filesystem-safe key for one sweep point."""
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-")[:40] or "point"
+    slug = _UNSAFE.sub("-", label).strip("-")[:40] or "point"
     return f"p{index:03d}-{slug}"
 
 
@@ -55,15 +69,22 @@ class ProgressBus:
     def __init__(self, bus_dir: str) -> None:
         self.dir = Path(bus_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(bus_dir, "")
 
     def emit(self, key: str, kind: str, **fields: Any) -> None:
         payload = {"t": time.time(), "kind": kind, **fields}
-        with open(self.dir / f"{key}.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        with open(f"{self._prefix}{key}.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(_encode(payload) + "\n")
 
     def announce(self, total: int, label: str) -> None:
         """Write the sweep header (total point count, sweep label)."""
-        self.emit(Path(SWEEP_FILE).stem, "sweep", total=total, label=label)
+        self.emit(SWEEP_KEY, "sweep", total=total, label=label)
+
+    def announce_cached(self, walls: Dict[str, float]) -> None:
+        """Record every point the result cache served, in one line:
+        point key -> the wall time its original computation took."""
+        if walls:
+            self.emit(SWEEP_KEY, "cached", points=walls)
 
 
 class Heartbeat:
@@ -117,50 +138,75 @@ class Heartbeat:
 # ----------------------------------------------------------------------
 # Reader side (taq-obs tail)
 # ----------------------------------------------------------------------
+def _read_events(path: Path) -> List[Dict[str, Any]]:
+    events = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                continue  # torn tail write mid-append
+    return events
+
+
 def read_bus(bus_dir: str) -> Dict[str, Any]:
     """Parse a bus directory into a point-state snapshot."""
+    import heapq  # the reader's alone: a sweep that writes never loads it
+
     root = Path(bus_dir)
     state: Dict[str, Any] = {"total": None, "label": None, "points": {}}
     if not root.is_dir():
         return state
+    by_point: Dict[str, List[Dict[str, Any]]] = {}
+    served: Dict[str, List[Dict[str, Any]]] = {}
     for path in sorted(root.glob("*.jsonl")):
-        events = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    events.append(json.loads(line))
-                except ValueError:
-                    continue  # torn tail write mid-append
-        if path.name == SWEEP_FILE:
-            for event in events:
-                if event.get("kind") == "sweep":
-                    state["total"] = event.get("total")
-                    state["label"] = event.get("label")
+        events = _read_events(path)
+        if path.name != SWEEP_FILE:
+            by_point[path.stem] = events
             continue
-        point: Dict[str, Any] = {"status": "pending", "elapsed": 0.0,
-                                 "last_seen": None, "wall": None,
-                                 "cached": False, "error": None}
         for event in events:
             kind = event.get("kind")
-            point["last_seen"] = event.get("t")
-            if kind == "start":
-                point["status"] = "running"
-                point["started"] = event.get("t")
-                point["pid"] = event.get("pid")
-            elif kind == "heartbeat":
-                point["elapsed"] = event.get("elapsed", point["elapsed"])
-            elif kind == "done":
-                point["status"] = "cached" if event.get("cached") else "done"
-                point["wall"] = event.get("wall")
-                point["cached"] = bool(event.get("cached"))
-            elif kind == "failed":
-                point["status"] = "failed"
-                point["error"] = event.get("error")
-        state["points"][path.stem] = point
+            if kind == "sweep":
+                state["total"] = event.get("total")
+                state["label"] = event.get("label")
+            elif kind == "cached":
+                for key, wall in (event.get("points") or {}).items():
+                    served.setdefault(key, []).append(
+                        {"t": event.get("t"), "kind": "done", "wall": wall,
+                         "cached": True})
+    for key in sorted(set(by_point) | set(served)):
+        # Each source is in time order already; merging keeps it so.
+        events = heapq.merge(by_point.get(key, []), served.get(key, []),
+                             key=lambda event: event.get("t") or 0.0)
+        state["points"][key] = _fold(events)
     return state
+
+
+def _fold(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """One point's state after its events, in order."""
+    point: Dict[str, Any] = {"status": "pending", "elapsed": 0.0,
+                             "last_seen": None, "wall": None,
+                             "cached": False, "error": None}
+    for event in events:
+        kind = event.get("kind")
+        point["last_seen"] = event.get("t")
+        if kind == "start":
+            point["status"] = "running"
+            point["started"] = event.get("t")
+            point["pid"] = event.get("pid")
+        elif kind == "heartbeat":
+            point["elapsed"] = event.get("elapsed", point["elapsed"])
+        elif kind == "done":
+            point["status"] = "cached" if event.get("cached") else "done"
+            point["wall"] = event.get("wall")
+            point["cached"] = bool(event.get("cached"))
+        elif kind == "failed":
+            point["status"] = "failed"
+            point["error"] = event.get("error")
+    return point
 
 
 def render_tail(state: Dict[str, Any], now: Optional[float] = None) -> str:

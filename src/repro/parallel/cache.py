@@ -41,6 +41,10 @@ from repro.parallel.spec import PointSpec
 #: Bump when the entry format changes; invalidates all old entries.
 CACHE_FORMAT = 1
 
+#: The key payload's JSON (``json.dumps`` with these arguments, minus
+#: the encoder it would build per call).
+_encode_key = json.JSONEncoder(sort_keys=True, default=repr).encode
+
 #: Everything :func:`decode_entry` can raise on a corrupt/alien payload.
 DECODE_ERRORS = (
     pickle.UnpicklingError,
@@ -94,16 +98,12 @@ def spec_key(spec: PointSpec, version: Optional[str] = None) -> str:
     Stable across processes and kwargs insertion order; the label is
     deliberately excluded (it is presentation, not content).
     """
-    payload = json.dumps(
-        {
-            "format": CACHE_FORMAT,
-            "code": version if version is not None else code_version(),
-            "fn": spec.fn,
-            "kwargs": spec.kwargs,
-        },
-        sort_keys=True,
-        default=repr,
-    )
+    payload = _encode_key({
+        "format": CACHE_FORMAT,
+        "code": version if version is not None else code_version(),
+        "fn": spec.fn,
+        "kwargs": spec.kwargs,
+    })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -160,10 +160,14 @@ class CacheBackend:
         raise NotImplementedError
 
     # -- get/put, once ---------------------------------------------------
-    def get(self, spec: PointSpec) -> Optional[Tuple[Any, float]]:
-        """Return ``(value, wall_time)`` for *spec*, or None on a miss."""
+    def get(self, spec: PointSpec, key: Optional[str] = None
+            ) -> Optional[Tuple[Any, float]]:
+        """Return ``(value, wall_time)`` for *spec*, or None on a miss.
+        A caller that already holds the spec's :meth:`key` (the runner:
+        a job id hashed under this cache's version) passes it as *key*."""
         if self.enabled:
-            key = self.key(spec)
+            if key is None:
+                key = self.key(spec)
             data = self.read_blob(key)
             if data is not None:
                 try:
@@ -177,13 +181,16 @@ class CacheBackend:
         self.misses += 1
         return None
 
-    def put(self, spec: PointSpec, value: Any, wall_time: float) -> None:
-        """Store *value* for *spec*; never raises — an unpicklable value
-        or an unwritable store disables the backend instead."""
+    def put(self, spec: PointSpec, value: Any, wall_time: float,
+            key: Optional[str] = None) -> None:
+        """Store *value* for *spec* (under *key* when given, as for
+        :meth:`get`); never raises — an unpicklable value or an
+        unwritable store disables the backend instead."""
         if not self.enabled:
             return
         try:
-            self.write_blob(self.key(spec), encode_entry(value, wall_time))
+            self.write_blob(key if key is not None else self.key(spec),
+                            encode_entry(value, wall_time))
         except (OSError,) + ENCODE_ERRORS:
             self.enabled = False
 
@@ -233,6 +240,7 @@ class ResultCache(CacheBackend):
 
     def __init__(self, root: Optional[str] = None, version: Optional[str] = None) -> None:
         self.root = Path(root if root is not None else default_cache_dir())
+        self._dir = str(self.root)
         self.version = version
         self.hits = 0
         self.misses = 0
@@ -242,26 +250,29 @@ class ResultCache(CacheBackend):
         except OSError:
             self.enabled = False
 
-    def _path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small on big sweeps.
-        return self.root / key[:2] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        # Two-level fan-out keeps directories small on big sweeps.  Built
+        # as a string: a hit is one open, not two pathlib joins.
+        return f"{self._dir}{os.sep}{key[:2]}{os.sep}{key}.pkl"
 
     def read_blob(self, key: str) -> Optional[bytes]:
         try:
-            return self._path(key).read_bytes()
+            with open(self._path(key), "rb") as handle:
+                return handle.read()
         except OSError:
             return None
 
     def write_blob(self, key: str, data: bytes) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
         except BaseException:
-            self._discard(Path(tmp))
+            self._discard(tmp)
             raise
 
     def delete_blob(self, key: str) -> None:
@@ -303,9 +314,9 @@ class ResultCache(CacheBackend):
         return f"dir:{self.root}"
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(path: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 

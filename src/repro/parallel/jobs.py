@@ -10,14 +10,26 @@ with a state machine
                       \\-> failed
 
 persisted to an append-only JSONL log (``jobs.jsonl`` under the store
-directory).  Appends are one ``write()`` of one line, so a SIGKILL at
-any instant loses at most the final line — and the reader tolerates a
-torn tail.  On reopen, jobs found ``running`` revert to ``pending``
-(their worker died mid-point; they are the *interrupted* set), jobs
-``done`` stay done, and a resumed sweep re-executes only what the
-result cache cannot serve.  The log is compacted (snapshot rewrite via
-tmp-file + rename) once state churn dominates, so a 10k-point sweep's
-log stays proportional to the job count, not the attempt count.
+directory).  The log is written once per phase, not once per record:
+``submit`` writes all its new ``job`` records in one ``write()``, the
+runner marks all the points it served from the cache ``done`` in one
+more, and each computed point logs its ``running`` and its ``done`` or
+``failed`` as it happens.  No handle is held between calls.  A SIGKILL
+in the middle of a batch leaves a torn tail, which replay skips, and
+everything it loses can be rebuilt:
+
+- a lost ``job`` record is submitted again by the resumed sweep, and
+  submit is idempotent;
+- a lost cached ``done`` record reads back as ``pending``, and the
+  resumed sweep serves that point from the cache again;
+
+so no point is computed twice and none is lost.  On reopen, jobs found
+``running`` revert to ``pending`` (their worker died mid-point; they
+are the *interrupted* set), jobs ``done`` stay done, and a resumed
+sweep re-executes only what the result cache cannot serve.  The log is
+compacted (snapshot rewrite via tmp-file + rename) once state churn
+dominates, so a 10k-point sweep's log stays proportional to the job
+count, not the attempt count.
 
 Job ids are the cache keys (:func:`repro.parallel.cache.spec_key`), so
 the job store and every cache backend agree on identity: a ``done``
@@ -39,7 +51,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.parallel.cache import code_version, spec_key
 from repro.parallel.spec import PointSpec
@@ -55,6 +67,10 @@ JOB_STATES = ("pending", "running", "done", "failed")
 
 #: Compact when the log holds more than this many records per job.
 COMPACT_RECORDS_PER_JOB = 4
+
+#: One log line's JSON (``json.dumps`` with these arguments, minus the
+#: encoder it would build per call).
+_encode = json.JSONEncoder(separators=(",", ":"), default=repr).encode
 
 
 @dataclasses.dataclass
@@ -102,6 +118,7 @@ class JobStore:
 
     def __init__(self, root: Optional[str], version: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else None
+        self._log = None if root is None else os.path.join(root, JOBS_FILE)
         self.version = version
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []
@@ -112,35 +129,38 @@ class JobStore:
         self._code: Optional[str] = None
         #: True once this run of the store has logged its code version.
         self._stamped = False
+        #: True while the log ends in a torn line: the next write starts
+        #: a fresh one, so the torn bytes never swallow a whole record.
+        self._torn = False
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._replay()
 
     # -- persistence ----------------------------------------------------
-    @property
-    def log_path(self) -> Optional[Path]:
-        return None if self.root is None else self.root / JOBS_FILE
-
     def _header(self, **fields: Any) -> Dict[str, Any]:
         return {"kind": "jobstore", "schema": JOBS_SCHEMA_VERSION,
                 "t": time.time(), **fields}
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self.root is None:
+    def _write(self, records: List[Dict[str, Any]]) -> None:
+        """Append *records* to the log in one ``write()``."""
+        if self._log is None or not records:
             return
-        line = json.dumps(record, separators=(",", ":"), default=repr)
-        with open(self.log_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        self._log_records += 1
+        text = "".join([_encode(record) + "\n" for record in records])
+        if self._torn:
+            text = "\n" + text
+            self._torn = False
+        with open(self._log, "a", encoding="utf-8") as handle:
+            handle.write(text)
+        self._log_records += len(records)
 
     def _replay(self) -> None:
-        """Rebuild state from the log; torn tail lines are ignored."""
-        path = self.log_path
-        if path is None or not path.is_file():
-            self._append(self._header())
+        """Rebuild state from the log; torn lines are ignored."""
+        if not os.path.isfile(self._log):
+            self._write([self._header()])
             return
-        with open(path, encoding="utf-8") as handle:
+        with open(self._log, encoding="utf-8") as handle:
             for line in handle:
+                self._torn = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -219,7 +239,7 @@ class JobStore:
             header = self._header(compacted=True)
             if self._code is not None:
                 header["code"] = self._code
-            handle.write(json.dumps(header, separators=(",", ":")) + "\n")
+            handle.write(_encode(header) + "\n")
             for job_id in self._order:
                 job = self.jobs[job_id]
                 record = {
@@ -233,12 +253,11 @@ class JobStore:
                     "attempts": job.attempts,
                     "t": header["t"],
                 }
-                handle.write(
-                    json.dumps(record, separators=(",", ":"), default=repr) + "\n"
-                )
+                handle.write(_encode(record) + "\n")
                 records += 1
-        os.replace(tmp, self.log_path)
+        os.replace(tmp, self._log)
         self._log_records = records
+        self._torn = False
 
     def maybe_compact(self) -> None:
         """Compact when state churn dominates the log."""
@@ -250,29 +269,31 @@ class JobStore:
     # -- queue surface ---------------------------------------------------
     def submit(self, specs: List[PointSpec]) -> List[Job]:
         """Register *specs* as jobs (idempotent by id); returns one job
-        per spec, in spec order — duplicates map to the same job."""
+        per spec, in spec order — duplicates map to the same job.  The
+        new jobs' records reach the log in one write."""
         out: List[Job] = []
+        records: List[Dict[str, Any]] = []
+        durable = self._log is not None
+        now = time.time()
         for spec in specs:
             job_id = spec_key(spec, self.version)
             job = self.jobs.get(job_id)
             if job is None:
-                if not self._stamped and self.root is not None:
-                    # spec_key has just hashed the sources (or was given
-                    # a version); opening a store never does.
-                    self._stamped = True
-                    self._code = (self.version if self.version is not None
-                                  else code_version())
-                    self._append(self._header(code=self._code))
                 job = Job(job_id=job_id, spec=spec)
                 self.jobs[job_id] = job
                 self._order.append(job_id)
-                self._append({
-                    "kind": "job",
-                    "id": job_id,
-                    "spec": job.spec_payload(),
-                    "t": time.time(),
-                })
+                if durable:
+                    if not self._stamped:
+                        # spec_key has just hashed the sources (or was
+                        # given a version); opening a store never does.
+                        self._stamped = True
+                        self._code = (self.version if self.version is not None
+                                      else code_version())
+                        records.append(self._header(code=self._code))
+                    records.append({"kind": "job", "id": job_id,
+                                    "spec": job.spec_payload(), "t": now})
             out.append(job)
+        self._write(records)
         return out
 
     def mark_running(self, job_id: str, pid: int = 0) -> None:
@@ -280,27 +301,37 @@ class JobStore:
         job.state = "running"
         job.attempts += 1
         job.error = ""
-        self._append({"kind": "state", "id": job_id, "state": "running",
+        self._write([{"kind": "state", "id": job_id, "state": "running",
                       "attempt": job.attempts, "pid": pid,
-                      "t": time.time()})
+                      "t": time.time()}])
 
     def mark_done(self, job_id: str, wall_time: float = 0.0,
                   cached: bool = False) -> None:
-        job = self.jobs[job_id]
-        job.state = "done"
-        job.wall_time = wall_time
-        job.cached = cached
-        job.error = ""
-        self._append({"kind": "state", "id": job_id, "state": "done",
-                      "wall": wall_time, "cached": cached,
-                      "t": time.time()})
+        self.mark_all_done(((job_id, wall_time),), cached)
+
+    def mark_all_done(self, finished: Iterable[Tuple[str, float]],
+                      cached: bool = False) -> None:
+        """Mark every ``(job_id, wall_time)`` of *finished* ``done``, in
+        one write: what the runner does with the points the cache
+        served."""
+        records = []
+        now = time.time()
+        for job_id, wall_time in finished:
+            job = self.jobs[job_id]
+            job.state = "done"
+            job.wall_time = wall_time
+            job.cached = cached
+            job.error = ""
+            records.append({"kind": "state", "id": job_id, "state": "done",
+                            "wall": wall_time, "cached": cached, "t": now})
+        self._write(records)
 
     def mark_failed(self, job_id: str, error: str) -> None:
         job = self.jobs[job_id]
         job.state = "failed"
         job.error = error
-        self._append({"kind": "state", "id": job_id, "state": "failed",
-                      "error": error, "t": time.time()})
+        self._write([{"kind": "state", "id": job_id, "state": "failed",
+                      "error": error, "t": time.time()}])
 
     # -- views -----------------------------------------------------------
     def __len__(self) -> int:

@@ -31,8 +31,8 @@ import sys
 import time
 from collections import deque
 from contextlib import nullcontext
-from typing import (Any, Callable, Iterator, List, Optional, Sequence, TextIO,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple)
 
 from repro.parallel.bus import Heartbeat, ProgressBus, point_key
 from repro.parallel.cache import CacheBackend
@@ -232,26 +232,34 @@ class ParallelRunner:
 
         Every spec becomes a job in the store (idempotent by content
         id, so resubmitting a half-finished sweep is safe); cache hits
-        complete immediately, the rest execute and transition through
-        ``running`` to ``done`` (or ``failed``).
+        complete immediately and are logged ``done`` together, the rest
+        execute and transition through ``running`` to ``done`` (or
+        ``failed``) one by one.
         """
+        cache = self.cache
         store = self.store if self.store is not None else JobStore(
-            None, version=getattr(self.cache, "version", None)
+            None, version=getattr(cache, "version", None)
         )
         jobs = store.submit(list(specs))
+        # A job id is the cache key when store and cache hash under one
+        # version; otherwise the cache hashes the spec under its own.
+        shared = cache is not None and store.version == cache.version
         total = len(specs)
         results: List[Optional[PointResult]] = [None] * total
         done = 0
         pending: List[int] = []
+        served: List[Tuple[str, float]] = []
         bus: Optional[ProgressBus] = None
+        announced: Dict[str, float] = {}
         if self.bus_dir is not None:
             bus = ProgressBus(self.bus_dir)
             bus.announce(total, getattr(self.progress, "label", "sweep"))
         for index, spec in enumerate(specs):
             hit = None
-            if self.cache is not None:
+            job_id = jobs[index].job_id
+            if cache is not None:
                 lookup_start = time.perf_counter()
-                hit = self.cache.get(spec)
+                hit = cache.get(spec, job_id if shared else None)
                 lookup_time = time.perf_counter() - lookup_start
                 if self.perf is not None:
                     if hit is None:
@@ -266,11 +274,13 @@ class ParallelRunner:
                 spec, value, wall_time, cached=True, lookup_time=lookup_time
             )
             done += 1
-            store.mark_done(jobs[index].job_id, wall_time, cached=True)
+            served.append((job_id, wall_time))
             if bus is not None:
-                bus.emit(point_key(index, spec.describe()), "done",
-                         wall=wall_time, cached=True)
+                announced[point_key(index, spec.describe())] = wall_time
             self._report(done, total, results[index])
+        store.mark_all_done(served, cached=True)
+        if bus is not None:
+            bus.announce_cached(announced)
 
         if self.jobs == 1 or len(pending) <= 1:
             computed = self._in_process(specs, jobs, store, pending)
@@ -279,9 +289,11 @@ class ParallelRunner:
         try:
             for index, (value, wall_time) in computed:
                 result = results[index] = PointResult(specs[index], value, wall_time)
-                if self.cache is not None:
-                    self.cache.put(specs[index], value, wall_time)
-                store.mark_done(jobs[index].job_id, wall_time)
+                job_id = jobs[index].job_id
+                if cache is not None:
+                    cache.put(specs[index], value, wall_time,
+                              job_id if shared else None)
+                store.mark_done(job_id, wall_time)
                 done += 1
                 self._report(done, total, result)
         finally:

@@ -19,7 +19,7 @@ arguments and subscribers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 #: Emitting class -> the events it adds to its bases'.  Fixed and small
 #: on purpose; ``FlowTracker`` only hands its slot to the
@@ -58,7 +58,7 @@ for _events in VOCABULARY.values():
 
 def implements(observer: Observer, event: str) -> bool:
     """True when *observer* does work for *event*."""
-    return getattr(getattr(observer, event), "__func__", None) is not _ignore
+    return bool(_routes(observer, (event,)))
 
 
 def _fan(targets: Sequence[Callable[..., None]]) -> Callable[..., None]:
@@ -69,19 +69,35 @@ def _fan(targets: Sequence[Callable[..., None]]) -> Callable[..., None]:
     return fan
 
 
+#: Event name -> the bound methods it reaches, in subscription order.
+Routes = Dict[str, List[Callable[..., None]]]
+
+
+def _routes(observer: Observer, events: Tuple[str, ...]) -> Routes:
+    """*observer*'s routes among *events*: the ones it does work for,
+    that is every event whose method is not the inherited no-op."""
+    routes: Routes = {}
+    for name in events:
+        method = getattr(observer, name)
+        if getattr(method, "__func__", None) is not _ignore:
+            routes[name] = [method]
+    return routes
+
+
 class Fanout(Observer):
     """Several subscribers behind one slot, in subscription order.
     Each of the component's events is routed once, here: straight to
     the bound method when one subscriber implements it, through a loop
-    when several do, and left as the inherited no-op when none does."""
+    when several do, and left as the inherited no-op when none does.
+    ``routes`` keeps the targets per event, so one more subscriber
+    extends them instead of asking every held one again."""
 
-    def __init__(self, held: List[Observer], events: Tuple[str, ...]) -> None:
+    def __init__(self, held: List[Observer], routes: Routes) -> None:
         self.subscribers = held
-        for name in events:
-            targets = [getattr(s, name) for s in held if implements(s, name)]
-            if targets:
-                setattr(self, name,
-                        targets[0] if len(targets) == 1 else _fan(targets))
+        self.routes = routes
+        for name, targets in routes.items():
+            setattr(self, name,
+                    targets[0] if len(targets) == 1 else _fan(targets))
 
 
 def subscribers(component: Any) -> List[Observer]:
@@ -92,16 +108,31 @@ def subscribers(component: Any) -> List[Observer]:
     return list(obs.subscribers) if isinstance(obs, Fanout) else [obs]
 
 
+#: Emitting class -> its events, bases' included (VOCABULARY is fixed).
+_EVENTS: Dict[type, Tuple[str, ...]] = {}
+
+
 def _events_of(component: Any) -> Tuple[str, ...]:
-    return tuple(name for klass in type(component).__mro__
-                 for name in VOCABULARY.get(klass.__name__, ()))
+    klass = type(component)
+    events = _EVENTS.get(klass)
+    if events is None:
+        events = _EVENTS[klass] = tuple(
+            name for base in klass.__mro__
+            for name in VOCABULARY.get(base.__name__, ()))
+    return events
 
 
-def _hold(component: Any, held: List[Observer]) -> None:
+def _hold(component: Any, held: List[Observer], routes: Routes) -> None:
     if len(held) > 1:
-        component.obs = Fanout(held, _events_of(component))
+        component.obs = Fanout(held, routes)
     else:
         component.obs = held[0] if held else None
+
+
+def _extend(routes: Routes, more: Routes) -> Routes:
+    for name, targets in more.items():
+        routes.setdefault(name, []).extend(targets)
+    return routes
 
 
 def subscribe(component: Any, observer: Observer) -> None:
@@ -109,15 +140,31 @@ def subscribe(component: Any, observer: Observer) -> None:
     already there.  Nothing happens when *observer* implements none of
     the component's events (so it is never called for nothing) or is
     subscribed already."""
-    if any(implements(observer, name) for name in _events_of(component)):
-        held = subscribers(component)
-        if observer not in held:
-            _hold(component, held + [observer])
+    events = _events_of(component)
+    mine = _routes(observer, events)
+    if not mine:
+        return
+    obs = component.obs
+    if obs is None:
+        component.obs = observer
+        return
+    if isinstance(obs, Fanout):
+        held = obs.subscribers
+        routes = {name: list(targets) for name, targets in obs.routes.items()}
+    else:
+        held, routes = [obs], _routes(obs, events)
+    if observer not in held:
+        _hold(component, held + [observer], _extend(routes, mine))
 
 
 def unsubscribe(component: Any, observer: Observer) -> None:
     """Remove *observer* from *component*'s slot (a no-op if absent)."""
-    _hold(component, [s for s in subscribers(component) if s is not observer])
+    held = [s for s in subscribers(component) if s is not observer]
+    events = _events_of(component)
+    routes: Routes = {}
+    for subscriber in held:
+        _extend(routes, _routes(subscriber, events))
+    _hold(component, held, routes)
 
 
 #: What ``profiled()`` and ``recording()`` are made of: the observers

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -135,3 +136,27 @@ def test_manifest_json_payload_shape():
     assert set(payload) == {"schema"} | {
         f.name for f in dataclasses.fields(RunManifest)
     }
+
+
+def test_to_json_and_to_dict_are_what_asdict_made():
+    """Built field by field, not by ``dataclasses.asdict``: the same
+    bytes, an equal dict in the same order, and copies all the way
+    down, for a manifest carrying a nested scenario document."""
+    from repro.build.harness import manifest_payloads
+    from repro.build.spec import WorkloadSpec
+    from repro.experiments.runner import dumbbell_spec
+
+    spec = dumbbell_spec("taq", 200_000.0, duration=5.0, workloads=[
+        WorkloadSpec(kind="bulk", params={"flows": 4})])
+    manifest = build_manifest("run-n", 5, **manifest_payloads(spec))
+    assert manifest.scenario["workloads"]
+    expected = dataclasses.asdict(manifest)
+    assert manifest.to_json() == json.dumps(
+        {"schema": "repro.obs.manifest", **expected}, indent=2, sort_keys=True)
+    copied = manifest.to_dict()
+    assert copied == expected and list(copied) == list(expected)
+    assert pickle.dumps(copied) == pickle.dumps(expected)
+    scenario = copied["scenario"]
+    assert scenario is not manifest.scenario
+    assert scenario["workloads"] is not manifest.scenario["workloads"]
+    assert scenario["workloads"][0] is not manifest.scenario["workloads"][0]

@@ -7,6 +7,7 @@ never touch the RNG or the event order) is pinned for every observer
 family in ``tests/test_bit_identity.py``.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -48,8 +49,8 @@ def test_manifest_round_trip_and_diff(taq_bundle):
     assert manifest.topology["capacity_bps"] == POINT["capacity_bps"]
     assert manifest.event_count > 0
     assert len(manifest.source_hash) == 64
-    # The payload's manifest dict matches the persisted file.
-    assert manifest.event_count == point.telemetry["manifest"]["event_count"]
+    # The payload's manifest dict is the persisted manifest's asdict().
+    assert point.telemetry["manifest"] == dataclasses.asdict(manifest)
     assert diff_manifests(manifest, manifest) == {}
 
 

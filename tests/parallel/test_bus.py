@@ -79,6 +79,37 @@ class TestBusReadWrite:
         assert point["status"] == "cached"
         assert point["cached"] is True
 
+    def test_a_cached_record_expands_to_one_point_each(self, tmp_path):
+        bus = ProgressBus(str(tmp_path))
+        bus.announce(3, "fig02")
+        bus.announce_cached({"p000-a": 1.5, "p002-c": 2.25})
+        bus.announce_cached({})  # nothing served: nothing written
+        state = read_bus(str(tmp_path))
+        assert {key: (p["status"], p["wall"], p["cached"])
+                for key, p in state["points"].items()} == {
+            "p000-a": ("cached", 1.5, True), "p002-c": ("cached", 2.25, True)}
+        assert [path.name for path in tmp_path.iterdir()] == [SWEEP_FILE]
+        assert len((tmp_path / SWEEP_FILE).read_text().splitlines()) == 2
+
+    def test_a_cached_record_and_a_point_file_merge_in_time_order(self, tmp_path):
+        def write(name, *events):
+            with open(tmp_path / f"{name}.jsonl", "a", encoding="utf-8") as handle:
+                for event in events:
+                    handle.write(json.dumps(event) + "\n")
+
+        # p000 was computed by an earlier run, then served by a later one;
+        # p001 was served, then computed again after its entry went stale.
+        write("p000-a", {"t": 1.0, "kind": "start", "pid": 9},
+              {"t": 2.0, "kind": "done", "wall": 1.0})
+        write("p001-b", {"t": 5.0, "kind": "start", "pid": 9})
+        write("_sweep", {"t": 3.0, "kind": "cached",
+                         "points": {"p000-a": 1.0, "p001-b": 0.5}})
+        points = read_bus(str(tmp_path))["points"]
+        assert (points["p000-a"]["status"], points["p000-a"]["last_seen"]) == (
+            "cached", 3.0)
+        assert (points["p001-b"]["status"], points["p001-b"]["wall"]) == (
+            "running", 0.5)
+
     def test_torn_tail_write_is_skipped(self, tmp_path):
         bus = ProgressBus(str(tmp_path))
         key = "p000-a"
@@ -281,13 +312,18 @@ class TestRunnerBus:
 
     def test_cache_hits_report_cached_on_the_bus(self, tmp_path, jobs):
         cache = ResultCache(root=str(tmp_path / "cache"), version="v1")
-        ParallelRunner(jobs=jobs, cache=cache).run(square_specs([3, 6]))
+        first = ParallelRunner(jobs=jobs, cache=cache).run(square_specs([3, 6]))
         bus_dir = str(tmp_path / "bus")
         ParallelRunner(jobs=jobs, cache=cache, bus_dir=bus_dir).run(
             square_specs([3, 6])
         )
         state = read_bus(bus_dir)
-        assert all(p["status"] == "cached" for p in state["points"].values())
+        assert {key: (p["status"], p["wall"])
+                for key, p in state["points"].items()} == {
+            point_key(0, "x=3"): ("cached", first[0].wall_time),
+            point_key(1, "x=6"): ("cached", first[1].wall_time),
+        }
+        assert "2/2 done" in render_tail(state)
 
     def test_tail_frame_renders_the_finished_sweep(self, tmp_path, jobs):
         bus_dir = str(tmp_path / "bus")

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +102,7 @@ class TestDegradation:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(SPEC, 9, 0.1)
-        path = cache._path(cache.key(SPEC))
+        path = Path(cache._path(cache.key(SPEC)))
         path.write_bytes(b"this is not a pickle")
         assert cache.get(SPEC) is None
         # The corrupt entry is cleaned up so the next put can land.
@@ -112,7 +113,7 @@ class TestDegradation:
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = make_cache(tmp_path)
         cache.put(SPEC, {"big": list(range(100))}, 0.1)
-        path = cache._path(cache.key(SPEC))
+        path = Path(cache._path(cache.key(SPEC)))
         path.write_bytes(path.read_bytes()[:10])
         assert cache.get(SPEC) is None
 

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from repro.parallel import JobStore, PointSpec, spec_key
+from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache, spec_key
 from repro.parallel import jobs as jobs_module
 from repro.parallel.jobs import JOBS_FILE, JOBS_SCHEMA_VERSION
 
@@ -30,7 +30,7 @@ def records(root):
 class TestInMemory:
     def test_memory_store_is_not_persistent(self):
         store = JobStore(None, version="v1")
-        assert store.log_path is None
+        assert store.root is None
         jobs = store.submit(specs(3))
         assert len(store) == 3
         store.mark_done(jobs[0].job_id, wall_time=1.0)
@@ -187,6 +187,68 @@ class TestReplay:
         (tmp_path / JOBS_FILE).write_text(json.dumps(header) + "\n")
         with pytest.raises(ValueError, match="newer than supported"):
             JobStore(str(tmp_path), version="v1")
+
+
+class TestTornBatch:
+    """A SIGKILL inside one of the log's batched writes: the ``job``
+    records ``submit`` writes together, or the ``done`` records of the
+    points the cache served.  Whatever the cut loses, a resume rebuilds
+    without computing anything again."""
+
+    POINTS = 6
+
+    def served_sweep(self, tmp_path):
+        """One fully cached sweep through a fresh store: its cache, its
+        specs, the log it wrote and where each line of it starts."""
+        sweep = specs(self.POINTS)
+        cache = ResultCache(str(tmp_path / "cache"), version="v1")
+        for spec in sweep:
+            cache.put(spec, spec.kwargs["x"] ** 2, 0.25)
+        store = JobStore(str(tmp_path / "jobs"), version="v1")
+        ParallelRunner(jobs=1, cache=cache, store=store).run(sweep)
+        data = (tmp_path / "jobs" / JOBS_FILE).read_bytes()
+        lines = data.splitlines(keepends=True)
+        # The open header; the code header and the six jobs, written
+        # by submit at once; the six served points' done records, too.
+        assert [json.loads(line)["kind"] for line in lines] == (
+            ["jobstore"] * 2 + ["job"] * 6 + ["state"] * 6)
+        starts = [sum(map(len, lines[:index])) for index in range(len(lines) + 1)]
+        return cache, sweep, data, starts
+
+    @pytest.mark.parametrize("batch", ["submit", "served"])
+    def test_a_resume_after_a_cut_batch_computes_nothing(self, tmp_path, batch):
+        cache, sweep, data, starts = self.served_sweep(tmp_path)
+        first, last = (1, 8) if batch == "submit" else (8, 14)
+        lo, hi = starts[first], starts[last]
+        cuts = [lo + 1, (starts[first + 2] + starts[first + 3]) // 2,
+                starts[first + 3], hi - 2]
+        for cut in cuts:
+            root = tmp_path / f"{batch}-{cut}"
+            root.mkdir()
+            (root / JOBS_FILE).write_bytes(data[:cut])
+            store = JobStore(str(root), version="v1")
+            # Every record before the cut is intact; the torn one is gone.
+            whole = [json.loads(line) for line in data[:cut].splitlines(keepends=True)
+                     if line.endswith(b"\n")]
+            assert [job.job_id for job in store] == [
+                record["id"] for record in whole if record["kind"] == "job"]
+            done = [record["id"] for record in whole if record.get("state") == "done"]
+            assert [job.job_id for job in store.by_state("done")] == done
+            assert store.counts()["pending"] == len(store) - len(done)
+
+            served = []
+            results = ParallelRunner(
+                jobs=1, cache=cache, store=store,
+                progress=lambda count, total, result: served.append(result.cached),
+            ).run(sweep)
+            assert [result.value for result in results] == [x * x for x in range(6)]
+            assert served == [True] * self.POINTS
+            # The log the resume appended to replays whole: every point
+            # once, and done.
+            reopened = JobStore(str(root), version="v1")
+            assert [job.job_id for job in reopened] == [
+                spec_key(spec, "v1") for spec in sweep]
+            assert reopened.counts()["done"] == self.POINTS
 
 
 class TestCompaction:

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.parallel import ParallelRunner, PointSpec, ResultCache
+from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
 from repro.parallel.runner import ProgressPrinter
 
 SQUARE = "tests.parallel.helpers:square"
@@ -101,6 +101,47 @@ class TestCacheIntegration:
         assert not cache.enabled
         results = ParallelRunner(jobs=jobs, cache=cache).run(square_specs([4]))
         assert results[0].value == 16
+
+
+class KeyCountingCache(ResultCache):
+    """A dir cache that counts the specs it hashes for itself."""
+
+    def __init__(self, root, version):
+        super().__init__(root=root, version=version)
+        self.hashed = 0
+
+    def key(self, spec):
+        self.hashed += 1
+        return super().key(spec)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestKeyReuse:
+    """Job ids are cache keys only when store and cache share a version."""
+
+    def run_prepared(self, tmp_path, jobs, store_version, cache_version):
+        specs = square_specs([2, 3, 5])
+        cache = KeyCountingCache(str(tmp_path / "cache"), cache_version)
+        for spec in specs[:2]:
+            cache.put(spec, spec.kwargs["x"] ** 2, 0.5)
+        cache.hashed = 0
+        store = JobStore(str(tmp_path / "jobs"), version=store_version)
+        results = ParallelRunner(jobs=jobs, cache=cache, store=store).run(specs)
+        assert [(r.value, r.cached) for r in results] == [
+            (4, True), (9, True), (25, False)]
+        assert store.counts()["done"] == 3
+        return cache
+
+    def test_a_store_of_another_version_looks_up_under_the_cache_key(
+            self, tmp_path, jobs):
+        cache = self.run_prepared(tmp_path, jobs, "a", "b")
+        # Three lookups and one put, each hashed under the cache's "b".
+        assert cache.hashed == 4
+        assert cache.get(square_specs([5])[0])[0] == 25
+
+    def test_a_same_version_run_looks_up_under_the_job_id(self, tmp_path, jobs):
+        cache = self.run_prepared(tmp_path, jobs, "v1", "v1")
+        assert cache.hashed == 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
