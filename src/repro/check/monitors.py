@@ -497,7 +497,7 @@ class TaqAccountingMonitor(Monitor):
                 )
             if now - record.last_seen <= ACTIVITY_HORIZON_EPOCHS * record.epoch_length:
                 scanned += 1
-                key = record.census_key()
+                key = record.census_key
                 scanned_per_pool[key] = scanned_per_pool.get(key, 0) + 1
         census = tracker.active_flows(now)
         per_pool = tracker.active_per_pool(now)

@@ -78,17 +78,20 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Loss-rate measurement (fed by the TAQ queue)
     # ------------------------------------------------------------------
+    # Both notes test _roll's guard themselves: the window closes once
+    # per measure_interval, and a packet arrives on every call.
     def note_arrival(self, now: float) -> None:
-        self._roll(now)
+        if not now - self._window_start < self.measure_interval:
+            self._roll(now)
         self._arrivals += 1
 
     def note_drop(self, now: float) -> None:
-        self._roll(now)
+        if not now - self._window_start < self.measure_interval:
+            self._roll(now)
         self._drops += 1
 
     def _roll(self, now: float) -> None:
-        if now - self._window_start < self.measure_interval:
-            return
+        """Close the measurement window (its interval has elapsed)."""
         if self._arrivals > 0:
             measured = self._drops / self._arrivals
             # EWMA so one quiet interval does not reopen the gates.

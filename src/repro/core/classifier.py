@@ -1,7 +1,12 @@
 """Epoch-boundary state classification (the Fig 7 transition rules).
 
 The classifier is a pure function from one epoch's observations (plus
-the previous state) to the next state.  It encodes §3.3/§4.1:
+the previous state) to the next state, and the one place the rules are
+written.  It reads the observation's six fields by name and nothing
+else, so at the epoch boundary the tracker passes its
+:class:`~repro.core.tracker.FlowRecord`, which carries them, as the
+observation; :class:`EpochObservation` is the same input spelled out,
+for every other caller.  It encodes §3.3/§4.1:
 
 - growth in new packets across epochs distinguishes SLOW_START from
   NORMAL;
@@ -66,7 +71,8 @@ def classify_epoch(state: FlowState, obs: EpochObservation) -> FlowState:
     if state == FlowState.TIMEOUT_RECOVERY:
         # Successful retransmissions recovered the flow: slow start.
         return FlowState.SLOW_START
-    if obs.new_packets > max(1, obs.prev_new_packets) * SLOW_START_GROWTH:
+    prev = obs.prev_new_packets
+    if obs.new_packets > (prev if prev > 1 else 1) * SLOW_START_GROWTH:
         return FlowState.SLOW_START
     return FlowState.NORMAL
 

@@ -71,7 +71,12 @@ class EpochEstimator:
 
     # ------------------------------------------------------------------
     def _feed(self, measurement: float) -> None:
-        measurement = min(self.max_epoch, max(self.min_epoch, measurement))
+        # min(max_epoch, max(min_epoch, measurement)) without the two
+        # builtin calls.
+        if not measurement > self.min_epoch:
+            measurement = self.min_epoch
+        if not measurement < self.max_epoch:
+            measurement = self.max_epoch
         if self.samples == 0:
             self.estimate = measurement
         else:

@@ -67,7 +67,7 @@ class FairShareEstimator:
         if self.granularity == "pool":
             census = tracker.active_per_pool(now)
             n_pools = max(1, len(census))
-            flows_in_pool = max(1, census.get(record.census_key(), 1))
+            flows_in_pool = max(1, census.get(record.census_key, 1))
             return self.capacity_bps / n_pools / flows_in_pool
         equal_share = self.capacity_bps / tracker.active_flows(now)
         if self.model == "fair-queuing":

@@ -151,10 +151,12 @@ class TAQScheduler:
             PacketClass.BELOW_FAIR_SHARE: deque(),
             PacketClass.ABOVE_FAIR_SHARE: deque(),
         }
-        # The last ``service_window`` classes served, and how many of
-        # them were RECOVERY (a running count, so the service cap is
-        # not a sum over the window on every dequeue).
+        # The last ``service_window`` classes served, how many there
+        # are and how many of them were RECOVERY (running counts, so the
+        # service cap is neither a sum over the window nor a len() call
+        # on every dequeue).
         self._recent_services: Deque[PacketClass] = deque()
+        self._recent_count = 0
         self._recent_recovery = 0
         #: Packets buffered across all five containers, kept as a
         #: running count: ``len(scheduler)`` is on every hot path.
@@ -263,17 +265,19 @@ class TAQScheduler:
     # ------------------------------------------------------------------
     # Dequeue
     # ------------------------------------------------------------------
-    def dequeue(self) -> Optional[Packet]:
+    def dequeue(self, now: Optional[float] = None) -> Optional[Packet]:
         """Pick the next packet per the 3-level hierarchy, and settle
-        the running counts of its departure."""
+        the running counts of its departure.  *now* is not read: it is
+        there so a link can call this as its queue's ``dequeue(now)``
+        (:meth:`repro.core.taq.TAQQueue.dequeuer`)."""
         recovery = self._recovery
-        window = self._recent_services
+        recent = self._recent_count
         # Level 1: recovery, under its service cap (work-conserving:
         # also when recovery is all that is buffered).
         if recovery and (
             self.buffered == len(recovery)
-            or not window
-            or self._recent_recovery / len(window) < self.recovery_service_share
+            or not recent
+            or self._recent_recovery / recent < self.recovery_service_share
         ):
             klass = RECOVERY
         else:
@@ -315,9 +319,11 @@ class TAQScheduler:
         self.buffered -= 1
         if packet.kind == SYN and self._buffered_syns > 0:
             self._buffered_syns -= 1
+        window = self._recent_services
         window.append(klass)
-        if len(window) > self.service_window:
-            if window.popleft() is RECOVERY:
-                self._recent_recovery -= 1
+        if recent < self.service_window:
+            self._recent_count = recent + 1
+        elif window.popleft() is RECOVERY:
+            self._recent_recovery -= 1
         self.stats[klass].served += 1
         return packet

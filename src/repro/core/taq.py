@@ -23,14 +23,16 @@ unadmitted pools *before* they consume buffer; the sender's SYN retry
 doubles as the paper's retry-until-admitted behaviour.
 
 Per packet, ``enqueue`` and ``observe_reverse`` apply these rules in one
-frame each and the scheduler accepts or serves in one more; a rare path
-(new flow, epoch rollover, estimator sample, due census or GC pass,
-admission, the non-default fairness models) is one call behind its guard.
+frame each and the scheduler accepts or serves in one more (the link
+calls the scheduler's ``dequeue`` itself, see :meth:`TAQQueue.dequeuer`);
+a rare path (new flow, epoch rollover, estimator sample, due census or
+GC pass, admission, the non-default fairness models) is one call behind
+its guard.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.core.admission import AdmissionController
 from repro.core.fairshare import FairShareEstimator
@@ -311,6 +313,11 @@ class TAQQueue(QueueDiscipline):
 
     def dequeue(self, now: float) -> Optional[Packet]:
         return self.scheduler.dequeue()
+
+    def dequeuer(self) -> Callable[[float], Optional[Packet]]:
+        """The scheduler's ``dequeue``: a link calls it without the
+        forwarding frame above, which direct callers keep."""
+        return self.scheduler.dequeue
 
     def __len__(self) -> int:
         return self.scheduler.buffered

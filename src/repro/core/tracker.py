@@ -11,7 +11,10 @@ rate estimate for the fair-share split.
 Epoch rollover is lazy: whenever a flow is observed (or queried), the
 tracker advances its epoch window to ``now``, classifying each elapsed
 epoch — including fully silent ones — through
-:func:`repro.core.classifier.classify_epoch`.
+:func:`repro.core.classifier.classify_epoch`.  The record is its own
+epoch observation: it carries the six fields of
+:class:`~repro.core.classifier.EpochObservation` under the same names,
+so the boundary hands it over as it stands.
 
 Retransmissions are *inferred*, not trusted from the packet: a data
 packet whose sequence number does not exceed the highest sequence seen
@@ -42,7 +45,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.classifier import EpochObservation, classify_epoch
+from repro.core.classifier import classify_epoch
 from repro.core.epoch import EpochEstimator
 from repro.core.states import FlowState
 from repro.net.packet import Packet
@@ -58,6 +61,7 @@ class FlowRecord:
     __slots__ = (
         "flow_id",
         "pool_id",
+        "census_key",
         "first_seen",
         "last_seen",
         "last_data_time",
@@ -85,6 +89,10 @@ class FlowRecord:
     def __init__(self, flow_id: int, pool_id: int, now: float, estimator: EpochEstimator) -> None:
         self.flow_id = flow_id
         self.pool_id = pool_id
+        #: The pool this flow is counted under in the activity census
+        #: (an unpooled flow is its own pool, keyed apart from every
+        #: real pool id).
+        self.census_key = pool_id if pool_id != -1 else -(flow_id + 2)
         self.first_seen = now
         self.last_seen = now
         self.last_data_time: Optional[float] = None
@@ -119,11 +127,6 @@ class FlowRecord:
     def epoch_length(self) -> float:
         return self.estimator.estimate
 
-    def census_key(self) -> int:
-        """The pool this flow is counted under (an unpooled flow is its
-        own pool, keyed apart from every real pool id)."""
-        return self.pool_id if self.pool_id != -1 else -(self.flow_id + 2)
-
     def recent_drops(self) -> int:
         """Drops over the current and previous epochs (the §4.2 Level-3
         'more than 2 packet drops in an epoch' trigger uses this)."""
@@ -131,7 +134,9 @@ class FlowRecord:
 
     # ------------------------------------------------------------------
     def roll_epochs(self, now: float) -> None:
-        """Advance the epoch window to *now*, classifying each one."""
+        """Advance the epoch window to *now*, classifying each one (the
+        record, its counters still those of the closing epoch, is the
+        classifier's observation)."""
         estimator = self.estimator
         epoch_len = estimator.estimate
         guard = 0
@@ -139,16 +144,8 @@ class FlowRecord:
             guard += 1
             was_active = (self.new_packets + self.retransmissions) > 0
             self.silent_epochs = 0 if was_active else self.silent_epochs + 1
-            observation = EpochObservation(
-                new_packets=self.new_packets,
-                retransmissions=self.retransmissions,
-                drops=self.drops,
-                prev_new_packets=self.prev_new_packets,
-                outstanding_drops=self.outstanding_drops,
-                silent_epochs=self.silent_epochs,
-            )
             prev_state = self.state
-            self.state = classify_epoch(self.state, observation)
+            self.state = classify_epoch(prev_state, self)
             if self.obs is not None and self.state is not prev_state:
                 self.obs.flow_state(self, prev_state, self.epoch_start + epoch_len)
             # Rate over the closing epoch (EWMA over epochs).
@@ -249,7 +246,7 @@ class FlowTracker:
         return self._active if self._active > 0 else 1
 
     def active_per_pool(self, now: float) -> Dict[int, int]:
-        """Active flows per :meth:`FlowRecord.census_key`; pools with
+        """Active flows per :attr:`FlowRecord.census_key`; pools with
         none are absent.  The tracker's own table: read, do not edit."""
         self._retire(now)
         return self._active_per_pool
@@ -257,14 +254,14 @@ class FlowTracker:
     def _activate(self, record: FlowRecord) -> None:
         record.active = True
         self._active += 1
-        key = record.census_key()
+        key = record.census_key
         self._active_per_pool[key] = self._active_per_pool.get(key, 0) + 1
         self._push(record)
 
     def _deactivate(self, record: FlowRecord) -> None:
         record.active = False
         self._active -= 1
-        key = record.census_key()
+        key = record.census_key
         left = self._active_per_pool[key] - 1
         if left:
             self._active_per_pool[key] = left

@@ -104,8 +104,9 @@ class Link:
         Propagation delay in seconds, applied after serialization.
     queue:
         Queue discipline governing the output buffer.  The link calls
-        ``queue.enqueue`` on arrival and ``queue.dequeue`` when the
-        transmitter frees up.
+        ``queue.enqueue`` on arrival and what ``queue.dequeuer()``
+        returned (``queue.dequeue`` unless the discipline says otherwise)
+        when the transmitter frees up.
     name:
         Diagnostic label.
     """
@@ -144,7 +145,7 @@ class Link:
         # link's lifetime, so the per-packet path calls these bound
         # methods instead of chasing queue attributes on every packet.
         self._q_enqueue = queue.enqueue
-        self._q_dequeue = queue.dequeue
+        self._q_dequeue = queue.dequeuer()
         #: What serialization start calls to put a packet on the wire,
         #: as ``(delivery time, self._deliver, (packet,))`` while
         #: ``_free_at`` holds the serialization end: the simulator's

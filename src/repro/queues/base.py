@@ -15,7 +15,7 @@ admission control) see a single stream of drop notifications:
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.net.packet import Packet
 
@@ -71,6 +71,14 @@ class QueueDiscipline:
     def attach(self, link: "Link") -> None:
         """Called by the link that adopts this queue."""
         self.link = link
+
+    def dequeuer(self) -> Callable[[float], Optional[Packet]]:
+        """What the adopting link binds, once, right after :meth:`attach`,
+        and calls whenever its transmitter goes idle: :meth:`dequeue`'s
+        contract, and by default ``dequeue`` itself.  A discipline whose
+        ``dequeue`` only forwards hands over the callable it forwards to
+        (TAQ, its scheduler's), so the per-packet path skips a frame."""
+        return self.dequeue
 
     def _record_drop(self, packet: Packet, now: float) -> None:
         self.dropped += 1

@@ -18,8 +18,11 @@ fails before a shipped scenario gets there.
 Cancellation is **physical**: :meth:`Event.cancel` bisects to the entry
 and deletes it, so cancelled timers never accumulate as tombstones,
 ``len(queue)`` is the length of the list and ``discards`` is a fact
-counted when the cancel happens.  Pop order depends on nothing but the
-entries themselves, so replaying a schedule/cancel script reproduces
+counted when the cancel happens.  ``Simulator.rearm`` moves a handle
+the same way — delete its entry (a discard when it was pending), insert
+it again under the next sequence number — so a timer restart reuses its
+:class:`Event`.  Pop order depends on nothing but the entries
+themselves, so replaying a schedule/cancel/rearm script reproduces
 bit-identical pop order: the determinism contract the goldens pin.
 """
 
@@ -36,12 +39,14 @@ class Event:
 
     Instances are returned by :meth:`repro.sim.simulator.Simulator.schedule`
     and can be cancelled at any point before they fire.  After an event
-    has fired or been cancelled, cancelling again is a no-op.
+    has fired or been cancelled, cancelling again is a no-op, until
+    :meth:`~repro.sim.simulator.Simulator.rearm` schedules it again.
     """
 
     # Built only by ``EventQueue.push`` and the scheduling methods of
-    # ``Simulator``, which repeat its body.  ``_queue`` is the owning
-    # queue while scheduled (None once popped or cancelled).
+    # ``Simulator``, which repeat its body (``rearm`` reuses one).
+    # ``_queue`` is the owning queue while scheduled (None once popped
+    # or cancelled).
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "_queue")
 
     def cancel(self) -> None:
@@ -51,9 +56,9 @@ class Event:
         self.cancelled = True
         queue = self._queue
         if queue is not None:
-            # Delete the entry here rather than through a queue method:
-            # every timer restart cancels, so this is one frame per
-            # restart.  (time, seq) sorts immediately before its own
+            # Delete the entry here rather than through a queue method
+            # (Simulator.rearm repeats this body): one frame per cancel.
+            # (time, seq) sorts immediately before its own
             # (time, seq, event) entry, so bisect_left lands on it.
             pending = queue._pending
             del pending[bisect_left(pending, (self.time, self.seq))]

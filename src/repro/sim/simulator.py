@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -90,6 +90,37 @@ class Simulator:
         event._queue = events
         insort(self._pending, (time, seq, event))
         return event
+
+    def rearm(self, event: Event, delay: float) -> None:
+        """Move *event* to fire *delay* seconds from now.
+
+        The store sees exactly ``event.cancel()`` followed by
+        ``schedule(delay, event.callback, event.args)``: a pending entry
+        leaves it and counts as a discard, and the event re-enters at
+        ``(now + delay, next sequence number)``, so the pop order and
+        ``discards`` equal cancel + schedule's.  Only the handle differs:
+        the same :class:`Event` comes back pending — whether it was
+        pending, has fired (a timer re-armed from its own callback) or
+        was cancelled — and no new one is built.  A timer restart is this
+        one frame.
+        """
+        if not delay >= 0:  # not `delay < 0`: that is False for NaN
+            raise SimulationError(f"negative or NaN delay {delay!r}")
+        queue = event._queue
+        if queue is not None:
+            # Event.cancel's body: the pending entry leaves the store.
+            pending = queue._pending
+            del pending[bisect_left(pending, (event.time, event.seq))]
+            queue.discards += 1
+        time = self.now + delay
+        events = self.events
+        seq = events._next_seq
+        events._next_seq = seq + 1
+        event.time = time
+        event.seq = seq
+        event.cancelled = event.fired = False
+        event._queue = events
+        insort(self._pending, (time, seq, event))
 
     # ------------------------------------------------------------------
     # Running

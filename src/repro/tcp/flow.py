@@ -44,8 +44,9 @@ class TcpFlow:
     pool_id:
         Flow-pool (web session) id for admission control; -1 = none.
     record_deliveries:
-        When True, keeps ``(time, in_order_segments)`` progress samples
-        on the receiver side for download-time / hang metrics.
+        When True, the receiver appends ``(time, in_order_segments)``
+        progress samples to :attr:`delivery_log` for download-time /
+        hang metrics.
     round_log:
         Enable the sender's ground-truth round log (Fig 6 validation).
     persistent_syn:
@@ -130,7 +131,7 @@ class TcpFlow:
             send=dumbbell.ack_entry.send,
             sack=sack,
             sim=dumbbell.sim,
-            on_delivery=self._on_delivery if record_deliveries else None,
+            delivery_log=self.delivery_log if record_deliveries else None,
         )
         self.receiver.pool_id = pool_id
         # Each half addresses its packets to the other, past half the
@@ -148,9 +149,6 @@ class TcpFlow:
     # ------------------------------------------------------------------
     # Application-level accounting
     # ------------------------------------------------------------------
-    def _on_delivery(self, in_order_segments: int, now: float) -> None:
-        self.delivery_log.append((now, in_order_segments))
-
     def _on_complete(self, now: float) -> None:
         self.completed_at = now
         # Packets still in flight for this flow are dropped on arrival,

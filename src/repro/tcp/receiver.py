@@ -13,8 +13,6 @@ from typing import Callable, List, Optional, Set, Tuple
 
 from repro.net.packet import ACK, DATA, FIN, HEADER_BYTES, SYN, SYNACK, Packet
 
-DeliveryCallback = Callable[[int, float], None]
-
 
 class TCPReceiver:
     """Receiver half of a connection.
@@ -36,10 +34,11 @@ class TCPReceiver:
         the ablation.
     sim:
         Optional simulator, required only for the delayed-ack timer.
-    on_delivery:
-        Optional callback ``(segments_delivered_in_order, now)`` fired
-        whenever the in-order prefix advances, used by download-time and
-        hang metrics.
+    delivery_log:
+        Optional list the receiver appends ``(now,
+        segments_delivered_in_order)`` to whenever the in-order prefix
+        advances, read by download-time and hang metrics (a flow's
+        :attr:`~repro.tcp.flow.TcpFlow.delivery_log`).
     """
 
     #: RFC 1122 delayed-ack flush timer.
@@ -52,7 +51,7 @@ class TCPReceiver:
         sack: bool = False,
         delayed_ack: bool = False,
         sim=None,
-        on_delivery: Optional[DeliveryCallback] = None,
+        delivery_log: Optional[List[Tuple[float, int]]] = None,
     ) -> None:
         self.flow_id = flow_id
         self._send = send
@@ -60,7 +59,7 @@ class TCPReceiver:
         self.delayed_ack = delayed_ack
         self.sim = sim
         self._delack_timer = None
-        self.on_delivery = on_delivery
+        self.delivery_log = delivery_log
         self.rcv_next = 0
         self.out_of_order: Set[int] = set()
         self.acks_sent = 0
@@ -95,8 +94,8 @@ class TCPReceiver:
                 while self.rcv_next in self.out_of_order:
                     self.out_of_order.discard(self.rcv_next)
                     self.rcv_next += 1
-                if self.on_delivery is not None:
-                    self.on_delivery(self.rcv_next, now)
+                if self.delivery_log is not None:
+                    self.delivery_log.append((now, self.rcv_next))
                 if self.delayed_ack and not self._ack_pending and not self.out_of_order:
                     self._ack_pending = True
                     if self.sim is not None:

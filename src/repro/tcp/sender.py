@@ -174,7 +174,6 @@ class TCPSender:
         self.high_water = 0  # highest seq ever sent + 1
         self._scoreboard: Set[int] = set()  # SACKed segments above snd_una
         self._recovery_retx: Set[int] = set()  # holes re-sent this recovery
-        self._ever_retransmitted: Set[int] = set()
         self._timed_seq: Optional[int] = None  # one timed segment per window
         self._timed_at = 0.0
         self._timer: Optional[Event] = None
@@ -270,9 +269,10 @@ class TCPSender:
         )
         if retransmit:
             self.stats.retransmits += 1
-            self._ever_retransmitted.add(seq)
             if seq == self._timed_seq:
-                # Karn: the timed segment became ambiguous.
+                # Karn: the timed segment became ambiguous.  Only a first
+                # transmission is ever timed, so no record of which
+                # segments were retransmitted is needed.
                 self._timed_seq = None
             if self.obs is not None:
                 self.obs.retransmit(self, packet, self.sim.now)
@@ -405,16 +405,12 @@ class TCPSender:
             self._round_sent = 0
             self._round_anchor = self.snd_next
         newly_acked = ack_seq - self.snd_una
-        # RTT sample from the timed segment, if this ack covers it and
-        # it was never retransmitted (Karn cancels it otherwise).
+        # RTT sample from the timed segment, if this ack covers it (a
+        # retransmission of it cleared the timing, by Karn's rule).
         if self._timed_seq is not None and ack_seq > self._timed_seq:
-            if self._timed_seq not in self._ever_retransmitted:
-                self.rto.sample(now - self._timed_at)
+            self.rto.sample(now - self._timed_at)
             self._timed_seq = None
-        # Both sets are empty on most ACKs: test before walking the range.
-        if self._ever_retransmitted:
-            for seq in range(self.snd_una, ack_seq):
-                self._ever_retransmitted.discard(seq)
+        # The scoreboard is empty on most ACKs: test before walking the range.
         if self._scoreboard:
             for seq in range(self.snd_una, ack_seq):
                 self._scoreboard.discard(seq)
@@ -474,11 +470,18 @@ class TCPSender:
     # Timers
     # ------------------------------------------------------------------
     def _restart_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
+        """Run the retransmission timer afresh from now while data is
+        outstanding, else stop it.  The timer's event is re-armed in
+        place (``Simulator.rearm``: the pop order of cancel + schedule,
+        without a new event)."""
+        timer = self._timer
         if self.snd_next > self.snd_una:
-            self._timer = self.sim.schedule(self.rto.rto, self._on_timeout)
-        else:
+            if timer is None:
+                self._timer = self.sim.schedule(self.rto.rto, self._on_timeout)
+            else:
+                self.sim.rearm(timer, self.rto.rto)
+        elif timer is not None:
+            timer.cancel()
             self._timer = None
 
     def _on_timeout(self) -> None:

@@ -265,6 +265,7 @@ class FakeRecord:
         for key, value in overrides.items():
             setattr(self, key, value)
 
+    @property
     def census_key(self):
         return self.pool_id
 
@@ -289,7 +290,7 @@ class FakeTracker:
             return self._per_pool
         census = {}
         for record in self._active(now):
-            census[record.census_key()] = census.get(record.census_key(), 0) + 1
+            census[record.census_key] = census.get(record.census_key, 0) + 1
         return census
 
 

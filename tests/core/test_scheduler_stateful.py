@@ -102,7 +102,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         assert len(scheduler) == len(scheduler._recovery) + sum(
             len(fifo) for fifo in scheduler._fifos.values())
         window = scheduler._recent_services
-        assert len(window) <= scheduler.service_window
+        assert scheduler._recent_count == len(window) <= scheduler.service_window
         assert scheduler._recent_recovery == sum(
             1 for klass in window if klass is PacketClass.RECOVERY)
 

@@ -14,8 +14,10 @@ check it against an independent *implementation*, so a bug must appear
 in two unrelated structures at once to slip through.
 
 ``Simulator.schedule`` / ``schedule_at`` repeat ``EventQueue.push``'s
-body and ``Simulator.run`` pops the sorted list itself, so the last test
-puts the same reference behind the simulator's own entry points.
+body and ``Simulator.run`` pops the sorted list itself, so the last two
+tests put the same reference behind the simulator's own entry points;
+the last one adds ``Simulator.rearm``, which the reference spells as
+what it must equal: a cancel (when the handle is pending) and a push.
 """
 
 import heapq
@@ -242,3 +244,106 @@ def test_simulator_scheduling_and_run_loop_match_reference(script):
         assert len(sim.events) == len(reference)
         assert sim.events.peek_time() == reference.peek_time()
     assert sim.events.discards == cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _delays),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+        st.tuples(st.just("rearm"),
+                  st.tuples(st.integers(min_value=0, max_value=1000), _delays)),
+        st.tuples(st.just("run"), _delays),
+    ),
+    min_size=1,
+    max_size=80,
+))
+def test_simulator_rearm_pops_and_discards_as_cancel_and_schedule(script):
+    # rearm on a pending handle, on a cancelled one and on a fired one
+    # (the script's rearms hit all three; every third firing also
+    # re-arms itself from inside its own callback), and cancel after a
+    # rearm: the reference cancels the handle's live key, if any, and
+    # pushes a new one, and every pop and the discard count must agree.
+    sim = Simulator()
+    reference = ReferenceHeap()
+    handles = []  # [Event, its live or last reference key], in schedule order
+    state = {"cancels": 0, "fired": 0, "from_callback": 0}
+
+    def rearm(index, delay):
+        handle = handles[index]
+        event, key = handle
+        if event.pending:
+            reference.cancel(key)
+            state["cancels"] += 1
+        sim.rearm(event, delay)
+        handle[1] = reference.push(sim.now + delay)
+
+    def fire(index):
+        event, key = handles[index]
+        assert reference.pop() == key == (sim.now, event.seq)
+        state["fired"] += 1
+        if state["fired"] < 300:
+            if index % 3 == 0:
+                state["from_callback"] += 1
+                rearm(index, float(index % 2))
+            else:
+                handles.append([sim.schedule(float(index % 3), fire, (len(handles),)),
+                                reference.push(sim.now + float(index % 3))])
+
+    for op, value in script:
+        if op == "schedule":
+            handles.append([sim.schedule(value, fire, (len(handles),)),
+                            reference.push(sim.now + value)])
+        elif op == "cancel":
+            if handles:
+                event, key = handles[value % len(handles)]
+                if event.pending:
+                    event.cancel()
+                    reference.cancel(key)
+                    state["cancels"] += 1
+        elif op == "rearm":
+            index, delay = value
+            if handles:
+                rearm(index % len(handles), delay)
+        else:
+            until = sim.now + value
+            sim.run(until=until)
+            head = reference.peek_time()
+            assert head is None or head > until
+        assert len(sim.events) == len(reference)
+        assert sim.events.peek_time() == reference.peek_time()
+    sim.run()
+    assert reference.pop() is None
+    assert sim.events.discards == state["cancels"]
+
+
+def test_rearm_on_each_kind_of_handle():
+    # The three handle states by hand, beside the cancel + schedule
+    # they stand for, and a cancel after each rearm.
+    sim = Simulator()
+    fired = []
+    pending = sim.schedule(5.0, fired.append, ("pending",))
+    cancelled = sim.schedule(1.0, fired.append, ("cancelled",))
+    cancelled.cancel()
+    assert sim.events.discards == 1
+
+    def again():
+        fired.append("fired")
+        if fired.count("fired") == 1:
+            sim.rearm(timer, 2.0)  # from inside its own callback
+
+    timer = sim.schedule(1.0, again)
+    sim.rearm(pending, 3.0)  # pending: one more discard
+    sim.rearm(cancelled, 0.5)  # cancelled: none
+    assert sim.events.discards == 2
+    assert (pending.seq, cancelled.seq) == (3, 4) and pending.pending and cancelled.pending
+    sim.run()
+    assert fired == ["cancelled", "fired", "pending", "fired"]
+    assert sim.now == 3.0 and sim.events.discards == 2
+    assert timer.fired and not timer.pending
+
+    sim.rearm(timer, 1.0)  # fired: none
+    timer.cancel()
+    assert sim.events.discards == 3 and len(sim.events) == 0 and not timer.pending
+    sim.rearm(timer, 1.0)  # cancelled after a rearm: rearmed again
+    assert timer.pending and sim.events.peek_time() == 4.0

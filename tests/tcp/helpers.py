@@ -46,7 +46,7 @@ class Loopback:
             1,
             send=self._to_sender,
             sack=sender_kwargs.get("sack", False),
-            on_delivery=lambda n, t: self.delivered.append((t, n)),
+            delivery_log=self.delivered,
         )
 
     def _to_receiver(self, packet: Packet) -> None:

@@ -55,7 +55,7 @@ def test_duplicate_data_counted_and_reacked():
 
 def test_delivery_callback_reports_progress():
     deliveries = []
-    receiver = TCPReceiver(1, send=lambda p: None, on_delivery=lambda n, t: deliveries.append((t, n)))
+    receiver = TCPReceiver(1, send=lambda p: None, delivery_log=deliveries)
     receiver.receive(data(0), 0.5)
     receiver.receive(data(2), 1.0)
     receiver.receive(data(1), 1.5)

@@ -18,11 +18,11 @@ def deliver_sequence(seqs, sack=False):
     deliveries = []
     receiver = TCPReceiver(
         1, send=acks.append, sack=sack,
-        on_delivery=lambda n, t: deliveries.append(n),
+        delivery_log=deliveries,
     )
     for i, seq in enumerate(seqs):
         receiver.receive(Packet(1, DATA, seq=seq, size=500), float(i))
-    return receiver, acks, deliveries
+    return receiver, acks, [n for _, n in deliveries]
 
 
 @settings(max_examples=100, deadline=None)
