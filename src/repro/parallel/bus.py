@@ -20,9 +20,11 @@ it computes, in that point's own append-only JSONL file:
 :func:`read_bus` expands a ``cached`` record into one ``done`` event
 (``cached: true``) per point, placed by its time among the point's own
 events, so a bus whose hits each have a file of their own (as older
-sweeps wrote them) reads the same.  One writer per file and
-line-buffered appends keep the format safe without locks (heartbeats
-come from a daemon thread inside the worker that owns the file).
+sweeps wrote them) reads the same.  One writing process per file and
+whole-line appends keep the format safe without file locks: a point's
+``start`` precedes its registration with the process's one beat
+thread, and its ``done`` or ``failed`` follows its unregistration, so
+the thread's beats never interleave with them or outlive them.
 ``taq-obs tail BUS_DIR`` follows the directory and renders a live
 table; any other consumer can read the files with one ``json.loads``
 per line.  The bus records progress only — results never pass through
@@ -47,6 +49,9 @@ SWEEP_FILE = SWEEP_KEY + ".jsonl"
 #: Seconds between worker heartbeats.
 HEARTBEAT_INTERVAL = 5.0
 
+#: The name of a bus's beat thread (one per bus, see :class:`ProgressBus`).
+BEAT_THREAD = "taq-bus-beat"
+
 #: A point with no beat for this many intervals renders as "stalled?".
 STALL_INTERVALS = 3.0
 
@@ -64,17 +69,47 @@ def point_key(index: int, label: str) -> str:
 
 
 class ProgressBus:
-    """Append-only event writer rooted at one sweep's bus directory."""
+    """Append-only event writer rooted at one sweep's bus directory, and
+    the one heartbeat thread that beats for every point it is running.
+
+    A process keeps one bus per bus directory for as long as it runs
+    points into it (a sweep on the calling thread, or a pool worker):
+    per point it pays two appends and a registration, never a
+    directory check or a thread.  The beat thread starts with the first
+    registered point and writes one ``heartbeat`` per registered point
+    per interval, under the lock registration takes, so once
+    :meth:`unregister` returns no beat of that point can follow.  :meth:`post` is the best-effort write every per-point event
+    goes through: the first ``OSError`` (disk full, bus directory
+    removed) silences the bus for good, because the bus records
+    progress only and must never fail the point it reports on.
+    """
 
     def __init__(self, bus_dir: str) -> None:
         self.dir = Path(bus_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self._prefix = os.path.join(bus_dir, "")
+        #: False once a write failed; a silenced bus writes nothing more.
+        self.writable = True
+        self._lock = threading.Lock()
+        #: Registered point key -> when its computation started.
+        self._beating: Dict[str, float] = {}
+        self._thread: Optional[threading.Thread] = None
+        self._quit = threading.Event()
+        self._interval = HEARTBEAT_INTERVAL
 
     def emit(self, key: str, kind: str, **fields: Any) -> None:
         payload = {"t": time.time(), "kind": kind, **fields}
         with open(f"{self._prefix}{key}.jsonl", "a", encoding="utf-8") as handle:
             handle.write(_encode(payload) + "\n")
+
+    def post(self, key: str, kind: str, **fields: Any) -> None:
+        """:meth:`emit`, best-effort: never raises, and after the first
+        failed write the bus stays silent."""
+        if self.writable:
+            try:
+                self.emit(key, kind, **fields)
+            except OSError:
+                self.writable = False
 
     def announce(self, total: int, label: str) -> None:
         """Write the sweep header (total point count, sweep label)."""
@@ -86,49 +121,79 @@ class ProgressBus:
         if walls:
             self.emit(SWEEP_KEY, "cached", points=walls)
 
+    # -- the beat thread -------------------------------------------------
+    def register(self, key: str, interval: Optional[float] = None) -> None:
+        """Beat for *key* from now on; the first registration starts the
+        beat thread, every *interval* seconds (:data:`HEARTBEAT_INTERVAL`
+        by default)."""
+        with self._lock:
+            self._beating[key] = time.time()
+            if self._thread is None and self.writable:
+                if interval is not None:
+                    self._interval = interval
+                # Each thread its own quit event: one that outlived its
+                # join never beats beside its successor.
+                self._quit = threading.Event()
+                self._thread = threading.Thread(
+                    target=self._beat, name=BEAT_THREAD, daemon=True,
+                    args=(self._quit, self._interval))
+                self._thread.start()
+
+    def unregister(self, key: str) -> None:
+        """Beat no more for *key*: when this returns, no beat of it is
+        being written or will be."""
+        with self._lock:
+            self._beating.pop(key, None)
+
+    def _beat(self, halt: threading.Event, interval: float) -> None:
+        while not halt.wait(interval):
+            with self._lock:
+                now = time.time()
+                for key, started in self._beating.items():
+                    self.post(key, "heartbeat", elapsed=now - started)
+                if not self.writable:
+                    return  # bus gone (disk full, dir removed): beat no more
+
+    def stop(self) -> bool:
+        """Stop and join the beat thread (idempotent); True once none
+        runs.  A later registration starts a new one."""
+        thread = self._thread
+        if thread is None:
+            return True
+        self._quit.set()
+        thread.join(timeout=self._interval + 1.0)
+        self._thread = None
+        return not thread.is_alive()
+
 
 class Heartbeat:
-    """Daemon-thread heartbeat a worker runs while computing one point.
-
-    Strictly a context manager: ``__exit__`` *always* stops and joins
-    the thread — on clean completion and on the crash path alike — so
-    no heartbeat outlives its point even when the computation raises.
-    :meth:`stop` is idempotent and safe from any path; a bus write
-    failure inside the beat thread (disk full, bus directory removed)
-    ends the thread quietly rather than spewing into worker stderr.
+    """The context a worker computes one point in: the point's key is
+    registered with its bus's beat thread on entry and unregistered on
+    exit — on clean completion and on the crash path alike — so no
+    heartbeat follows the point's ``done`` or ``failed``.
+    :meth:`stop` is idempotent and safe from any path.
     """
 
     def __init__(self, bus: ProgressBus, key: str,
-                 interval: float = HEARTBEAT_INTERVAL) -> None:
+                 interval: Optional[float] = None) -> None:
         self.bus = bus
         self.key = key
         self.interval = interval
-        self._stop = threading.Event()
-        self._started = time.time()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.bus.emit(self.key, "heartbeat",
-                              elapsed=time.time() - self._started)
-            except OSError:
-                return  # bus gone (disk full, dir removed): beat no more
 
     @property
     def alive(self) -> bool:
-        """True while the beat thread is running."""
-        return self._thread.is_alive()
+        """True while the bus beats for this point."""
+        thread = self.bus._thread
+        return (self.key in self.bus._beating and thread is not None
+                and thread.is_alive())
 
     def stop(self) -> bool:
-        """Stop and join the beat thread (idempotent); True if joined."""
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=self.interval + 1.0)
-        return not self._thread.is_alive()
+        """Stop beating for this point (idempotent); True when stopped."""
+        self.bus.unregister(self.key)
+        return True
 
     def __enter__(self) -> "Heartbeat":
-        self._thread.start()
+        self.bus.register(self.key, self.interval)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:

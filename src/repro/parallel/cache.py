@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -59,6 +59,38 @@ DECODE_ERRORS = (
 #: Everything :func:`encode_entry` can raise on an unpicklable value
 #: (pickle raises AttributeError/TypeError for local objects).
 ENCODE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
+
+
+#: How :func:`atomic_write` opens its temp file: new, private, unshared.
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+#: Serial numbers for temp files: one per write in this process, so two
+#: threads (``StoreServer`` serves one cache from many) never share one.
+_tmp_serial = itertools.count()
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace *path* with *data*, atomically: written to a private
+    ``<path>.<pid>.<n>.tmp`` beside it (mode 0600, opened ``O_EXCL``),
+    then renamed over it, so a reader sees the old bytes or the new,
+    never a part.  The parent directory is created only when missing.
+    Raises OSError; the temp file never outlives a failure."""
+    tmp = f"{path}.{os.getpid()}.{next(_tmp_serial)}.tmp"
+    try:
+        fd = os.open(tmp, _NEW_FILE, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, _NEW_FILE, 0o600)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def default_cache_dir() -> str:
@@ -220,11 +252,11 @@ class CacheBackend:
 class ResultCache(CacheBackend):
     """On-disk result store mapping :func:`spec_key` to (value, wall_time).
 
-    Entries are pickles written atomically (tmp file + ``os.replace``)
-    so concurrent writers never expose torn entries to readers.  The
-    HTTP store server serves a directory of exactly this layout through
-    the same blob methods, so a dir cache and an HTTP store over the
-    same root are the same cache.
+    Entries are pickles written atomically (:func:`atomic_write`: a
+    private tmp file + ``os.replace``) so concurrent writers never
+    expose torn entries to readers.  The HTTP store server serves a
+    directory of exactly this layout through the same blob methods, so
+    a dir cache and an HTTP store over the same root are the same cache.
 
     Parameters
     ----------
@@ -263,17 +295,7 @@ class ResultCache(CacheBackend):
             return None
 
     def write_blob(self, key: str, data: bytes) -> None:
-        path = self._path(key)
-        parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            self._discard(tmp)
-            raise
+        atomic_write(self._path(key), data)
 
     def delete_blob(self, key: str) -> None:
         self._discard(self._path(key))

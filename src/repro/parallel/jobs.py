@@ -48,12 +48,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.parallel.cache import code_version, spec_key
+from repro.parallel.cache import atomic_write, code_version, spec_key
 from repro.parallel.spec import PointSpec
 
 __all__ = ["Job", "JobStore", "JOBS_FILE", "JOBS_SCHEMA_VERSION", "JOB_STATES"]
@@ -231,32 +230,28 @@ class JobStore:
 
     def compact(self) -> None:
         """Rewrite the log as one snapshot record per job (atomic)."""
-        if self.root is None:
+        if self._log is None:
             return
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        records = 1
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            header = self._header(compacted=True)
-            if self._code is not None:
-                header["code"] = self._code
-            handle.write(_encode(header) + "\n")
-            for job_id in self._order:
-                job = self.jobs[job_id]
-                record = {
-                    "kind": "job",
-                    "id": job.job_id,
-                    "spec": job.spec_payload(),
-                    "state": job.state,
-                    "cached": job.cached,
-                    "wall": job.wall_time,
-                    "error": job.error,
-                    "attempts": job.attempts,
-                    "t": header["t"],
-                }
-                handle.write(_encode(record) + "\n")
-                records += 1
-        os.replace(tmp, self._log)
-        self._log_records = records
+        header = self._header(compacted=True)
+        if self._code is not None:
+            header["code"] = self._code
+        lines = [_encode(header)]
+        for job_id in self._order:
+            job = self.jobs[job_id]
+            lines.append(_encode({
+                "kind": "job",
+                "id": job.job_id,
+                "spec": job.spec_payload(),
+                "state": job.state,
+                "cached": job.cached,
+                "wall": job.wall_time,
+                "error": job.error,
+                "attempts": job.attempts,
+                "t": header["t"],
+            }))
+        lines.append("")
+        atomic_write(self._log, "\n".join(lines).encode("utf-8"))
+        self._log_records = len(lines) - 1
         self._torn = False
 
     def maybe_compact(self) -> None:

@@ -43,29 +43,47 @@ from repro.parallel.spec import PointResult, PointSpec
 ProgressCallback = Callable[[int, int, PointResult], None]
 
 
-def _execute(spec: PointSpec, bus_dir: Optional[str] = None, index: int = 0):
-    """Worker entry point: run one spec, return (value, wall_time).
+def _execute(spec: PointSpec, bus: Optional[ProgressBus] = None, index: int = 0):
+    """Run one spec, return (value, wall_time).
 
-    With *bus_dir* the computation is bracketed by start/heartbeat/done
+    With a *bus* the computation is bracketed by start/heartbeat/done
     events on the sweep's progress bus (``taq-obs tail`` follows them).
-    A crashing point emits ``failed`` instead of ``done``, and the
-    heartbeat thread is always stopped — no daemon thread outlives the
-    point."""
-    if bus_dir is None:
+    A crashing point posts ``failed`` instead of ``done``, and its key
+    leaves the bus's beat thread before either, so no beat follows it.
+    Every post is best-effort: a bus that cannot be written never fails
+    the point it reports on."""
+    if bus is None:
         start = time.perf_counter()
         value = spec.resolve()(**spec.kwargs)
         return value, time.perf_counter() - start
-    key = point_key(index, spec.describe())
-    bus = ProgressBus(bus_dir)
-    bus.emit(key, "start", pid=os.getpid(), label=spec.describe())
+    label = spec.describe()
+    key = point_key(index, label)
+    bus.post(key, "start", pid=os.getpid(), label=label)
     try:
         with Heartbeat(bus, key):
             value, wall_time = _execute(spec)
     except BaseException as exc:
-        bus.emit(key, "failed", error=repr(exc))
+        bus.post(key, "failed", error=repr(exc))
         raise
-    bus.emit(key, "done", wall=wall_time)
+    bus.post(key, "done", wall=wall_time)
     return value, wall_time
+
+
+#: A pool worker's bus per bus directory, built on its first point.
+_worker_buses: Dict[str, ProgressBus] = {}
+# A forked worker starts with none: it must not write through its
+# parent's bus or count on its parent's beat thread.
+os.register_at_fork(after_in_child=_worker_buses.clear)
+
+
+def _execute_in_worker(spec: PointSpec, bus_dir: Optional[str], index: int):
+    """Pool worker entry point: :func:`_execute` on the worker's own bus."""
+    bus = None
+    if bus_dir is not None:
+        bus = _worker_buses.get(bus_dir)
+        if bus is None:
+            bus = _worker_buses[bus_dir] = ProgressBus(bus_dir)
+    return _execute(spec, bus, index)
 
 
 class ProgressPrinter:
@@ -283,7 +301,7 @@ class ParallelRunner:
             bus.announce_cached(announced)
 
         if self.jobs == 1 or len(pending) <= 1:
-            computed = self._in_process(specs, jobs, store, pending)
+            computed = self._in_process(specs, jobs, store, pending, bus)
         else:
             computed = self._in_pool(specs, jobs, store, pending)
         try:
@@ -298,19 +316,23 @@ class ParallelRunner:
                 self._report(done, total, result)
         finally:
             computed.close()  # a pool must not outlive a failed sweep
+            if bus is not None:
+                bus.stop()  # nor a beat thread its sweep
             store.maybe_compact()
         return [result for result in results if result is not None]
 
     def _in_process(self, specs: Sequence[PointSpec], jobs: Sequence[Job],
-                    store: JobStore, pending: List[int]
+                    store: JobStore, pending: List[int],
+                    bus: Optional[ProgressBus]
                     ) -> Iterator[Tuple[int, Tuple[Any, float]]]:
-        """The cold points, one after another on this thread."""
+        """The cold points, one after another on this thread, posting
+        to the bus the sweep announced itself on."""
         for index in pending:
             store.mark_running(jobs[index].job_id, pid=os.getpid())
             try:
                 with (self.perf.span("parallel.point") if self.perf is not None
                       else nullcontext()):
-                    outcome = _execute(specs[index], self.bus_dir, index)
+                    outcome = _execute(specs[index], bus, index)
             except Exception as exc:
                 store.mark_failed(jobs[index].job_id, repr(exc))
                 if self.keep_going:
@@ -329,7 +351,8 @@ class ParallelRunner:
 
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(pending))) as pool:
             futures = {
-                pool.submit(_execute, specs[index], self.bus_dir, index): index
+                pool.submit(_execute_in_worker, specs[index], self.bus_dir,
+                            index): index
                 for index in pending
             }
             for index in pending:

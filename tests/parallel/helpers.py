@@ -5,9 +5,11 @@ live in a real module (``tests`` is a package), not in a test body,
 and carry the ``@point`` mark.
 """
 
+import threading
 import time
 
 from repro.build import point
+from repro.parallel.bus import BEAT_THREAD
 
 
 @point
@@ -22,8 +24,21 @@ def slow_square(x, delay=0.05):
 
 
 @point
-def boom(message="boom"):
+def boom(message="boom", delay=0.0):
+    time.sleep(delay)
     raise RuntimeError(message)
+
+
+def beat_thread_count():
+    """Progress-bus beat threads alive in this process."""
+    return sum(thread.name == BEAT_THREAD for thread in threading.enumerate())
+
+
+@point
+def beat_threads(x, delay=0.02):
+    """Sleep *delay*, then count the beat threads alive while computing."""
+    time.sleep(delay)
+    return beat_thread_count()
 
 
 def hammer_backend(backend_spec, value, rounds, version="v1"):

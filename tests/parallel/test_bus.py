@@ -12,10 +12,12 @@ from __future__ import annotations
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.parallel import ParallelRunner, PointSpec, ResultCache
+from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
+from repro.parallel import bus as bus_module
 from repro.parallel.bus import (
     HEARTBEAT_INTERVAL,
     STALL_INTERVALS,
@@ -27,6 +29,7 @@ from repro.parallel.bus import (
     render_tail,
 )
 from repro.parallel.runner import ProgressPrinter
+from tests.parallel.helpers import beat_thread_count
 
 SQUARE = "tests.parallel.helpers:square"
 SLOW_SQUARE = "tests.parallel.helpers:slow_square"
@@ -146,6 +149,7 @@ class TestHeartbeat:
                   (tmp_path / "p000-a.jsonl").read_text().splitlines()]
         assert len([e for e in events if e["kind"] == "heartbeat"]) \
             == count_after_exit
+        assert bus.stop()
 
     def test_crash_path_still_stops_the_thread(self, tmp_path):
         bus = ProgressBus(str(tmp_path))
@@ -154,10 +158,11 @@ class TestHeartbeat:
             with Heartbeat(bus, "p000-a", interval=0.05) as heartbeat:
                 time.sleep(0.12)
                 raise RuntimeError("point blew up")
-        # __exit__ joined the beat thread on the exception path: no
-        # lingering heartbeat outlives its point.
+        # __exit__ unregistered the point on the exception path: the
+        # bus's beat thread beats for it no more.
         assert heartbeat is not None
         assert not heartbeat.alive
+        assert bus.stop()
 
     def test_stop_is_idempotent(self, tmp_path):
         bus = ProgressBus(str(tmp_path))
@@ -167,6 +172,7 @@ class TestHeartbeat:
         assert heartbeat.stop() is True
         assert heartbeat.stop() is True
         assert not heartbeat.alive
+        assert bus.stop()
 
     def test_bus_write_failure_ends_the_thread_quietly(self, tmp_path):
         class ExplodingBus(ProgressBus):
@@ -330,6 +336,87 @@ class TestRunnerBus:
         ParallelRunner(jobs=jobs, bus_dir=bus_dir).run(square_specs([1, 2]))
         text = render_tail(read_bus(bus_dir))
         assert "2/2 done" in text
+
+
+def point_events(bus_dir):
+    """Every point file's events, by point key."""
+    return {path.stem: [json.loads(line) for line in path.read_text().splitlines()]
+            for path in sorted(Path(bus_dir).glob("p*.jsonl"))}
+
+
+class TestOneBeatThreadPerBus:
+    """An in-process sweep runs every point on one bus and one beat
+    thread; a point's key leaves that thread before its terminal event."""
+
+    POINTS = 20
+    INTERVAL = 0.005
+
+    @pytest.fixture(autouse=True)
+    def quick_beats(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "HEARTBEAT_INTERVAL", self.INTERVAL)
+
+    def test_one_thread_beats_for_every_point_and_stops_with_the_run(self, tmp_path):
+        before = beat_thread_count()
+        bus_dir = str(tmp_path / "bus")
+        specs = [PointSpec("tests.parallel.helpers:beat_threads", {"x": x},
+                           label=f"x={x}") for x in range(self.POINTS)]
+        results = ParallelRunner(jobs=1, bus_dir=bus_dir).run(specs)
+        # Counted by each point while it computed: the run's one thread.
+        assert [r.value for r in results] == [before + 1] * self.POINTS
+        assert beat_thread_count() == before
+        events = point_events(bus_dir)
+        assert len(events) == self.POINTS
+        beats = 0
+        for key, kinds in ((key, [e["kind"] for e in evs])
+                           for key, evs in events.items()):
+            assert kinds.count("start") == 1 and kinds[0] == "start", key
+            assert kinds.count("done") == 1 and "failed" not in kinds, key
+            assert kinds[-1] == "done", key  # no beat after it
+            beats += kinds.count("heartbeat")
+        assert beats > 0  # the shared thread did beat for the points
+
+    def test_a_crashing_point_gets_failed_and_no_later_beat(self, tmp_path):
+        before = beat_thread_count()
+        bus_dir = str(tmp_path / "bus")
+        specs = [PointSpec(SLOW_SQUARE, {"x": 1, "delay": 0.02}, label="x=1"),
+                 PointSpec("tests.parallel.helpers:boom",
+                           {"message": "crash", "delay": 0.05}, label="boom"),
+                 PointSpec(SLOW_SQUARE, {"x": 2, "delay": 0.02}, label="x=2")]
+        runner = ParallelRunner(jobs=1, bus_dir=bus_dir, keep_going=True)
+        assert [r.value for r in runner.run(specs)] == [1, 4]
+        time.sleep(10 * self.INTERVAL)  # a stray beat would land by now
+        events = point_events(bus_dir)[point_key(1, "boom")]
+        kinds = [e["kind"] for e in events]
+        assert kinds[0] == "start" and kinds[-1] == "failed"
+        assert kinds.count("failed") == 1 and "done" not in kinds
+        assert "heartbeat" in kinds  # it was beaten for while it ran
+        assert "crash" in events[-1]["error"]
+        assert beat_thread_count() == before
+
+
+class TestBusFailureNeverFailsAPoint:
+    def test_a_done_that_cannot_be_written_keeps_the_value(self, tmp_path,
+                                                          monkeypatch):
+        emit = ProgressBus.emit
+
+        def full_disk_on_done(self, key, kind, **fields):
+            if kind == "done":
+                raise OSError(28, "No space left on device")
+            emit(self, key, kind, **fields)
+
+        monkeypatch.setattr(ProgressBus, "emit", full_disk_on_done)
+        cache = ResultCache(root=str(tmp_path / "cache"), version="v1")
+        store = JobStore(str(tmp_path / "jobs"), version="v1")
+        bus_dir = str(tmp_path / "bus")
+        specs = square_specs([3, 4])
+        runner = ParallelRunner(jobs=1, cache=cache, store=store,
+                                bus_dir=bus_dir, keep_going=True)
+        assert [r.value for r in runner.run(specs)] == [9, 16]
+        assert [cache.get(spec)[0] for spec in specs] == [9, 16]
+        assert store.counts()["done"] == 2 and store.counts()["failed"] == 0
+        # The first failed write silenced the bus: the second point
+        # wrote nothing at all.
+        assert list(point_events(bus_dir)) == [point_key(0, "x=3")]
 
 
 class TestRunnerBusArming:

@@ -1,7 +1,10 @@
 """Cache layer: keying, hit/miss, invalidation, graceful degradation."""
 
+import multiprocessing
 import os
 import pickle
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ from repro.parallel import (
     default_cache_dir,
     spec_key,
 )
+from repro.parallel.cache import encode_entry
+from tests.parallel.helpers import hammer_backend
 
 SPEC = PointSpec("tests.parallel.helpers:square", {"x": 3})
 
@@ -123,6 +128,56 @@ class TestDegradation:
             pickle.dumps(lambda: None)
         cache.put(SPEC, lambda: None, 0.1)
         assert not cache.enabled
+
+
+class TestConcurrentWriteBlob:
+    """Every writer of one key gets a temp file of its own: threads of
+    one process (``StoreServer`` serves one cache from many), then
+    processes."""
+
+    THREADS = 8
+    ROUNDS = 25
+
+    def _assert_one_private_entry(self, cache, values):
+        entry = cache.get(SPEC)
+        assert entry is not None and entry[0] in values
+        assert list(cache.root.rglob("*.tmp")) == []
+        path = cache._path(cache.key(SPEC))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def test_threads_then_processes_leave_one_private_entry(self, tmp_path):
+        cache = make_cache(tmp_path)
+        key = cache.key(SPEC)
+        start = threading.Barrier(self.THREADS)
+        errors = []
+
+        def writer(n):
+            start.wait()
+            try:
+                for round_index in range(self.ROUNDS):
+                    cache.write_blob(key, encode_entry(n, 0.001 * round_index))
+            except Exception as exc:  # surfaced below, not lost in a thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(n,))
+                   for n in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert errors == []
+        self._assert_one_private_entry(cache, range(self.THREADS))
+
+        ctx = multiprocessing.get_context("fork")
+        writers = [ctx.Process(target=hammer_backend,
+                               args=(f"dir:{cache.root}", value, self.ROUNDS))
+                   for value in ("a", "b")]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=30.0)
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        self._assert_one_private_entry(make_cache(tmp_path), ("a", "b"))
 
 
 class TestDefaultCacheDir:
