@@ -10,10 +10,12 @@ Packet classification (§4.1/§4.2):
 
 - retransmissions (inferred from sequence tracking) -> RECOVERY, with
   the flow's current silence length as priority;
-- SYNs and packets of flows in slow start -> NEW_FLOW;
-- packets of flows with >= 2 recent drops, or still holding an
-  uncompensated drop (outstanding recovery) -> OVER_PENALIZED;
-- otherwise BELOW/ABOVE_FAIR_SHARE by the flow's measured rate.
+- SYNs, and packets of a never-dropped flow in slow start within its
+  first ``NEW_FLOW_EPOCHS`` epochs -> NEW_FLOW;
+- packets of flows with >= 2 drops over the current and the previous
+  epoch -> OVER_PENALIZED;
+- otherwise ABOVE_FAIR_SHARE when the flow's measured rate exceeds its
+  fair share x headroom, else BELOW_FAIR_SHARE.
 
 Drops (arrival rejections and push-out evictions) are reported to the
 flow tracker — which is how TAQ "predicts the effect of a packet loss

@@ -14,12 +14,6 @@
 
 from repro.workloads.bulk import spawn_bulk_flows
 from repro.workloads.shortflows import spawn_short_flows
-from repro.workloads.logfmt import (
-    read_trace,
-    read_trace_file,
-    write_trace,
-    write_trace_file,
-)
 from repro.workloads.traces import (
     SyntheticTrace,
     TraceRequest,
@@ -37,10 +31,6 @@ __all__ = [
     "generate_trace",
     "replay_trace",
     "sample_object_size",
-    "read_trace",
-    "read_trace_file",
-    "write_trace",
-    "write_trace_file",
     "WebUser",
     "spawn_web_users",
 ]

@@ -1,10 +1,11 @@
 """Differential test of the tracker's incremental activity census.
 
 The tracker answers "how many flows are active, and how many per pool"
-from running counts and an expiry heap (``repro.core.tracker``).  This
-file keeps the definition it must agree with — one walk over the flow
-table applying ``now - last_seen <= 10 * epoch_length`` — and nowhere
-else does: the walk is the *reference*, the tracker is the subject.
+from running counts and an expiry heap (``repro.core.tracker``).  The
+definition it must agree with — one walk over the flow table applying
+``now - last_seen <= 10 * epoch_length`` — is the spec's census scan
+(:mod:`tests.core.spec_taq`): the walk is the *reference*, the tracker
+is the subject.
 
 A Hypothesis state machine interleaves everything that can move a
 flow's membership:
@@ -37,53 +38,15 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.core.fairshare import FairShareEstimator
 from repro.core.tracker import ACTIVITY_HORIZON_EPOCHS
-# The census is src's own; arrivals and ACKs reach it through the
-# helper calls the TAQ queue's frames fuse (tests/core/reference_taq.py).
-from tests.core.reference_taq import ReferenceTracker as FlowTracker
 from repro.net.packet import ACK, DATA, SYN, Packet
+# Arrivals and ACKs reach the census through the TAQ queue's own hooks.
+from tests.core.middlebox import Middlebox as FlowTracker
+from tests.core.spec_taq import scan_active, scan_fair_share, scan_per_pool
 
 CAPACITY_BPS = 1_000_000.0
 FLOWS = st.integers(min_value=1, max_value=8)
 #: Flows 1-3 share pool 7, 4-5 share pool 9, the rest are unpooled.
 POOL_OF = {1: 7, 2: 7, 3: 7, 4: 9, 5: 9}
-
-
-# ----------------------------------------------------------------------
-# The reference: a full scan, kept here only.
-# ----------------------------------------------------------------------
-def scan_active(tracker, now):
-    return [
-        record for record in tracker.flows.values()
-        if now - record.last_seen <= 10.0 * record.epoch_length
-    ]
-
-
-def scan_key(record):
-    return record.pool_id if record.pool_id != -1 else -(record.flow_id + 2)
-
-
-def scan_per_pool(tracker, now):
-    census = {}
-    for record in scan_active(tracker, now):
-        census[scan_key(record)] = census.get(scan_key(record), 0) + 1
-    return census
-
-
-def scan_fair_share(tracker, record, now, model, granularity):
-    if granularity == "pool":
-        census = scan_per_pool(tracker, now)
-        return (CAPACITY_BPS / max(1, len(census))
-                / max(1, census.get(scan_key(record), 1)))
-    active = scan_active(tracker, now)
-    equal_share = CAPACITY_BPS / max(1, len(active))
-    if model == "fair-queuing":
-        return equal_share
-    inverse_rtt_sum = 0.0
-    for other in active:  # table order: a float sum is order-sensitive
-        inverse_rtt_sum += 1.0 / max(1e-3, other.epoch_length)
-    if inverse_rtt_sum <= 0:
-        return equal_share
-    return CAPACITY_BPS * ((1.0 / max(1e-3, record.epoch_length)) / inverse_rtt_sum)
 
 
 COMBINATIONS = (
@@ -104,7 +67,7 @@ class CensusMachine(RuleBasedStateMachine):
         self.tracker = FlowTracker(default_epoch=default_epoch,
                                    idle_timeout=idle_timeout)
         self.estimators = [
-            FairShareEstimator(self.tracker, capacity_bps=CAPACITY_BPS,
+            FairShareEstimator(self.tracker.queue.tracker, capacity_bps=CAPACITY_BPS,
                                model=model, granularity=granularity)
             for model, granularity in COMBINATIONS
         ]
@@ -178,14 +141,15 @@ class CensusMachine(RuleBasedStateMachine):
     @invariant()
     def agrees_with_scan(self):
         tracker, now = self.tracker, self.now
-        active = scan_active(tracker, now)
+        flows = tracker.flows.values()
+        active = scan_active(flows, now)
         assert tracker.active_flows(now) == max(1, len(active))
-        assert tracker.active_per_pool(now) == scan_per_pool(tracker, now)
-        assert [r for r in tracker.flows.values() if r.active] == active
+        assert tracker.active_per_pool(now) == scan_per_pool(flows, now)
+        assert [r for r in flows if r.active] == active
         for estimator in self.estimators:
-            for record in tracker.flows.values():
+            for record in flows:
                 assert estimator.fair_share_bps(record, now) == scan_fair_share(
-                    tracker, record, now, estimator.model, estimator.granularity)
+                    flows, record, now, CAPACITY_BPS, estimator.model, estimator.granularity)
 
 
 CensusMachine.TestCase.settings = settings(stateful_step_count=60, deadline=None)
@@ -203,7 +167,7 @@ def test_knife_edge_is_decided_by_the_predicate_not_the_heap_key():
         when = math.nextafter(when, -math.inf)
     seen = set()
     for _ in range(10):
-        expected = len(scan_active(tracker, when))
+        expected = len(scan_active(tracker.flows.values(), when))
         assert tracker.active_flows(when) == max(1, expected)
         seen.add(expected)
         when = math.nextafter(when, math.inf)
@@ -219,7 +183,7 @@ def test_shrinking_estimate_expires_a_flow_without_an_arrival():
     tracker.observe_ack(Packet(1, ACK, ack_seq=1), 5.02)
     assert tracker.lookup(1).epoch_length < 0.021
     assert tracker.active_flows(5.1) == 2
-    assert tracker.active_flows(6.0) == 1 == len(scan_active(tracker, 6.0))
+    assert tracker.active_flows(6.0) == 1 == len(scan_active(tracker.flows.values(), 6.0))
 
 
 def test_growing_estimate_brings_an_expired_flow_back():
@@ -229,7 +193,7 @@ def test_growing_estimate_brings_an_expired_flow_back():
     assert tracker.active_flows(2.0) == 1          # flow 1 expired at t=1
     tracker.observe_ack(Packet(1, ACK, ack_seq=1), 2.0)  # a 2 s round trip
     assert tracker.lookup(1).epoch_length == 2.0
-    assert tracker.active_flows(2.0) == 2 == len(scan_active(tracker, 2.0))
+    assert tracker.active_flows(2.0) == 2 == len(scan_active(tracker.flows.values(), 2.0))
 
 
 def test_collected_flow_leaves_the_census_even_inside_its_horizon():

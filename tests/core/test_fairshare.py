@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.fairshare import FairShareEstimator
+from repro.core.scheduler import PacketClass
+from repro.core.tracker import FlowTracker
 from repro.net.packet import DATA, Packet
-from tests.core.reference_taq import ReferenceTracker, is_above_share
+from tests.core.middlebox import Middlebox
 
 
 def data(flow, seq, size=500):
@@ -12,8 +14,13 @@ def data(flow, seq, size=500):
 
 
 def make(model="fair-queuing", capacity=100_000, epoch=1.0):
-    tracker = ReferenceTracker(default_epoch=epoch)
-    return tracker, FairShareEstimator(tracker, capacity_bps=capacity, model=model)
+    tracker = Middlebox(default_epoch=epoch, fairness_model=model, capacity_bps=capacity)
+    return tracker, tracker.queue.fairshare
+
+
+def is_above_share(tracker, flow, seq, now):
+    """Whether TAQ queues the flow's next packet as above its share."""
+    return tracker.classify(data(flow, seq), now) is PacketClass.ABOVE_FAIR_SHARE
 
 
 def test_equal_share_under_fair_queuing():
@@ -35,9 +42,7 @@ def test_hog_is_above_share():
             seq += 1
         tracker.observe_arrival(data(2, epoch), t)
         t = (epoch + 1) * 1.0
-    record = tracker.lookup(1)
-    record.roll_epochs(t)
-    assert is_above_share(fs, record, t)
+    assert is_above_share(tracker, 1, seq, t)
 
 
 def test_quiet_flow_is_below_share():
@@ -47,16 +52,14 @@ def test_quiet_flow_is_below_share():
         tracker.observe_arrival(data(1, epoch), t)
         tracker.observe_arrival(data(2, epoch), t)
         t = (epoch + 1) * 1.0
-    record = tracker.lookup(1)
-    record.roll_epochs(t)
     # 4 kbps each against a 5 kbps share.
-    assert not is_above_share(fs, record, t)
+    assert not is_above_share(tracker, 1, 6, t)
 
 
 def test_zero_capacity_never_above():
     tracker, fs = make(capacity=0)
     tracker.observe_arrival(data(1, 0), 0.0)
-    assert not is_above_share(fs, tracker.lookup(1), 0.0)
+    assert not is_above_share(tracker, 1, 1, 0.0)
 
 
 def test_proportional_model_favours_short_rtt():
@@ -81,6 +84,6 @@ def test_proportional_shares_sum_to_capacity():
 
 
 def test_unknown_model_rejected():
-    tracker = ReferenceTracker()
+    tracker = FlowTracker()
     with pytest.raises(ValueError):
         FairShareEstimator(tracker, model="bogus")

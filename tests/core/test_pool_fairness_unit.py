@@ -5,7 +5,8 @@ import pytest
 from repro.core.admission import AdmissionController
 from repro.core.fairshare import FairShareEstimator
 from repro.net.packet import DATA, Packet
-from tests.core.reference_taq import ReferenceTracker
+from repro.core.tracker import FlowTracker
+from tests.core.middlebox import Middlebox
 
 
 def data(flow, seq=0, pool=-1):
@@ -14,7 +15,7 @@ def data(flow, seq=0, pool=-1):
 
 # --------------------------------------------------- pool fair share
 def make_pool_tracker():
-    tracker = ReferenceTracker(default_epoch=1.0)
+    tracker = Middlebox(default_epoch=1.0)
     # Pool 1: three flows; pool 2: one flow.
     for flow, pool in ((1, 1), (2, 1), (3, 1), (4, 2)):
         tracker.observe_arrival(data(flow, pool=pool), 0.0)
@@ -23,7 +24,7 @@ def make_pool_tracker():
 
 def test_pool_share_splits_by_pool_then_flow():
     tracker = make_pool_tracker()
-    fs = FairShareEstimator(tracker, capacity_bps=120_000, granularity="pool")
+    fs = FairShareEstimator(tracker.queue.tracker, capacity_bps=120_000, granularity="pool")
     # 2 pools -> 60k each; pool 1 has 3 flows -> 20k per flow.
     assert fs.fair_share_bps(tracker.lookup(1), 0.0) == pytest.approx(20_000)
     assert fs.fair_share_bps(tracker.lookup(4), 0.0) == pytest.approx(60_000)
@@ -31,21 +32,21 @@ def test_pool_share_splits_by_pool_then_flow():
 
 def test_flow_granularity_ignores_pools():
     tracker = make_pool_tracker()
-    fs = FairShareEstimator(tracker, capacity_bps=120_000, granularity="flow")
+    fs = FairShareEstimator(tracker.queue.tracker, capacity_bps=120_000, granularity="flow")
     assert fs.fair_share_bps(tracker.lookup(1), 0.0) == pytest.approx(30_000)
 
 
 def test_unpooled_flows_count_as_own_pool():
-    tracker = ReferenceTracker(default_epoch=1.0)
+    tracker = Middlebox(default_epoch=1.0)
     tracker.observe_arrival(data(1, pool=-1), 0.0)
     tracker.observe_arrival(data(2, pool=-1), 0.0)
-    fs = FairShareEstimator(tracker, capacity_bps=100_000, granularity="pool")
+    fs = FairShareEstimator(tracker.queue.tracker, capacity_bps=100_000, granularity="pool")
     assert fs.fair_share_bps(tracker.lookup(1), 0.0) == pytest.approx(50_000)
 
 
 def test_granularity_validated():
     with pytest.raises(ValueError):
-        FairShareEstimator(ReferenceTracker(), granularity="session")
+        FairShareEstimator(FlowTracker(), granularity="session")
 
 
 def test_taq_queue_accepts_granularity():

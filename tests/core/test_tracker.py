@@ -1,10 +1,10 @@
-"""Unit tests for the per-flow tracker."""
+"""Unit tests for the per-flow tracker, fed through a TAQ queue."""
 
 import pytest
 
 from repro.core.states import FlowState
 from repro.net.packet import ACK, DATA, SYN, Packet
-from tests.core.reference_taq import ReferenceTracker, silence_seconds
+from tests.core.middlebox import Middlebox
 
 
 def data(flow=1, seq=0, size=500):
@@ -12,7 +12,7 @@ def data(flow=1, seq=0, size=500):
 
 
 def make_tracker(epoch=1.0):
-    return ReferenceTracker(default_epoch=epoch)
+    return Middlebox(default_epoch=epoch)
 
 
 def test_new_flow_record_created_on_first_packet():
@@ -84,7 +84,8 @@ def test_observed_retransmission_reduces_outstanding_drops():
 def test_silence_seconds():
     tracker = make_tracker()
     tracker.observe_arrival(data(seq=0), 1.0)
-    assert silence_seconds(tracker.lookup(1), 4.0) == pytest.approx(3.0)
+    tracker.observe_arrival(data(seq=0), 4.0)  # its priority in the recovery queue
+    assert -tracker.queue.scheduler._recovery[0][0] == pytest.approx(3.0)
 
 
 def test_syn_feeds_epoch_estimator():
@@ -110,7 +111,7 @@ def test_active_flow_census():
 
 
 def test_gc_evicts_stale_flows():
-    tracker = ReferenceTracker(default_epoch=0.1, idle_timeout=5.0)
+    tracker = Middlebox(default_epoch=0.1, idle_timeout=5.0)
     tracker.observe_arrival(data(flow=1, seq=0), 0.0)
     tracker.observe_arrival(data(flow=2, seq=0), 20.0)  # triggers GC
     assert tracker.lookup(1) is None
@@ -120,7 +121,7 @@ def test_gc_evicts_stale_flows():
 def test_gc_drains_the_expiry_heap_when_nobody_queries_the_census():
     # An unattached queue (or classify_fair_share=False) never asks for
     # the census, so GC is the only thing that can retire heap entries.
-    tracker = ReferenceTracker(default_epoch=0.1, idle_timeout=5.0)
+    tracker = Middlebox(default_epoch=0.1, idle_timeout=5.0)
     for flow in range(2000):
         tracker.observe_arrival(data(flow=flow, seq=0), flow * 0.1)
     assert len(tracker.flows) <= 101  # ten seconds' worth at most

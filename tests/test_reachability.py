@@ -255,16 +255,12 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.obs.streamstats:StreamingFlowStats.worst_flows
         repro.obs.trace:EventTrace.counts_by_flow
         repro.overlay.tunnel:ArqTunnel.in_flight
+        repro.sim.observe:subscribers
         repro.sim.observe:unsubscribe
         repro.sim.rng:RngRegistry.spawn
         repro.sim.simulator:Simulator.step
         repro.tcp.rto:RtoEstimator.base_rto
         repro.tcp.rto:RtoEstimator.reset_backoff
-        repro.workloads.logfmt:parse_line
-        repro.workloads.logfmt:read_trace
-        repro.workloads.logfmt:read_trace_file
-        repro.workloads.logfmt:write_trace
-        repro.workloads.logfmt:write_trace_file
     """,
 }
 
