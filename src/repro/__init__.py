@@ -28,25 +28,32 @@ Quickstart
 >>> sim.run(until=60.0)
 """
 
-from repro.net import Dumbbell, Host, Link, Packet
-from repro.queues import DropTailQueue, QueueDiscipline, REDQueue, SFQQueue
-from repro.sim import Simulator
-from repro.tcp import TcpFlow, TCPReceiver, TCPSender
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Dumbbell",
-    "Host",
-    "Link",
-    "Packet",
-    "DropTailQueue",
-    "QueueDiscipline",
-    "REDQueue",
-    "SFQQueue",
-    "Simulator",
-    "TcpFlow",
-    "TCPReceiver",
-    "TCPSender",
-    "__version__",
-]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*), so ``import repro.build`` pays only for what it runs.
+_SOURCES = {
+    "Dumbbell": "repro.net",
+    "Host": "repro.net",
+    "Link": "repro.net",
+    "Packet": "repro.net",
+    "DropTailQueue": "repro.queues",
+    "QueueDiscipline": "repro.queues",
+    "REDQueue": "repro.queues",
+    "SFQQueue": "repro.queues",
+    "Simulator": "repro.sim",
+    "TcpFlow": "repro.tcp",
+    "TCPReceiver": "repro.tcp",
+    "TCPSender": "repro.tcp",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

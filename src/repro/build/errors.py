@@ -6,7 +6,6 @@ CLI, the scenario runner) can catch one type.
 
 from __future__ import annotations
 
-import difflib
 from typing import Iterable, Optional
 
 
@@ -28,6 +27,7 @@ class UnknownKindError(RegistryError):
 
 def did_you_mean(word: str, candidates: Iterable[str]) -> Optional[str]:
     """The closest candidate to *word*, or None if nothing is close."""
+    import difflib
     matches = difflib.get_close_matches(word, list(candidates), n=1, cutoff=0.6)
     return matches[0] if matches else None
 

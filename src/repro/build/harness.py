@@ -194,11 +194,9 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
 
     The assembly order is part of the contract (it fixes the RNG and
     event-scheduling order, which is what makes runs reproducible):
-    simulator, queue, topology, TAQ reverse tap, collector, workloads
-    in list order.
+    simulator, queue, topology, the reverse tap of a queue that has one
+    (TAQ), collector, workloads in list order.
     """
-    from repro.core import TAQQueue
-
     sim = Simulator(seed=spec.seed)
     queue = build_queue(
         spec.queue.kind,
@@ -215,7 +213,7 @@ def _assemble_packet(spec: ScenarioSpec) -> BuiltScenario:
         **spec.topology.params,
     )
     if (
-        isinstance(queue, TAQQueue)
+        hasattr(queue, "install_reverse_tap")
         and spec.queue.reverse_tap
         and hasattr(topology, "reverse")
     ):

@@ -23,31 +23,30 @@ bottleneck link.  It combines:
 - :class:`repro.core.taq.TAQQueue` — the assembled queue discipline.
 """
 
-from repro.core.admission import AdmissionController
-from repro.core.classifier import classify_epoch
-from repro.core.prediction import Action, Prediction, predict_next_state
-from repro.core.report import TaqReport, taq_report
-from repro.core.epoch import EpochEstimator
-from repro.core.fairshare import FairShareEstimator
-from repro.core.scheduler import PacketClass, TAQScheduler
-from repro.core.states import FlowState
-from repro.core.taq import TAQQueue
-from repro.core.tracker import FlowRecord, FlowTracker
+from importlib import import_module
 
-__all__ = [
-    "AdmissionController",
-    "classify_epoch",
-    "Action",
-    "Prediction",
-    "predict_next_state",
-    "TaqReport",
-    "taq_report",
-    "EpochEstimator",
-    "FairShareEstimator",
-    "PacketClass",
-    "TAQScheduler",
-    "FlowState",
-    "TAQQueue",
-    "FlowRecord",
-    "FlowTracker",
-]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*).
+_SOURCES = {
+    "AdmissionController": "repro.core.admission",
+    "classify_epoch": "repro.core.classifier",
+    "TaqReport": "repro.core.report",
+    "taq_report": "repro.core.report",
+    "EpochEstimator": "repro.core.epoch",
+    "FairShareEstimator": "repro.core.fairshare",
+    "PacketClass": "repro.core.scheduler",
+    "TAQScheduler": "repro.core.scheduler",
+    "FlowState": "repro.core.states",
+    "TAQQueue": "repro.core.taq",
+    "FlowRecord": "repro.core.tracker",
+    "FlowTracker": "repro.core.tracker",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

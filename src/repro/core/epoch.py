@@ -61,11 +61,9 @@ class EpochEstimator:
         #: every packet.
         self.estimate = default_epoch
         self._syn_time: Optional[float] = None
-        self._first_data_seen = False
         # Two-way matching: outstanding data sequence -> send time.  A
         # bounded dict: entries are dropped once matched or superseded.
         self._pending: Dict[int, float] = {}
-        self._last_data_time: Optional[float] = None
         self._burst_start: Optional[float] = None
         self.samples = 0
 

@@ -229,21 +229,19 @@ class TAQQueue(QueueDiscipline):
             # beyond burst_gap_factor x estimate starts a new burst, and
             # burst start-to-start spacing samples the epoch.
             epoch_before = estimator.estimate
-            if not estimator._first_data_seen:
-                estimator._first_data_seen = True
+            last = record.last_data_time
+            if last is None:  # the flow's first data packet
                 if estimator._syn_time is not None:
                     estimator._feed(now - estimator._syn_time)
-            else:  # data seen before, so _last_data_time is set
-                if now - estimator._last_data_time > estimator.burst_gap_factor * estimator.estimate:
-                    if estimator._burst_start is not None:
-                        estimator._feed(now - estimator._burst_start)
-                    estimator._burst_start = now
-                elif estimator._burst_start is None:
-                    estimator._burst_start = now
+            elif now - last > estimator.burst_gap_factor * estimator.estimate:
+                if estimator._burst_start is not None:
+                    estimator._feed(now - estimator._burst_start)
+                estimator._burst_start = now
+            elif estimator._burst_start is None:
+                estimator._burst_start = now
             pending = estimator._pending
             if len(pending) < 64 and seq not in pending:
                 pending[seq] = now
-            estimator._last_data_time = now
             if estimator.estimate < epoch_before:
                 tracker._expire_no_later(record)
             record.last_data_time = now

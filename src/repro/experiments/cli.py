@@ -122,6 +122,8 @@ def _run_scenarios(args) -> int:
                 # Override, not merge: the CLI flag selects the engine,
                 # backend params stay with the document that set them.
                 spec.backend = BackendSpec(kind=args.backend)
+            if args.seed is not None:
+                spec.seed = args.seed
             specs.append(spec)
         except (SpecError, OSError) as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
@@ -254,7 +256,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="use parameters close to the published setup (much slower)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="override the RNG seed: an experiment's, or every scenario "
+             "document's \"seed\"",
+    )
     parser.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="worker processes for grid experiments (default: one per CPU; "

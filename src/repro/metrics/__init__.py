@@ -11,27 +11,29 @@
 - :mod:`repro.metrics.flowstats` — per-flow rollups (goodput efficiency).
 """
 
-from repro.metrics.fairness import SliceGoodputCollector, jain_index
-from repro.metrics.evolution import FlowEvolution, classify_evolution
-from repro.metrics.hangs import hang_durations, longest_hang
-from repro.metrics.downloads import (
-    DownloadSample,
-    bucket_statistics,
-    cdf_points,
-    log_bucket,
-)
-from repro.metrics.flowstats import goodput_efficiency
+from importlib import import_module
 
-__all__ = [
-    "SliceGoodputCollector",
-    "jain_index",
-    "FlowEvolution",
-    "classify_evolution",
-    "hang_durations",
-    "longest_hang",
-    "DownloadSample",
-    "bucket_statistics",
-    "cdf_points",
-    "log_bucket",
-    "goodput_efficiency",
-]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*).
+_SOURCES = {
+    "SliceGoodputCollector": "repro.metrics.fairness",
+    "jain_index": "repro.metrics.fairness",
+    "FlowEvolution": "repro.metrics.evolution",
+    "classify_evolution": "repro.metrics.evolution",
+    "hang_durations": "repro.metrics.hangs",
+    "longest_hang": "repro.metrics.hangs",
+    "DownloadSample": "repro.metrics.downloads",
+    "bucket_statistics": "repro.metrics.downloads",
+    "cdf_points": "repro.metrics.downloads",
+    "log_bucket": "repro.metrics.downloads",
+    "goodput_efficiency": "repro.metrics.flowstats",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

@@ -11,6 +11,7 @@ process imported things.  Only a function marked with
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
@@ -40,15 +41,7 @@ class PointSpec:
 
     def resolve(self) -> Callable[..., Any]:
         """Import and return the target, refusing any unmarked callable."""
-        module_name, _, attr = self.fn.partition(":")
-        if not attr:
-            raise ValueError(
-                f"spec fn {self.fn!r} must look like 'package.module:callable'"
-            )
-        target = getattr(importlib.import_module(module_name), attr)
-        if getattr(target, "repro_point", False) is not True:
-            raise ValueError(f"spec fn {self.fn!r} is not a @point function")
-        return target
+        return _resolve(self.fn)
 
     def describe(self) -> str:
         """The label, or a compact fn(kwargs) rendering as fallback."""
@@ -56,6 +49,20 @@ class PointSpec:
             return self.label
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.kwargs.items()))
         return f"{self.fn.partition(':')[2]}({args})"
+
+
+# Once per process and path: a sweep resolves the same few functions for
+# every point.  A refusal raises, so it is never cached and an unmarked
+# callable is refused on every request.
+@functools.lru_cache(maxsize=None)
+def _resolve(fn: str) -> Callable[..., Any]:
+    module_name, _, attr = fn.partition(":")
+    if not attr:
+        raise ValueError(f"spec fn {fn!r} must look like 'package.module:callable'")
+    target = getattr(importlib.import_module(module_name), attr)
+    if getattr(target, "repro_point", False) is not True:
+        raise ValueError(f"spec fn {fn!r} is not a @point function")
+    return target
 
 
 @dataclass

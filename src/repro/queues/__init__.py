@@ -8,9 +8,22 @@ itself lives in :mod:`repro.core` because it is the paper's
 contribution rather than a baseline.
 """
 
-from repro.queues.base import QueueDiscipline
-from repro.queues.droptail import DropTailQueue
-from repro.queues.red import REDQueue
-from repro.queues.sfq import SFQQueue
+from importlib import import_module
 
-__all__ = ["QueueDiscipline", "DropTailQueue", "REDQueue", "SFQQueue"]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*).
+_SOURCES = {
+    "QueueDiscipline": "repro.queues.base",
+    "DropTailQueue": "repro.queues.droptail",
+    "REDQueue": "repro.queues.red",
+    "SFQQueue": "repro.queues.sfq",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

@@ -12,25 +12,27 @@
   engine (Fig 1).  See DESIGN.md for the substitution rationale.
 """
 
-from repro.workloads.bulk import spawn_bulk_flows
-from repro.workloads.shortflows import spawn_short_flows
-from repro.workloads.traces import (
-    SyntheticTrace,
-    TraceRequest,
-    generate_trace,
-    replay_trace,
-    sample_object_size,
-)
-from repro.workloads.web import WebUser, spawn_web_users
+from importlib import import_module
 
-__all__ = [
-    "spawn_bulk_flows",
-    "spawn_short_flows",
-    "SyntheticTrace",
-    "TraceRequest",
-    "generate_trace",
-    "replay_trace",
-    "sample_object_size",
-    "WebUser",
-    "spawn_web_users",
-]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*).
+_SOURCES = {
+    "spawn_bulk_flows": "repro.workloads.bulk",
+    "spawn_short_flows": "repro.workloads.shortflows",
+    "SyntheticTrace": "repro.workloads.traces",
+    "TraceRequest": "repro.workloads.traces",
+    "generate_trace": "repro.workloads.traces",
+    "replay_trace": "repro.workloads.traces",
+    "sample_object_size": "repro.workloads.traces",
+    "WebUser": "repro.workloads.web",
+    "spawn_web_users": "repro.workloads.web",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

@@ -141,6 +141,24 @@ def test_cli_scenario_command(tmp_path, capsys):
     assert cli.main(["scenario", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_seed_overrides_every_documents_seed(tmp_path, capsys):
+    from repro.experiments import cli
+
+    def run(*argv, **overrides):
+        paths = []
+        for index, name in enumerate(("a", "b")):
+            path = tmp_path / f"{name}.json"
+            document = base_document(name=name, duration=10, seed=1 + index)
+            path.write_text(json.dumps(dict(document, **overrides)))
+            paths.append(str(path))
+        assert cli.main(["scenario", *paths, *argv]) == 0
+        return capsys.readouterr().out
+
+    flagged = run("--seed", "2")
+    assert flagged == run(seed=2)
+    assert flagged != run(seed=1)
+
+
 def test_cli_rejects_a_nan_literal_before_anything_runs(tmp_path, capsys):
     # json.load accepts the non-JSON literal NaN; it used to pass
     # validation, reach the clock and die mid-run with a traceback.

@@ -9,8 +9,10 @@ The second half is the cold-start fence (docs/performance.md, *Cold
 start*): each entry point a user starts cold is run in a fresh
 interpreter and ``sys.modules`` afterwards may name only the packages
 that path executes — no numpy on a packet run, no sqlite3 / HTTP client
-/ process pool on a ``jobs=1`` sweep over a dir store.  It compares
-package sets, never module counts or times.
+/ process pool on a ``jobs=1`` sweep over a dir store — and, within a
+package, only the modules it runs: a droptail document loads none of
+TAQ, a ``--help`` none of TCP.  It compares module sets, never module
+counts or times.
 """
 
 from __future__ import annotations
@@ -144,6 +146,17 @@ runner = ParallelRunner(jobs=%d, cache=cache, store=store,
                         bus_dir=os.path.join(root, "bus"))
 assert len(runner.run(points)) == 2
 """
+_DOCUMENT_RUN = _DOCUMENT + """
+from repro.experiments.scenario import run_scenario
+run_scenario(document(%r))
+"""
+_SWEEP_OPEN = """
+import os, sys
+import repro.parallel, repro.experiments.sweeps
+from repro.parallel import JobStore, ResultCache
+cache = ResultCache(os.path.join(sys.argv[1], "cache"))
+JobStore(os.path.join(sys.argv[1], "jobs"), version=cache.version)
+"""
 _OPEN_STORE = """
 import os, sys
 from repro.parallel import parse_backend
@@ -158,9 +171,24 @@ def _script(module: str, *argv: str) -> str:
             f"try:\n    main({list(argv)!r})\nexcept SystemExit:\n    pass\n")
 
 
+#: ``--help`` of all five console scripts, in one interpreter.
+_ALL_HELP = "".join(_script(module, "--help") for module in (
+    "repro.experiments.cli", "repro.check.cli", "repro.perf.cli",
+    "repro.obs.cli", "repro.parallel.service"))
+#: The modules a droptail document never runs: TAQ, the other
+#: baselines, the web / trace / short-flow workloads and their metrics,
+#: and the did-you-mean matcher of a document with a typo.
+NOT_DROPTAIL = frozenset({
+    "repro.core", "repro.queues.red", "repro.queues.sfq",
+    "repro.workloads.web", "repro.workloads.traces",
+    "repro.workloads.shortflows", "repro.metrics.evolution",
+    "repro.metrics.hangs", "repro.metrics.downloads", "difflib",
+})
+
+
 #: (id, snippet, repro packages allowed or None, modules forbidden,
-#: modules that must be loaded).  The last three rows are positive
-#: controls: the same probe sees the heavy imports where they belong.
+#: modules that must be loaded).  The last five rows are positive
+#: controls: the same probe sees each import where it belongs.
 COLD_PATHS = [
     ("packet", _PACKET_RUN, PACKET, HEAVY, ()),
     ("fluid-validation", _FLUID_VALIDATION, PACKET, HEAVY, ()),
@@ -177,11 +205,24 @@ COLD_PATHS = [
     # sqlite store, the HTTP client's urllib or the pool.
     ("taq-serve-help", _script("repro.parallel.service", "--help"), None,
      HEAVY - {"http.server", "http.client", "email", "ssl"}, ()),
+    # Module rows: a package loads the modules its run needs, not all of
+    # its own (the facades resolve their names on first use).
+    ("droptail-document", _DOCUMENT_RUN % "droptail", PACKET,
+     HEAVY | NOT_DROPTAIL, ()),
+    ("taq-document", _DOCUMENT_RUN % "taq", PACKET,
+     HEAVY | {"repro.core.report", "repro.queues.red", "repro.queues.sfq"},
+     ("repro.core.taq",)),
+    ("sweep-open", _SWEEP_OPEN, SWEEP, HEAVY | {"repro.tcp"}, ()),
+    ("console-scripts-help", _ALL_HELP, None, {"repro.tcp"}, ()),
     ("control-fluid-document", _FLUID_RUN, None, (),
      ("numpy", "repro.fluid.backend", "repro.model")),
     ("control-sqlite-store", _OPEN_STORE.format(kind="sqlite"), None, (),
      ("sqlite3",)),
     ("control-jobs-2", _SWEEP_RUN % 2, None, (), ("concurrent.futures",)),
+    ("control-red-document", _DOCUMENT_RUN % "red", None, (),
+     ("repro.queues.red",)),
+    ("control-taq-report", "from repro.core import taq_report", None, (),
+     ("repro.core.report",)),
 ]
 
 

@@ -112,8 +112,11 @@ _KEPT_BY_REASON: Dict[str, str] = {
     "protocol hook the interpreter calls by name: __repr__ or the container "
     "protocol (len, bool, in) of a public class, a debugging aid; a module "
     "__getattr__, which serves `from package import Name`": """
+        repro:__getattr__
         repro.build.registry:Registry.__contains__
         repro.build.registry:Registry.__repr__
+        repro.core:__getattr__
+        repro.metrics:__getattr__
         repro.model.chain:MarkovChain.__repr__
         repro.net.link:Link.__repr__
         repro.net.node:Node.__repr__
@@ -126,11 +129,13 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.parallel.cache:ResultCache.__repr__
         repro.parallel.jobs:JobStore.__repr__
         repro.parallel:__getattr__
+        repro.queues:__getattr__
         repro.sim.events:Event.__repr__
         repro.sim.events:EventQueue.__bool__
         repro.sim.events:EventQueue.__len__
         repro.sim.rng:RngRegistry.__repr__
         repro.tcp.flow:TcpFlow.__repr__
+        repro.workloads:__getattr__
     """,
     "--paper (documented CLI flag): the published-scale configuration, "
     "hours of simulation": """
@@ -231,9 +236,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.check.suite:MonitorSuite.detach
         repro.check.suite:MonitorSuite.violation_documents
         repro.check.suite:run_checked
-        repro.core.prediction:Prediction.safe
-        repro.core.prediction:_window_estimate
-        repro.core.prediction:predict_next_state
         repro.experiments.fig01_download_times:Result.spread
         repro.experiments.fig03_buffer_tradeoff:Result.required_buffer
         repro.experiments.fig11_testbed:Result.jain
@@ -350,12 +352,13 @@ _DOTTED = re.compile(r"^[A-Za-z_][\w.]*(:[A-Za-z_][\w.]*)?$")
 def _mentions(tree: ast.Module) -> Iterator[Tuple[str, int]]:
     """``(bare name, line)`` for every use of a name in *tree*: loads,
     attribute accesses and strings that spell an identifier or a
-    ``"module:function"`` path.  Import lines and ``__all__`` lists only
-    pass a name on; they are not uses."""
+    ``"module:function"`` path.  Import lines, ``__all__`` lists and a
+    facade's ``_SOURCES`` table only pass a name on; they are not uses."""
     exported: Set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                isinstance(t, ast.Name) and t.id in ("__all__", "_SOURCES")
+                for t in node.targets):
             exported.update(id(n) for n in ast.walk(node))
     for node in ast.walk(tree):
         if id(node) in exported:
