@@ -16,7 +16,6 @@ from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION,
     RunManifest,
     build_manifest,
-    diff_manifests,
     load_manifest,
 )
 from repro.obs.metrics import (
@@ -105,7 +104,6 @@ __all__ = [
     "bundle_openmetrics",
     "critical_path",
     "diff_behavior",
-    "diff_manifests",
     "families_from_metrics_doc",
     "instrument_flow",
     "instrument_flows",

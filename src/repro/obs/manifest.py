@@ -151,45 +151,3 @@ def load_manifest(path: str) -> RunManifest:
         )
     known = {f for f in RunManifest.__dataclass_fields__}
     return RunManifest(**{k: v for k, v in payload.items() if k in known})
-
-
-#: Placeholder for "this side has no value at all" in
-#: :func:`diff_manifests` output — distinct from an explicit ``None``.
-MISSING = "<missing>"
-
-
-def _diff_nested(prefix: str, va: Any, vb: Any, out: Dict[str, Any]) -> None:
-    if isinstance(va, dict) and isinstance(vb, dict):
-        for key in sorted(set(va) | set(vb)):
-            _diff_nested(
-                f"{prefix}.{key}",
-                va.get(key, MISSING),
-                vb.get(key, MISSING),
-                out,
-            )
-        return
-    if va != vb:
-        out[prefix] = (va, vb)
-
-
-def diff_manifests(a: RunManifest, b: RunManifest) -> Dict[str, Any]:
-    """Field-by-field differences between two manifests.
-
-    Non-deterministic fields (wall time, peak RSS, creation timestamp)
-    are ignored, as is ``schema_version`` (a v3-era bundle against a
-    fresh one should diff on *content*, not on the format revision).
-    Dict-valued fields (topology, qdisc, scenario, backend) are diffed
-    recursively with dotted paths, so a packet-vs-fluid pair reports
-    ``{"backend.kind": ("packet", "fluid")}`` rather than the two whole
-    backend documents; a key present on only one side pairs with
-    :data:`MISSING`.  An empty dict means the two runs were produced by
-    the same code, seed and parameters.
-    """
-    skip = {"wall_time_s", "peak_rss_bytes", "created_unix", "run_id",
-            "schema_version"}
-    out: Dict[str, Any] = {}
-    for name in RunManifest.__dataclass_fields__:
-        if name in skip:
-            continue
-        _diff_nested(name, getattr(a, name), getattr(b, name), out)
-    return out

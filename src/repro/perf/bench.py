@@ -25,7 +25,9 @@ registry fills on demand (the same lazy pattern as
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -39,6 +41,8 @@ BENCH_SCHEMA = "repro.perf.bench"
 DEFAULT_BENCH_NAME = "BENCH_22.json"
 #: The counts a row records, in the order ``compare`` reports them.
 COUNTS = ("events", "packets", "calls")
+#: The package's source tree: where a ``parallel`` row's calls are counted.
+PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
 @dataclass
@@ -107,7 +111,12 @@ def count_calls(fn: Callable[[], Any], only_under: Optional[str] = None) -> Tupl
     """Calls made while *fn* runs, and *fn*'s result: Python frames plus
     calls into builtins, the way the perf ledger's ``py_calls_per_pkt``
     counts them.  With *only_under*, only frames of files under that
-    directory and the builtins they call."""
+    directory and the builtins they call.
+
+    The cyclic collector is off while *fn* runs: when it would run, and
+    what its callbacks (a test framework's) and the finalizers of the
+    garbage it finds would call, depends on the process's history, not
+    on *fn*."""
     calls = [0]
 
     def profiler(frame, event, arg):
@@ -117,11 +126,15 @@ def count_calls(fn: Callable[[], Any], only_under: Optional[str] = None) -> Tupl
         ):
             calls[0] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls[0], result
 
 
@@ -134,8 +147,9 @@ class BenchResult:
     scale: float
     events: int
     packets: int
-    #: Python calls in this process; ``parallel_sweep``'s points run in
-    #: pool workers, so its count is the parent-side dispatch alone.
+    #: Python calls in this process; a ``parallel`` row's points run in
+    #: pool workers, so its count is the parent's frames under
+    #: :data:`PACKAGE_DIR` alone.
     calls: int
 
 
@@ -147,9 +161,14 @@ def run_benchmark(bench: Benchmark, scale: float = 1.0) -> BenchResult:
     behind the first fluid build, registry loads, the pool machinery's
     imports — would otherwise land in whichever benchmark ran first, and
     ``calls`` would depend on what ran before.
+
+    A ``parallel`` row counts only frames under :data:`PACKAGE_DIR` and
+    the builtins they call: how often the parent's wait on the pool
+    returns, in the standard library, depends on when the workers finish.
     """
     bench.fn(0.01)
-    calls, counts = count_calls(lambda: bench.fn(scale))
+    only_under = PACKAGE_DIR if bench.group == "parallel" else None
+    calls, counts = count_calls(lambda: bench.fn(scale), only_under=only_under)
     return BenchResult(name=bench.name, group=bench.group, scale=scale,
                        events=counts.events, packets=counts.packets, calls=calls)
 

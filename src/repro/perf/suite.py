@@ -1,6 +1,6 @@
-"""The shipped benchmark suite: 17 deterministic workloads.
+"""The shipped benchmark suite: 24 deterministic workloads.
 
-Five groups, chosen to cover every layer the probe instruments:
+Eight groups, chosen to cover every layer the probe instruments:
 
 - ``sim``: the event store alone — schedule/pop churn and cancellation
   churn, the two inner loops every simulated second rides on.
@@ -17,6 +17,9 @@ Five groups, chosen to cover every layer the probe instruments:
 - ``fluid``: the mean-field backend at N = 10^6 flows — per-step cost
   is independent of the population, so these pin the bounded-memory,
   bounded-time claim the fluid backend exists for.
+- ``unit``: the perf ledger's bulk and web units, unarmed and (bulk)
+  with every observer armed: what a packet costs end to end.
+- ``sweep``: cached and trivially computed points: the sweep plane.
 - ``parallel``: a cache-less sweep through
   :class:`repro.parallel.ParallelRunner` with two workers, covering
   spec pickling and pool dispatch.
@@ -29,7 +32,11 @@ suite at ``scale=0.02`` in well under a second).
 
 from __future__ import annotations
 
-from typing import List
+import os
+import tempfile
+from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
+from typing import List, Sequence
 
 from repro.build.harness import build_queue, build_simulation
 from repro.build.registry import point
@@ -41,10 +48,14 @@ from repro.build.spec import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.check import attach_monitors
 from repro.net.link import Link
 from repro.net.packet import DATA, Packet
-from repro.parallel import ParallelRunner, PointSpec
+from repro.obs import Telemetry, recording
+from repro.parallel import JobStore, ParallelRunner, PointSpec, ResultCache
 from repro.perf.bench import BenchCounts, benchmark
+from repro.perf.probe import profiled
+from repro.sim.observe import ambient
 from repro.sim.simulator import Simulator
 
 
@@ -312,6 +323,149 @@ def scenario_web_browsing(scale: float) -> BenchCounts:
         seed=9,
     )
     return _run_scenario(spec)
+
+
+# ----------------------------------------------------------------------
+# unit: the ledger's packet units, unarmed and with every observer armed
+# ----------------------------------------------------------------------
+#: The observer families, each armed through its public call.
+ALL_FOUR = ("telemetry", "probe", "spans", "monitors")
+
+
+@contextmanager
+def armed(families: Sequence[str]):
+    """Arm *families* on every simulation built inside the block:
+    ``profiled()`` and ``recording()`` for the block, ``attach_monitors``
+    and ``Telemetry.arm`` per build, through the seam's ``ambient``."""
+    suites, telemetries = [], []
+
+    def per_build(built):
+        if "monitors" in families:
+            suites.append(attach_monitors(built, mode="collect"))
+        if "telemetry" in families:
+            telemetry = Telemetry(None, sample_interval=1.0)
+            telemetry.arm(built)
+            telemetries.append((telemetry, built.sim))
+
+    with ExitStack() as stack:
+        probe = stack.enter_context(profiled()) if "probe" in families else None
+        recorder = stack.enter_context(recording()) if "spans" in families else None
+        stack.enter_context(ambient(SimpleNamespace(arm=per_build)))
+        yield SimpleNamespace(probe=probe, recorder=recorder,
+                              suites=suites, telemetries=telemetries)
+
+
+def run_unit(spec: ScenarioSpec, families: Sequence[str] = ()):
+    """Build, arm, run and finalize, the way the ledger's armed unit
+    does; returns the built scenario and what :func:`armed` yielded."""
+    with armed(families) as arms:
+        built = build_simulation(spec)
+        built.run()
+        for suite in arms.suites:
+            suite.finalize()
+        for telemetry, sim in arms.telemetries:
+            telemetry.finalize(sim)
+    return built, arms
+
+
+def bulk_unit_spec(kind: str, scale: float = 1.0) -> ScenarioSpec:
+    """The ledger's ``spk_bulk_*`` document cut to ten simulated
+    seconds: 100 bulk flows at 0.75 packets per RTT."""
+    return ScenarioSpec.from_document({
+        "name": f"unit-{kind}", "seed": 1, "duration": float(_scaled(10, scale)),
+        "topology": {"type": "dumbbell", "capacity_bps": 600_000, "rtt": 0.2,
+                     "pkt_size": 200},
+        "queue": {"kind": kind},
+        "workloads": [{"type": "bulk", "n_flows": 100}],
+    })
+
+
+def _unit(spec: ScenarioSpec, families: Sequence[str] = ()) -> BenchCounts:
+    """Events, and packets arrived at the forward bottleneck: the
+    ledger's ``py_calls_per_pkt`` denominator."""
+    built, _ = run_unit(spec, families)
+    return BenchCounts(events=built.sim.processed,
+                       packets=built.topology.forward.stats.arrived)
+
+
+def _bulk_unit(kind: str, families: Sequence[str] = ()) -> None:
+    armed_ = ", all four observer families armed" if families else ""
+    benchmark(f"unit_bulk_{kind}{'_armed' if families else ''}", group="unit",
+              description=f"The ledger's bulk unit behind {kind}{armed_}.")(
+        lambda scale: _unit(bulk_unit_spec(kind, scale), families))
+
+
+for _kind in ("droptail", "taq"):
+    _bulk_unit(_kind)
+    _bulk_unit(_kind, ALL_FOUR)
+
+
+@benchmark("unit_web_taq_ac", group="unit")
+def unit_web_taq_ac(scale: float) -> BenchCounts:
+    """The ledger's web unit at smoke size, behind taq+ac: 50 users
+    fetching five 2 500-byte objects over pools of four connections,
+    and a flash crowd of 40 short probes that pushes the loss rate over
+    the admission threshold."""
+    return _unit(ScenarioSpec.from_document({
+        "name": "unit-web-taq-ac", "seed": 1, "duration": float(_scaled(20, scale)),
+        "topology": {"type": "dumbbell", "capacity_bps": 1_000_000, "rtt": 0.2,
+                     "pkt_size": 500},
+        "queue": {"kind": "taq+ac", "p_thresh": 0.02, "t_wait": 2.0,
+                  "measure_interval": 1.0},
+        "workloads": [
+            {"type": "web", "n_users": 50, "objects_per_user": 5,
+             "object_bytes": 2500, "connections": 4, "start_window": 10.0},
+            {"type": "short", "lengths": [20] * 40, "start_time": 3.0,
+             "spacing": 0.02},
+        ],
+    }))
+
+
+# ----------------------------------------------------------------------
+# sweep: what the sweep plane costs per point
+# ----------------------------------------------------------------------
+@point
+def _square(x: int) -> int:
+    """A point that costs next to nothing: what a sweep of it costs is
+    the plumbing around it."""
+    return x * x
+
+
+def _sweep(specs: Sequence[PointSpec], prefill: bool) -> BenchCounts:
+    """One sweep of *specs* driven as ``taq-experiments --resume DIR
+    --bus-dir DIR`` drives one: dir store, durable job store, progress
+    bus, a progress callback, all in a fresh temporary directory.  With
+    *prefill* every point is put in the cache first and served from it.
+    ``events`` counts the points served."""
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(os.path.join(root, "cache"), version="bench")
+        for spec in specs if prefill else ():
+            cache.put(spec, {"short_term_jain": 0.5, "seed": spec.kwargs["seed"]}, 0.25)
+        store = JobStore(os.path.join(root, "jobs"), version="bench")
+        served = []
+        runner = ParallelRunner(jobs=1, cache=cache, store=store,
+                                bus_dir=os.path.join(root, "bus"),
+                                progress=lambda done, total, result: served.append(done))
+        return BenchCounts(events=len(runner.run(specs)))
+
+
+@benchmark("sweep_cached_points", group="sweep")
+def sweep_cached_points(scale: float) -> BenchCounts:
+    """A resumed sweep of 200 points, every one a cache hit; counts the
+    cache prefill and the temporary directory too."""
+    return _sweep([PointSpec("repro.experiments.sweeps:run_sweep_point",
+                             dict(kind="droptail", capacity_bps=200_000.0,
+                                  fair_share_bps=20_000.0, duration=2.0, seed=seed),
+                             label=f"p{seed:03d}")
+                   for seed in range(_scaled(200, scale))], prefill=True)
+
+
+@benchmark("sweep_computed_points", group="sweep")
+def sweep_computed_points(scale: float) -> BenchCounts:
+    """A sweep of 200 points, every one computed by a function that
+    costs next to nothing; counts the temporary directory too."""
+    return _sweep([PointSpec("repro.perf.suite:_square", {"x": x}, label=f"x={x}")
+                   for x in range(_scaled(200, scale))], prefill=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""RunManifest v4: timing + backend fields, schema compatibility,
-diff rules."""
+"""RunManifest v4: timing + backend fields, schema compatibility."""
 
 from __future__ import annotations
 
@@ -9,8 +8,7 @@ import pickle
 
 import pytest
 
-from repro.obs import diff_manifests, load_manifest
-from repro.obs import manifest as manifest_mod
+from repro.obs import load_manifest
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest, build_manifest
 
 
@@ -87,44 +85,6 @@ def test_load_manifest_rejects_newer_schema(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="newer than supported"):
         load_manifest(str(path))
-
-
-def test_diff_ignores_timing_and_identity_fields():
-    a = build_manifest("run-a", 9, duration=30.0, wall_time_s=1.0)
-    b = dataclasses.replace(
-        a,
-        run_id="run-b",
-        wall_time_s=99.0,
-        peak_rss_bytes=a.peak_rss_bytes + 1_000_000,
-        created_unix=a.created_unix + 3600,
-    )
-    assert diff_manifests(a, b) == {}
-
-
-def test_diff_reports_substantive_differences():
-    a = build_manifest("run-a", 9, qdisc={"kind": "taq"}, duration=30.0)
-    b = dataclasses.replace(a, seed=10, qdisc={"kind": "droptail"})
-    diff = diff_manifests(a, b)
-    assert diff["seed"] == (9, 10)
-    assert diff["qdisc.kind"] == ("taq", "droptail")
-    assert "wall_time_s" not in diff
-
-
-def test_diff_surfaces_backend_changes_with_dotted_paths():
-    """A packet-vs-fluid pair must report the backend mismatch as a
-    dotted path, not hide it or dump whole dicts."""
-    a = build_manifest("run-a", 9, backend={"kind": "packet"})
-    b = dataclasses.replace(a, backend={"kind": "fluid", "rtt_buckets": 4})
-    diff = diff_manifests(a, b)
-    assert diff["backend.kind"] == ("packet", "fluid")
-    assert diff["backend.rtt_buckets"] == (manifest_mod.MISSING, 4)
-    assert "backend" not in diff  # only leaves, never whole documents
-
-
-def test_diff_ignores_schema_version():
-    a = build_manifest("run-a", 9)
-    b = dataclasses.replace(a, run_id="run-b", schema_version=3)
-    assert diff_manifests(a, b) == {}
 
 
 def test_manifest_json_payload_shape():

@@ -16,7 +16,6 @@ from repro.build import ScenarioSpec, build_simulation
 from repro.experiments.sweeps import run_sweep_point
 from repro.obs import (
     Telemetry,
-    diff_manifests,
     load_manifest,
     load_metrics_jsonl,
     render_run_report,
@@ -51,7 +50,6 @@ def test_manifest_round_trip_and_diff(taq_bundle):
     assert len(manifest.source_hash) == 64
     # The payload's manifest dict is the persisted manifest's asdict().
     assert point.telemetry["manifest"] == dataclasses.asdict(manifest)
-    assert diff_manifests(manifest, manifest) == {}
 
 
 def test_metrics_loadable_and_consistent(taq_bundle):

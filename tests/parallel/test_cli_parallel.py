@@ -144,7 +144,8 @@ def test_resume_flag_arms_the_job_store(tiny_fig02, monkeypatch, capsys,
                                         tmp_path):
     from repro.parallel import JobStore
 
-    monkeypatch.delenv("TAQ_JOB_STORE", raising=False)
+    # Empty is "no store"; unlike delenv, setenv undoes what --resume sets.
+    monkeypatch.setenv("TAQ_JOB_STORE", "")
     store_dir = tmp_path / "sweep-jobs"
     assert cli.main(["fig02", "--jobs", "1",
                      "--resume", str(store_dir)]) == 0

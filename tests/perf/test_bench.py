@@ -7,6 +7,7 @@ default test run without benchmark-scale wall time.
 
 from __future__ import annotations
 
+import concurrent.futures as futures
 import json
 import os
 import subprocess
@@ -147,19 +148,54 @@ def test_duplicate_registration_rejected():
         benchmark("event_heap_churn")(lambda scale: BenchCounts())
 
 
+#: A queue row, and every row stating what a packet or a sweep point costs.
+LIVE = ("queue_droptail_saturation", "unit_bulk_droptail", "unit_bulk_droptail_armed",
+        "unit_bulk_taq", "unit_bulk_taq_armed", "unit_web_taq_ac",
+        "sweep_cached_points", "sweep_computed_points")
+
+
 def test_committed_baseline_matches_current_suite():
     """The BENCH document at the repo root is the committed baseline
     the CI perf job compares against — it must stay in step with the
-    suite: the same names, and one live row re-run here (the full suite
+    suite: the same names, and the :data:`LIVE` rows re-run here, their
+    calls held to ``==`` under the baseline's Python (the full suite
     under the counter is CI's job)."""
     path = os.path.join(os.path.dirname(__file__), "..", "..", DEFAULT_BENCH_NAME)
     document = load_bench(path)
     assert set(document["benchmarks"]) == set(load_suite())
-    row = document["benchmarks"]["queue_droptail_saturation"]
-    live = run_benchmark(get_benchmark("queue_droptail_saturation"), row["scale"])
-    assert (live.events, live.packets) == (row["events"], row["packets"])
-    if document["python"] == PYTHON:
-        assert live.calls == row["calls"]
+    counts = ("events", "packets") + (("calls",) if document["python"] == PYTHON else ())
+    rows = {name: document["benchmarks"][name] for name in LIVE}
+    live = {name: vars(run_benchmark(get_benchmark(name), row["scale"]))
+            for name, row in rows.items()}
+    assert {name: [live[name][c] for c in counts] for name in LIVE} == {
+        name: [rows[name][c] for c in counts] for name in LIVE}
+
+
+def test_a_pool_row_counts_the_same_whatever_order_its_points_finish(monkeypatch):
+    """``parallel_sweep`` counts only the package's frames, so all four
+    points in one wait and one point per wait read the same."""
+    real_wait = futures.wait
+    bench = get_benchmark("parallel_sweep")
+    for name in ("TAQ_JOB_STORE", "TAQ_OBS_BUS"):  # a store or bus would count too
+        monkeypatch.setenv(name, "")
+
+    def calls(one_by_one: bool):
+        batches = []
+
+        def wait(fs, timeout=None, return_when=futures.ALL_COMPLETED):
+            done, pending = real_wait(fs, return_when=futures.ALL_COMPLETED)
+            if one_by_one:
+                first = min(done, key=id)
+                done, pending = {first}, (done - {first}) | pending
+            batches.append(len(done))
+            return done, pending
+
+        monkeypatch.setattr(futures, "wait", wait)
+        return run_benchmark(bench, SCALE).calls, batches
+
+    (together, batches), (apart, singles) = calls(False), calls(True)
+    assert batches == [4, 4] and singles == [1] * 8
+    assert together == apart
 
 
 def test_benchmark_dataclass_catches_registration_metadata():

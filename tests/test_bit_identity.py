@@ -17,28 +17,26 @@ layers of evidence per family:
   ``--run-slow``.
 
 Every family is armed through its public entry point: ``profiled()``,
-``recording()``, ``attach_monitors`` and ``Telemetry.arm``.  The last
-two are armed per build (a suite and a bundle belong to one run), so
-:func:`armed` hands them every build through the seam's ``ambient`` —
-which is also what lets a golden experiment, whose builds happen out of
-the test's sight, run under them.
+``recording()``, ``attach_monitors`` and ``Telemetry.arm``, by the
+helper the benchmark suite's armed rows use
+(:func:`repro.perf.suite.armed`).  The last two are armed per build (a
+suite and a bundle belong to one run), so it hands them every build
+through the seam's ``ambient`` — which is also what lets a golden
+experiment, whose builds happen out of the test's sight, run under
+them.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
-from contextlib import ExitStack, contextmanager
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 
 from repro.build import ScenarioSpec, build_simulation
-from repro.check import attach_monitors
-from repro.obs import Telemetry, recording
-from repro.perf import profiled
-from repro.sim.observe import ambient, implements, subscribers
+from repro.perf.suite import ALL_FOUR, armed
+from repro.sim.observe import implements, subscribers
 from tests.experiments.test_goldens import EXPERIMENTS, GOLDEN_DIR
 
 SCENARIO = {
@@ -53,30 +51,8 @@ SCENARIO = {
     ],
 }
 
-ALL_FOUR = ("telemetry", "probe", "spans", "monitors")
 FAMILIES = {name: (name,) for name in ALL_FOUR}
 FAMILIES["all-four"] = ALL_FOUR
-
-
-@contextmanager
-def armed(families):
-    """Arm *families* on every simulation built inside the block."""
-    suites, telemetries = [], []
-
-    def per_build(built):
-        if "monitors" in families:
-            suites.append(attach_monitors(built, mode="collect"))
-        if "telemetry" in families:
-            telemetry = Telemetry(None, sample_interval=1.0)
-            telemetry.arm(built)
-            telemetries.append((telemetry, built.sim))
-
-    with ExitStack() as stack:
-        probe = stack.enter_context(profiled()) if "probe" in families else None
-        recorder = stack.enter_context(recording()) if "spans" in families else None
-        stack.enter_context(ambient(SimpleNamespace(arm=per_build)))
-        yield SimpleNamespace(probe=probe, recorder=recorder,
-                              suites=suites, telemetries=telemetries)
 
 
 def assert_fired(arms, families):

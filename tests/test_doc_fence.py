@@ -1,0 +1,83 @@
+"""The docs cannot drift from what they describe; clock-free.
+
+Every cell of docs/performance.md's *Current numbers* table is
+recomputed from the BENCH document it cites; every repo path named in
+``docs/*.md``, README.md and the verify skill exists; every doc section
+cited by name from ``src``, ``tests`` or the CI workflow still exists.
+(``tests/perf/test_cli.py`` parses the docs' command lines.)
+"""
+
+from __future__ import annotations
+
+import glob
+import json
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROSE = sorted(glob.glob(os.path.join(ROOT, "docs", "*.md"))) + [
+    os.path.join(ROOT, "README.md"), os.path.join(ROOT, ".claude", "skills", "verify", "SKILL.md")]
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def ratio(calls: int, per: int) -> str:
+    return f"{calls / per:.3f}" if per else "—"
+
+
+def expected_cells(name_cell: str, rows) -> list:
+    """A benchmark's counts and its calls per event and per packet; for
+    ``A − B``, the difference of the two rows' calls per packet."""
+    names = re.findall(r"`(\w+)`", name_cell)
+    if " − " in name_cell:
+        armed, unarmed = (rows[name]["calls"] / rows[name]["packets"] for name in names)
+        return [name_cell, "", "", "", "", f"{armed - unarmed:.3f}"]
+    row = rows[names[0]]
+    return [name_cell, str(row["events"]), str(row["packets"]), str(row["calls"]),
+            ratio(row["calls"], row["events"]), ratio(row["calls"], row["packets"])]
+
+
+def test_current_numbers_are_the_bench_file():
+    text = read(os.path.join(ROOT, "docs", "performance.md"))
+    text = text.split("\n## Current numbers\n")[1].split("\n## ")[0]
+    (cited,) = set(re.findall(r"`(BENCH_\d+\.json)`", text))
+    rows = json.loads(read(os.path.join(ROOT, cited)))["benchmarks"]
+    cells = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in text.splitlines() if line.startswith("| `")]
+    assert [c for c in cells if c != expected_cells(c[0], rows)] == []
+    assert [c[0] for c in cells if " − " not in c[0]] == [f"`{name}`" for name in sorted(rows)]
+
+
+#: A path under a top-level directory (``repro/`` under ``src``) or a
+#: top-level file such as ``BENCH_22.json``; a glob must match something.
+PATH = re.compile(
+    r"(?<![\w./<-])((?:src|tests|docs|examples|benchmarks|\.github|repro)/[\w./*-]*[\w*]"
+    r"|[A-Z]{2,}[A-Z0-9_]*(?:_[a-z0-9]+)?\.(?:md|json))")
+
+
+def test_paths_named_in_the_docs_exist():
+    missing = [f"{os.path.relpath(path, ROOT)}: {name}" for path in PROSE
+               for name in sorted(set(PATH.findall(read(path))))
+               if not glob.glob(os.path.join(ROOT, "src" if name.startswith("repro/") else "",
+                                             name))]
+    assert missing == []
+
+
+#: The doc's path, a comma, the title in asterisks or quotes (across a
+#: line break and its comment markers).
+CITATION = re.compile(r"docs/(\w+\.md),\s*(?:#:?\s*)*[*\"]([A-Z][^*\"]+?)[*\"]")
+
+
+def test_cited_doc_sections_exist():
+    sources = glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+    sources += glob.glob(os.path.join(ROOT, "tests", "**", "*.py"), recursive=True)
+    sources.append(os.path.join(ROOT, ".github", "workflows", "ci.yml"))
+    cited = {(doc, re.sub(r"\s*\n\s*(?:#:?\s*)*", " ", title))
+             for path in sources for doc, title in CITATION.findall(read(path))}
+    assert {("performance.md", "Cold start"), ("performance.md", "Current numbers")} <= cited
+    assert [(doc, title) for doc, title in sorted(cited)
+            if not re.search(rf"^#+ {re.escape(title)}\s*$",
+                             read(os.path.join(ROOT, "docs", doc)), re.M)] == []

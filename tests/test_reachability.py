@@ -250,8 +250,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.model.population:PopulationEquilibrium.census
         repro.model.population:slice_jain
         repro.obs.export:parse_openmetrics
-        repro.obs.manifest:_diff_nested
-        repro.obs.manifest:diff_manifests
         repro.obs.report:render_telemetry_report
         repro.obs.streamstats:LogHistogram.merge
         repro.obs.streamstats:StreamingFlowStats.worst_flows
