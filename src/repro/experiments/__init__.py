@@ -33,6 +33,17 @@ or programmatically::
     print(result)
 """
 
-from repro.experiments.runner import TableResult
+from importlib import import_module
 
-__all__ = ["TableResult"]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*), so ``taq-experiments --help`` builds nothing.
+_SOURCES = {"TableResult": "repro.experiments.runner"}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

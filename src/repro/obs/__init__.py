@@ -12,119 +12,68 @@ observer hooks that default to empty, so an uninstrumented run executes
 byte-for-byte the same simulation.  See ``docs/observability.md``.
 """
 
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    RunManifest,
-    build_manifest,
-    load_manifest,
-)
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-    load_metrics_jsonl,
-)
-from repro.obs.causal import critical_path, render_critical_path, render_timeline
-from repro.obs.diff import (
-    BehaviorDiff,
-    ToleranceRule,
-    behavior_summary,
-    diff_behavior,
-    render_behavior_markdown,
-    render_behavior_text,
-)
-from repro.obs.export import (
-    OPENMETRICS_CONTENT_TYPE,
-    Family,
-    bundle_openmetrics,
-    families_from_metrics_doc,
-    parse_openmetrics,
-    render_openmetrics,
-    validate_openmetrics,
-)
-from repro.obs.report import (
-    render_run_report,
-    render_telemetry_report,
-    run_report_payload,
-)
-from repro.obs.sampler import Sampler
-from repro.obs.spans import (
-    SPANS_SCHEMA_VERSION,
-    Span,
-    SpanRecorder,
-    load_spans,
-    recording,
-    save_spans,
-)
-from repro.obs.streamstats import LogHistogram, StreamingFlowStats
-from repro.obs.telemetry import (
-    Telemetry,
-    instrument_flow,
-    instrument_flows,
-    instrument_link,
-    instrument_queue,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    EventTrace,
-    TraceEvent,
-    load_events,
-    save_events,
-    summarize_events,
-)
+from importlib import import_module
 
-__all__ = [
-    "BehaviorDiff",
-    "Counter",
-    "EventTrace",
-    "Family",
-    "OPENMETRICS_CONTENT_TYPE",
-    "Gauge",
-    "Histogram",
-    "LogHistogram",
-    "MANIFEST_SCHEMA_VERSION",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "RunManifest",
-    "Sampler",
-    "Span",
-    "SpanRecorder",
-    "SPANS_SCHEMA_VERSION",
-    "StreamingFlowStats",
-    "Telemetry",
-    "TimeSeries",
-    "ToleranceRule",
-    "TRACE_SCHEMA_VERSION",
-    "TraceEvent",
-    "behavior_summary",
-    "build_manifest",
-    "bundle_openmetrics",
-    "critical_path",
-    "diff_behavior",
-    "families_from_metrics_doc",
-    "instrument_flow",
-    "instrument_flows",
-    "instrument_link",
-    "instrument_queue",
-    "load_events",
-    "load_manifest",
-    "load_metrics_jsonl",
-    "load_spans",
-    "parse_openmetrics",
-    "recording",
-    "render_behavior_markdown",
-    "render_behavior_text",
-    "render_critical_path",
-    "render_run_report",
-    "render_telemetry_report",
-    "render_timeline",
-    "render_openmetrics",
-    "run_report_payload",
-    "save_events",
-    "save_spans",
-    "summarize_events",
-    "validate_openmetrics",
-]
+#: Where each name lives: imported on first use (docs/performance.md,
+#: *Cold start*).
+_SOURCES = {
+    "BehaviorDiff": "repro.obs.diff",
+    "Counter": "repro.obs.metrics",
+    "EventTrace": "repro.obs.trace",
+    "Family": "repro.obs.export",
+    "OPENMETRICS_CONTENT_TYPE": "repro.obs.export",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "LogHistogram": "repro.obs.streamstats",
+    "MANIFEST_SCHEMA_VERSION": "repro.obs.manifest",
+    "METRICS_SCHEMA_VERSION": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "RunManifest": "repro.obs.manifest",
+    "Sampler": "repro.obs.sampler",
+    "Span": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "SPANS_SCHEMA_VERSION": "repro.obs.spans",
+    "StreamingFlowStats": "repro.obs.streamstats",
+    "Telemetry": "repro.obs.telemetry",
+    "TimeSeries": "repro.obs.metrics",
+    "ToleranceRule": "repro.obs.diff",
+    "TRACE_SCHEMA_VERSION": "repro.obs.trace",
+    "TraceEvent": "repro.obs.trace",
+    "behavior_summary": "repro.obs.diff",
+    "build_manifest": "repro.obs.manifest",
+    "bundle_openmetrics": "repro.obs.export",
+    "critical_path": "repro.obs.causal",
+    "diff_behavior": "repro.obs.diff",
+    "families_from_metrics_doc": "repro.obs.export",
+    "instrument_flow": "repro.obs.telemetry",
+    "instrument_flows": "repro.obs.telemetry",
+    "instrument_link": "repro.obs.telemetry",
+    "instrument_queue": "repro.obs.telemetry",
+    "load_events": "repro.obs.trace",
+    "load_manifest": "repro.obs.manifest",
+    "load_metrics_jsonl": "repro.obs.metrics",
+    "load_spans": "repro.obs.spans",
+    "parse_openmetrics": "repro.obs.export",
+    "recording": "repro.obs.spans",
+    "render_behavior_markdown": "repro.obs.diff",
+    "render_behavior_text": "repro.obs.diff",
+    "render_critical_path": "repro.obs.causal",
+    "render_run_report": "repro.obs.report",
+    "render_telemetry_report": "repro.obs.report",
+    "render_timeline": "repro.obs.causal",
+    "render_openmetrics": "repro.obs.export",
+    "run_report_payload": "repro.obs.report",
+    "save_events": "repro.obs.trace",
+    "save_spans": "repro.obs.spans",
+    "summarize_events": "repro.obs.trace",
+    "validate_openmetrics": "repro.obs.export",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_SOURCES[name]), name)
+    return value

@@ -79,13 +79,10 @@ def benchmark(name: str, group: str = "misc", description: str = ""):
     def decorate(fn: BenchFn) -> BenchFn:
         if name in BENCHMARKS:
             raise ValueError(f"duplicate benchmark {name!r}")
-        doc = description or (fn.__doc__ or "").strip().splitlines()[0:1]
-        BENCHMARKS[name] = Benchmark(
-            name=name,
-            fn=fn,
-            group=group,
-            description=doc if isinstance(doc, str) else (doc[0] if doc else ""),
-        )
+        # Without one, the docstring's first paragraph, on one line.
+        paragraph = (fn.__doc__ or "").strip().split("\n\n")[0]
+        BENCHMARKS[name] = Benchmark(name=name, fn=fn, group=group,
+                                     description=description or " ".join(paragraph.split()))
         return fn
 
     return decorate

@@ -9,7 +9,8 @@ implements the standard algorithm:
 - first sample ``R``:       ``SRTT = R``, ``RTTVAR = R/2``
 - later samples:            ``RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|``,
                             ``SRTT = 7/8 SRTT + 1/8 R``
-- ``RTO = SRTT + max(G, 4 * RTTVAR)`` clamped to ``[min_rto, max_rto]``
+- ``RTO = SRTT + 4 * RTTVAR`` clamped to ``[min_rto, max_rto]`` (RFC
+  6298's clock granularity ``G`` is 0: the simulated clock has no tick)
 - Karn's algorithm: no samples from retransmitted segments (enforced by
   the sender, which only feeds unambiguous samples here)
 - backoff: ``RTO *= 2`` per timeout, collapsing back to the computed
@@ -31,8 +32,6 @@ class RtoEstimator:
         set this to twice the propagation RTT.
     max_rto:
         Upper clamp (RFC allows >= 60 s).
-    granularity:
-        Clock granularity ``G`` in the RTO formula.
     max_backoff:
         Cap on the exponential backoff multiplier exponent, mirroring
         the bounded retry behaviour of real stacks.
@@ -45,14 +44,12 @@ class RtoEstimator:
         self,
         min_rto: float = 1.0,
         max_rto: float = 60.0,
-        granularity: float = 0.0,
         max_backoff: int = 16,
     ) -> None:
         if min_rto <= 0 or max_rto < min_rto:
             raise ValueError("require 0 < min_rto <= max_rto")
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.granularity = granularity
         self.max_backoff = max_backoff
         self.srtt: float = 0.0
         self.rttvar: float = 0.0
@@ -81,7 +78,7 @@ class RtoEstimator:
         else:
             self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._base_rto = self.srtt + max(self.granularity, 4.0 * self.rttvar)
+        self._base_rto = self.srtt + 4.0 * self.rttvar
         self.backoff_exponent = 0
         self._refresh()
 
@@ -90,11 +87,6 @@ class RtoEstimator:
         if self.backoff_exponent < self.max_backoff:
             self.backoff_exponent += 1
             self._refresh()
-
-    def reset_backoff(self) -> None:
-        """Collapse backoff without a new sample (used on forward progress)."""
-        self.backoff_exponent = 0
-        self._refresh()
 
     def cap_backoff(self, cap: int) -> None:
         """Lower the backoff cap to *cap*, pulling the current exponent
@@ -111,8 +103,3 @@ class RtoEstimator:
         if not value > self.min_rto:
             value = self.min_rto
         self.rto = value if value < self.max_rto else self.max_rto
-
-    @property
-    def base_rto(self) -> float:
-        """Timeout before backoff, clamped."""
-        return min(self.max_rto, max(self.min_rto, self._base_rto))

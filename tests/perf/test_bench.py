@@ -8,6 +8,7 @@ default test run without benchmark-scale wall time.
 from __future__ import annotations
 
 import concurrent.futures as futures
+import inspect
 import json
 import os
 import subprocess
@@ -196,6 +197,14 @@ def test_a_pool_row_counts_the_same_whatever_order_its_points_finish(monkeypatch
     (together, batches), (apart, singles) = calls(False), calls(True)
     assert batches == [4, 4] and singles == [1] * 8
     assert together == apart
+
+
+def test_a_docstring_description_is_its_whole_first_paragraph():
+    described = [bench for bench in load_suite().values() if bench.fn.__doc__]
+    assert len(described) >= 15
+    for bench in described:
+        paragraph = inspect.cleandoc(bench.fn.__doc__).split("\n\n")[0]
+        assert bench.description == " ".join(paragraph.split()), bench.name
 
 
 def test_benchmark_dataclass_catches_registration_metadata():

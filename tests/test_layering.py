@@ -214,6 +214,10 @@ COLD_PATHS = [
      ("repro.core.taq",)),
     ("sweep-open", _SWEEP_OPEN, SWEEP, HEAVY | {"repro.tcp"}, ()),
     ("console-scripts-help", _ALL_HELP, None, {"repro.tcp"}, ()),
+    ("obs-manifest", "import repro.obs.manifest", None,
+     {"repro.obs.spans", "repro.obs.export", "repro.obs.diff"}, ()),
+    ("experiments-help", _script("repro.experiments.cli", "--help"), None,
+     {"repro.build"}, ()),
     ("control-fluid-document", _FLUID_RUN, None, (),
      ("numpy", "repro.fluid.backend", "repro.model")),
     ("control-sqlite-store", _OPEN_STORE.format(kind="sqlite"), None, (),

@@ -116,11 +116,13 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.build.registry:Registry.__contains__
         repro.build.registry:Registry.__repr__
         repro.core:__getattr__
+        repro.experiments:__getattr__
         repro.metrics:__getattr__
         repro.model.chain:MarkovChain.__repr__
         repro.net.link:Link.__repr__
         repro.net.node:Node.__repr__
         repro.net.packet:Packet.__repr__
+        repro.obs:__getattr__
         repro.obs.spans:Span.__repr__
         repro.obs.spans:SpanRecorder.__len__
         repro.obs.trace:TraceEvent.__repr__
@@ -259,8 +261,6 @@ _KEPT_BY_REASON: Dict[str, str] = {
         repro.sim.observe:unsubscribe
         repro.sim.rng:RngRegistry.spawn
         repro.sim.simulator:Simulator.step
-        repro.tcp.rto:RtoEstimator.base_rto
-        repro.tcp.rto:RtoEstimator.reset_backoff
     """,
 }
 
