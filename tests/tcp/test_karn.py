@@ -1,7 +1,5 @@
-"""Karn's rule at the sender, for the variants tests/tcp/spec_tcp.py
-does not model (NewReno and SACK are held to it there, after every
-step): an ACK covering a segment that was retransmitted feeds the RTO
-estimator nothing.
+"""Karn's rule at the sender, for every variant: an ACK covering a
+segment that was retransmitted feeds the RTO estimator nothing.
 
 Each case drives one sender by hand — its packets into a list, ACKs
 built and delivered at chosen instants — so the timed segment, the way
@@ -22,9 +20,6 @@ from repro.net.packet import ACK, DATA, SYNACK, Packet
 from repro.sim.simulator import Simulator
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.variants import VARIANTS
-
-#: The variants the RFC spec fence does not cover.
-UNMODELLED = sorted(set(VARIANTS) - {"newreno", "sack"})
 
 
 def deliver(sim, sender, at, kind=ACK, ack_seq=0, sack=None):
@@ -51,7 +46,7 @@ def retransmitted_seqs(sent):
     return [p.seq for p in sent if p.kind == DATA and p.is_retransmit]
 
 
-@pytest.mark.parametrize("variant", UNMODELLED)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("how", ["fast retransmit", "rto"])
 def test_the_ack_covering_a_retransmitted_timed_segment_is_not_sampled(variant, how):
     sim, sender, sent = timed_window(variant)
@@ -70,7 +65,7 @@ def test_the_ack_covering_a_retransmitted_timed_segment_is_not_sampled(variant, 
     assert (rto.srtt, rto.rttvar) == (srtt, rttvar)
 
 
-@pytest.mark.parametrize("variant", UNMODELLED)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_the_ack_covering_the_timed_segment_is_sampled(variant):
     # The control: without the retransmission the same ACK moves both.
     sim, sender, sent = timed_window(variant)

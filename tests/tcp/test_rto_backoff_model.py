@@ -1,10 +1,10 @@
 """RTO exponential backoff vs the Markov model's timeout ladder.
 
-The estimator-level test pins the ladder's cap: the exponent climbs to
-``max_backoff`` and no further (tests/tcp/test_spec_tcp.py holds each
-rung, the clamps and the collapse on a fresh sample to RFC 6298).  The
-scenario-level tests run two competing flows through a timeout-heavy
-small-packet bottleneck and check the *simulated* timeout-state transitions against what the
+The estimator-level tests pin the ladder geometry in isolation: the
+exponent climbs by exactly 1 per timeout, is capped at ``max_backoff``,
+and collapses on a fresh sample.  The scenario-level tests then run two
+competing flows through a timeout-heavy small-packet bottleneck and
+check the *simulated* timeout-state transitions against what the
 paper's Markov models (:mod:`repro.model.partial` / ``full``) encode:
 
 - stage ``k`` means a ``2^k``-scaled timer (doubling per repetitive
@@ -36,6 +36,38 @@ def test_backoff_exponent_caps_at_max_backoff():
         est.backoff()
     assert est.backoff_exponent == 5
     assert est.rto == base * 2**5
+
+
+def test_backoff_ladder_doubles_stage_by_stage():
+    est = RtoEstimator(min_rto=0.1, max_rto=1e9, max_backoff=16)
+    est.sample(1.0)
+    ladder = []
+    for _ in range(8):
+        ladder.append(est.rto)
+        est.backoff()
+    for lower, upper in zip(ladder, ladder[1:]):
+        assert upper == pytest.approx(2.0 * lower)
+
+
+def test_backoff_resets_on_new_sample_then_reclimbs_from_one():
+    est = RtoEstimator(min_rto=0.1, max_rto=1e9)
+    est.sample(1.0)
+    for _ in range(4):
+        est.backoff()
+    assert est.backoff_exponent == 4
+    est.sample(1.0)  # forward progress: fresh RTT measurement
+    assert est.backoff_exponent == 0
+    est.backoff()
+    assert est.backoff_exponent == 1  # re-enters the ladder at stage 1
+
+
+def test_rto_stays_clamped_throughout_the_ladder():
+    est = RtoEstimator(min_rto=1.0, max_rto=8.0)
+    est.sample(0.01)  # base well below min_rto
+    for _ in range(20):
+        assert 1.0 <= est.rto <= 8.0
+        est.backoff()
+    assert est.rto == 8.0
 
 
 # ---------------------------------------------------------------------------

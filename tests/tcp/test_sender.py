@@ -1,10 +1,8 @@
-"""Behaviour tests for the TCP sender over a lossy loopback: whole
-transfers, loss recovery and SACK.  The rules step by step (handshake
-and SYN retries, initial burst, slow start, timeouts, backoff, Karn,
-the ``max_cwnd`` cap) are tests/tcp/test_spec_tcp.py's, against the
-RFCs."""
+"""Unit and behaviour tests for the TCP sender over a lossy loopback."""
 
-from repro.net.packet import DATA
+import pytest
+
+from repro.net.packet import DATA, SYN
 from repro.sim.simulator import Simulator
 
 from tests.tcp.helpers import Loopback
@@ -22,6 +20,34 @@ def test_lossless_transfer_completes():
     assert pipe.receiver.rcv_next == 30
     assert pipe.sender.stats.retransmits == 0
     assert pipe.sender.stats.timeouts == 0
+
+
+def test_handshake_before_data():
+    sim = Simulator()
+    pipe = Loopback(sim, total_segments=2)
+    pipe.run()
+    assert pipe.data_log[0].kind == SYN
+    assert data_packets(pipe)[0].seq == 0
+
+
+def test_initial_window_limits_first_burst():
+    sim = Simulator()
+    pipe = Loopback(sim, one_way_delay=1.0, total_segments=100, initial_cwnd=2)
+    pipe.sender.open()
+    sim.run(until=2.5)  # SYN+SYNACK take 2.0s; first burst goes out at 2.0
+    assert len(data_packets(pipe)) == 2
+
+
+def test_slow_start_doubles_window_per_rtt():
+    sim = Simulator()
+    pipe = Loopback(sim, one_way_delay=0.5, total_segments=1000, initial_cwnd=2)
+    pipe.sender.open()
+    sim.run(until=1.1)   # handshake done at t=1.0; initial burst out
+    burst1 = len(data_packets(pipe))
+    sim.run(until=2.1)   # ACKs at t=2.0 grow the window exponentially
+    burst2 = len(data_packets(pipe)) - burst1
+    assert burst1 == 2
+    assert burst2 == 4  # cwnd 2 -> 4: two new segments per ACK
 
 
 def test_single_loss_recovers_by_fast_retransmit_at_large_window():
@@ -59,6 +85,106 @@ def test_loss_at_tiny_window_forces_timeout():
     assert pipe.sender.stats.timeouts >= 1
 
 
+def test_timeout_halves_ssthresh_and_resets_cwnd():
+    sim = Simulator()
+
+    def blackhole_after_4(p):
+        return p.kind == DATA and p.seq >= 4
+
+    pipe = Loopback(sim, total_segments=12, drop_data=blackhole_after_4, initial_cwnd=8)
+    pipe.sender.open()
+    sim.run(until=5.0)
+    # The flow is stuck in timeout: cwnd collapsed to 1, ssthresh halved.
+    assert pipe.sender.stats.timeouts >= 1
+    assert pipe.sender.cwnd == 1.0
+    assert pipe.sender.ssthresh >= 2.0
+
+
+def test_repetitive_timeout_doubles_backoff():
+    sim = Simulator()
+    # Drop every transmission of segment 0 a few times, including retransmits.
+    state = {"count": 0}
+
+    def drop_seq0(p):
+        if p.kind == DATA and p.seq == 0 and state["count"] < 3:
+            state["count"] += 1
+            return True
+        return False
+
+    pipe = Loopback(sim, total_segments=3, drop_data=drop_seq0)
+    pipe.run()
+    assert pipe.sender.done
+    assert pipe.sender.stats.timeouts >= 3
+    assert pipe.sender.stats.repetitive_timeouts >= 2
+    assert pipe.sender.stats.max_backoff_seen >= 2
+
+
+def test_backoff_collapses_after_progress():
+    sim = Simulator()
+    state = {"count": 0}
+
+    def drop_seq0(p):
+        if p.kind == DATA and p.seq == 0 and state["count"] < 2:
+            state["count"] += 1
+            return True
+        return False
+
+    pipe = Loopback(sim, total_segments=10, drop_data=drop_seq0)
+    pipe.run()
+    assert pipe.sender.done
+    assert pipe.sender.rto.backoff_exponent == 0
+
+
+def test_syn_loss_retried():
+    sim = Simulator()
+    state = {"count": 0}
+
+    def drop_syn(p):
+        if p.kind == SYN and state["count"] < 2:
+            state["count"] += 1
+            return True
+        return False
+
+    pipe = Loopback(sim, total_segments=2, drop_data=drop_syn)
+    pipe.run(until=30.0)
+    assert pipe.sender.done
+    assert pipe.sender.stats.syn_retries == 2
+
+
+def test_syn_gives_up_after_max_retries():
+    sim = Simulator()
+    pipe = Loopback(sim, total_segments=2, drop_data=lambda p: p.kind == SYN)
+    pipe.run(until=300.0)
+    assert pipe.sender.state == "failed"
+
+
+def test_zero_length_flow_completes_on_handshake():
+    sim = Simulator()
+    pipe = Loopback(sim, total_segments=0)
+    pipe.run(until=5.0)
+    assert pipe.sender.done
+
+
+def test_karn_no_rtt_sample_from_retransmits():
+    sim = Simulator()
+    state = {"dropped": False}
+
+    def drop_one(p):
+        if p.kind == DATA and p.seq == 0 and not state["dropped"]:
+            state["dropped"] = True
+            return True
+        return False
+
+    pipe = Loopback(sim, one_way_delay=0.05, total_segments=1, drop_data=drop_one)
+    pipe.sender.open()
+    sim.run(until=0.15)
+    srtt_before = pipe.sender.rto.srtt  # from the handshake only
+    sim.run(until=5.0)
+    # Segment 0 was retransmitted; its ACK must not feed the estimator.
+    assert pipe.sender.rto.srtt == pytest.approx(srtt_before)
+    assert pipe.sender.done
+
+
 def test_unbounded_flow_keeps_sending():
     sim = Simulator()
     pipe = Loopback(sim, total_segments=None)
@@ -73,6 +199,13 @@ def test_completion_callback_fires_once():
     pipe = Loopback(sim, total_segments=3, on_complete=calls.append)
     pipe.run()
     assert len(calls) == 1
+
+
+def test_cwnd_capped_by_max_cwnd():
+    sim = Simulator()
+    pipe = Loopback(sim, total_segments=None, max_cwnd=6)
+    pipe.run(until=20.0)
+    assert pipe.sender.cwnd <= 6.0
 
 
 def test_sack_transfer_with_multiple_losses_completes():
