@@ -3,7 +3,9 @@
 Kept separate from :mod:`repro.build.registry` (the mechanism) and the
 builtin component modules (the population) so that plugin modules can
 ``from repro.build.registries import QUEUES`` without importing the
-whole harness.
+whole harness: the builtin kinds, and the harness with them, load when
+a registry is first asked for a kind it does not hold, registers one or
+lists its kinds (:func:`load_builtins`).
 """
 
 from __future__ import annotations
@@ -12,45 +14,36 @@ import importlib
 
 from repro.build.registry import Registry
 
+
+def load_builtins() -> None:
+    """Register the builtin kinds: import :mod:`repro.build.builtin_kinds`
+    (idempotent).
+
+    Every registry below calls it on a miss, a registration or a listing,
+    so no caller needs to.  One module import makes it thread-safe: a
+    second thread waits on the import lock until the first has
+    registered every kind, and a registration made while they load
+    gets the half-built module back at once.
+    """
+    importlib.import_module("repro.build.builtin_kinds")
+
+
 #: Queue disciplines: builders take a :class:`repro.build.harness.QueueContext`.
-QUEUES = Registry("queue discipline")
+QUEUES = Registry("queue discipline", load_builtins)
 
 #: Topologies: builders take a :class:`repro.build.harness.TopologyContext`.
-TOPOLOGIES = Registry("topology")
+TOPOLOGIES = Registry("topology", load_builtins)
 
 #: Workload generators: builders take a
 #: :class:`repro.build.harness.WorkloadContext` and return a
 #: :class:`repro.build.harness.WorkloadGroup`.
-WORKLOADS = Registry("workload")
+WORKLOADS = Registry("workload", load_builtins)
 
 #: Simulation backends: builders take a full
 #: :class:`repro.build.ScenarioSpec` and return something with
 #: ``run()`` — the packet event simulator or the mean-field fluid
 #: integrator (:mod:`repro.fluid`).
-BACKENDS = Registry("backend")
-
-#: Modules whose import populates the registries with the built-in kinds.
-#: Every packet run imports all of them, so none may load numpy:
-#: ``builtin_backends`` registers the ``fluid`` kind and imports the
-#: engine when a fluid document is built.
-BUILTIN_MODULES = (
-    "repro.build.builtin_queues",
-    "repro.build.builtin_topologies",
-    "repro.build.builtin_workloads",
-    "repro.queues.favorqueue",
-    "repro.build.builtin_backends",
-)
-
-
-def load_builtins() -> None:
-    """Import the builtin component modules (idempotent).
-
-    ``repro/build/__init__.py`` ends in this call, and no submodule of
-    the package can be imported before its ``__init__`` has run, so
-    nothing inside ``repro.build`` needs to call it again.
-    """
-    for module in BUILTIN_MODULES:
-        importlib.import_module(module)
+BACKENDS = Registry("backend", load_builtins)
 
 
 def load_plugins(modules) -> None:

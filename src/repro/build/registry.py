@@ -1,11 +1,12 @@
 """Decorator-based registries for pluggable build components.
 
 A :class:`Registry` maps a short *kind* string ("droptail", "overlay",
-"bulk", ...) to a builder callable.  The three instances that make up
-the build plane — queue disciplines, topologies, workload generators —
-live in :mod:`repro.build` and are populated by
+"bulk", ...) to a builder callable.  The four instances that make up
+the build plane — queue disciplines, topologies, workload generators,
+backends — live in :mod:`repro.build.registries` and are populated by
 :mod:`repro.build.builtin_queues` / ``builtin_topologies`` /
-``builtin_workloads`` at import time.  Adding a component never means
+``builtin_workloads`` / ``builtin_backends`` when a lookup first misses
+(:mod:`repro.build.builtin_kinds`).  Adding a component never means
 editing an if/elif chain:
 
 >>> from repro.build import QUEUES
@@ -47,17 +48,28 @@ class Registry:
     role:
         What the registry builds ("queue discipline", "topology",
         "workload") — used in error messages.
+    load_builtins:
+        Registers the builtin kinds (idempotent).  It runs whenever a
+        lookup misses, a kind is registered or the kinds are listed, so
+        a hit costs no call and a plugin cannot shadow a builtin kind.
     """
 
-    def __init__(self, role: str) -> None:
+    def __init__(self, role: str,
+                 load_builtins: Optional[Callable[[], None]] = None) -> None:
         self.role = role
         self._builders: Dict[str, Callable[..., Any]] = {}
+        self._load = load_builtins
+
+    def _load_builtins(self) -> None:
+        if self._load is not None:
+            self._load()
 
     # -- registration --------------------------------------------------
     def register(self, kind: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator registering *kind*; duplicate kinds are an error."""
 
         def decorator(builder: Callable[..., Any]) -> Callable[..., Any]:
+            self._load_builtins()
             if kind in self._builders:
                 raise DuplicateKindError(
                     f"{self.role} kind {kind!r} is already registered "
@@ -70,16 +82,19 @@ class Registry:
 
     def unregister(self, kind: str) -> None:
         """Remove *kind* (test helper; unknown kinds are an error)."""
-        if kind not in self._builders:
+        if kind not in self:
             raise UnknownKindError(self._unknown_message(kind))
         del self._builders[kind]
 
     # -- lookup --------------------------------------------------------
     def kinds(self) -> List[str]:
         """Registered kinds, sorted."""
+        self._load_builtins()
         return sorted(self._builders)
 
     def __contains__(self, kind: str) -> bool:
+        if kind not in self._builders:
+            self._load_builtins()
         return kind in self._builders
 
     def get(self, kind: str) -> Callable[..., Any]:
@@ -87,7 +102,10 @@ class Registry:
         try:
             return self._builders[kind]
         except KeyError:
-            raise UnknownKindError(self._unknown_message(kind)) from None
+            self._load_builtins()
+        if kind not in self._builders:
+            raise UnknownKindError(self._unknown_message(kind))
+        return self._builders[kind]
 
     def create(self, kind: str, *args: Any, **kwargs: Any) -> Any:
         """Build an instance: ``get(kind)(*args, **kwargs)``."""

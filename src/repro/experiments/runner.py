@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.build import MetricsSpec, QueueSpec, ScenarioSpec, TopologySpec
+import repro.build
 
 
 def dumbbell_spec(
@@ -33,7 +33,7 @@ def dumbbell_spec(
     workloads: Sequence = (),
     topology: str = "dumbbell",
     **queue_kwargs,
-) -> ScenarioSpec:
+) -> repro.build.ScenarioSpec:
     """Queue *kind* (any registered one) on a dumbbell, sliced goodput
     collected: ``build_simulation(dumbbell_spec(...))`` is the wired run.
     ``topology="testbed"`` puts the same bench on the emulated hardware
@@ -45,21 +45,21 @@ def dumbbell_spec(
     that means :class:`~repro.core.TAQQueue`, e.g.
     ``classify_fair_share=False`` for ablations).
     """
-    return ScenarioSpec(
+    return repro.build.ScenarioSpec(
         name=name,
         seed=seed,
         duration=duration,
-        topology=TopologySpec(
+        topology=repro.build.TopologySpec(
             capacity_bps=capacity_bps, kind=topology, rtt=rtt, pkt_size=pkt_size
         ),
-        queue=QueueSpec(
+        queue=repro.build.QueueSpec(
             kind=kind,
             buffer_rtts=buffer_rtts,
             reverse_tap=reverse_tap,
             params=dict(queue_kwargs),
         ),
         workloads=list(workloads),
-        metrics=MetricsSpec(slice_seconds=slice_seconds),
+        metrics=repro.build.MetricsSpec(slice_seconds=slice_seconds),
     )
 
 
@@ -80,7 +80,6 @@ def run_point(
     if telemetry_dir is None:
         built.run()
         return None
-    from repro.build.harness import manifest_payloads
     from repro.obs import Telemetry
 
     telemetry = Telemetry(
@@ -94,7 +93,7 @@ def run_point(
         run_id=run_id,
         seed=spec.seed,
         duration=spec.duration,
-        **manifest_payloads(spec),
+        **repro.build.manifest_payloads(spec),
     )
     return {
         "bundle_dir": telemetry.out_dir,

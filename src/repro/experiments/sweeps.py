@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.build import ScenarioSpec, WorkloadSpec, build_simulation, point
+import repro.build
+from repro.build import point
 from repro.experiments.runner import dumbbell_spec, run_point
 from repro.parallel import ParallelRunner, PointSpec, ProgressPrinter, ResultCache
 
@@ -55,7 +56,7 @@ def sweep_point_scenario(
     slice_seconds: float = 20.0,
     seed: int = 1,
     **queue_kwargs,
-) -> ScenarioSpec:
+) -> repro.build.ScenarioSpec:
     """The declarative description of one sweep point, the spec
     :func:`run_sweep_point` builds (*queue_kwargs* go to
     :func:`dumbbell_spec`)."""
@@ -69,7 +70,7 @@ def sweep_point_scenario(
         duration=duration,
         name=f"sweep-{kind}-{int(capacity_bps)}bps-share{int(fair_share_bps)}",
         workloads=[
-            WorkloadSpec(
+            repro.build.WorkloadSpec(
                 "bulk",
                 dict(
                     n_flows=n_flows,
@@ -115,7 +116,7 @@ def run_sweep_point(
         seed=seed,
         **queue_kwargs,
     )
-    built = build_simulation(scenario)
+    built = repro.build.build_simulation(scenario)
     flows = built.flows
     payload = run_point(
         built,

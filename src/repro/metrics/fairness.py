@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import mul
+from sys import float_info
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.net.packet import DATA, Packet
@@ -42,9 +43,17 @@ def jain_index(allocations: Sequence[float]) -> float:
     # allocation: the same products, summed in the same order.
     values = list(map(float, allocations))
     squares = sum(map(mul, values, values))
-    if squares <= 0.0:  # denormal underflow guard
-        return 1.0
-    return (total * total) / (n * squares)
+    top = total * total
+    if not (float_info.min <= squares and top <= float_info.max):
+        # A subnormal sum of squares has lost precision and an infinite
+        # one the ratio: rescaled by the largest allocation, both sums
+        # are normal again.  In-range inputs keep their exact bits.
+        largest = max(values)
+        values = [value / largest for value in values]
+        total = sum(values)
+        squares = sum(map(mul, values, values))
+        top = total * total
+    return top / (n * squares)
 
 
 class SliceGoodputCollector:

@@ -39,22 +39,17 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.obs.causal import (
-    critical_path,
-    render_critical_path,
-    render_flow_table,
-    render_timeline,
-    worst_flow,
-)
-from repro.obs.spans import Span, load_spans
-from repro.parallel.bus import read_bus, render_tail
+if TYPE_CHECKING:
+    from repro.obs.spans import Span
 
 SPANS_NAME = "spans.jsonl"
 
 
 def _load(trace: str) -> List[Span]:
+    from repro.obs.spans import load_spans
+
     path = Path(trace)
     if path.is_dir():
         path = path / SPANS_NAME
@@ -65,6 +60,8 @@ def _load(trace: str) -> List[Span]:
 
 
 def _pick_flow(spans: List[Span], args: argparse.Namespace) -> int:
+    from repro.obs.causal import worst_flow
+
     if args.flow is not None:
         return args.flow
     flow = worst_flow(spans)
@@ -75,17 +72,23 @@ def _pick_flow(spans: List[Span], args: argparse.Namespace) -> int:
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
+    from repro.obs.causal import render_flow_table
+
     print(render_flow_table(_load(args.trace), top=args.top))
     return 0
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from repro.obs.causal import render_timeline
+
     spans = _load(args.trace)
     print(render_timeline(spans, _pick_flow(spans, args), width=args.width))
     return 0
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
+    from repro.obs.causal import critical_path, render_critical_path
+
     spans = _load(args.trace)
     flow_id = _pick_flow(spans, args)
     path = critical_path(spans, flow_id)
@@ -96,6 +99,8 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
+    from repro.parallel.bus import read_bus, render_tail
+
     deadline: Optional[float] = None
     if getattr(args, "for_seconds", None) is not None:
         deadline = time.time() + args.for_seconds

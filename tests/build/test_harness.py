@@ -42,8 +42,9 @@ def test_build_queue_matches_registry():
 
 
 def test_importing_any_submodule_has_already_loaded_the_builtins():
-    # Why nothing inside repro.build calls load_builtins() again: the
-    # package __init__ ends in it and runs before any submodule can.
+    # Why nothing inside repro.build calls load_builtins(): importing a
+    # submodule loads no builtin kind, and each registry loads them all
+    # the first time it is asked for a kind it does not hold.
     code = """
 from repro.build.harness import build_queue, build_simulation
 from repro.build.spec import ScenarioSpec
@@ -60,6 +61,66 @@ spec = ScenarioSpec.from_document({
 })
 assert type(build_simulation(spec).queue).__name__ == "BlackholeDropTailQueue"
 """
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+#: Each the first use of a registry in its process: the builtin kinds
+#: load on a first registration, listing or miss, so a plugin cannot
+#: shadow one and no list or error message omits one.
+FIRST_USES = {
+    "plugin-registers-droptail": """
+from repro.build.registries import QUEUES
+from repro.build.errors import DuplicateKindError
+try:
+    QUEUES.register("droptail")(lambda ctx: None)
+except DuplicateKindError:
+    pass
+else:
+    raise AssertionError("a plugin replaced the builtin droptail")
+""",
+    "kinds": """
+from repro.build.registries import QUEUES
+kinds = QUEUES.kinds()
+assert kinds == ["droptail", "favorqueue", "red", "sfq", "taq", "taq+ac"], kinds
+""",
+    "unknown-kind": """
+from repro.build.registries import QUEUES
+from repro.build.errors import UnknownKindError
+try:
+    QUEUES.get("droptial")
+except UnknownKindError as exc:
+    assert str(exc) == (
+        "unknown queue discipline kind 'droptial' (did you mean 'droptail'?); "
+        "registered kinds: droptail, favorqueue, red, sfq, taq, taq+ac"), str(exc)
+else:
+    raise AssertionError("found a kind nobody registered")
+""",
+    # A thread that misses while another loads waits for every kind.
+    "threads": """
+import threading
+from repro.build.registries import BACKENDS, QUEUES, TOPOLOGIES, WORKLOADS
+start = threading.Barrier(4)
+found = []
+def look(registry, kind):
+    start.wait()
+    found.append(registry.get(kind))
+threads = [threading.Thread(target=look, args=pair) for pair in (
+    (QUEUES, "sfq"), (TOPOLOGIES, "testbed"), (WORKLOADS, "tfrc"),
+    (BACKENDS, "packet"))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(30)
+assert not any(thread.is_alive() for thread in threads)
+assert len(found) == 4, found
+""",
+}
+
+
+@pytest.mark.parametrize("code", list(FIRST_USES.values()), ids=list(FIRST_USES))
+def test_a_registry_meets_every_builtin_on_its_first_use(code):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

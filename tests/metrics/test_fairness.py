@@ -1,7 +1,7 @@
 """Unit and property tests for the Jain index and slice collector."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.fairness import SliceGoodputCollector, jain_index
@@ -27,9 +27,20 @@ def test_jain_empty_and_all_zero():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=50))
+# Squares that underflow into subnormals, and a total that underflows.
+@example([8.408293336516155e-160] * 2)
+@example([5e-324, 0.0])
 def test_property_jain_bounds(xs):
     j = jain_index(xs)
     assert 1.0 / len(xs) - 1e-9 <= j <= 1.0 + 1e-9 or j == 1.0  # all-zero -> 1
+
+
+def test_jain_survives_overflow_and_underflow():
+    assert jain_index([8.408293336516155e-160] * 2) == 1.0
+    assert jain_index([1e200, 1e200]) == 1.0
+    assert jain_index([1e200, 0.0]) == 0.5
+    assert jain_index([5e-324, 0.0]) == 0.5
+    assert jain_index([1e308, 1e308, 0.0]) == pytest.approx(2 / 3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,8 @@
 Every cell of docs/performance.md's *Current numbers* table is
 recomputed from the BENCH document it cites; every repo path named in
 ``docs/*.md``, README.md and the verify skill exists; every doc section
-cited by name from ``src``, ``tests`` or the CI workflow still exists.
+cited by name from ``src``, ``tests`` or the CI workflow still exists,
+and so does every ROADMAP item they or the docs cite.
 (``tests/perf/test_cli.py`` parses the docs' command lines.)
 """
 
@@ -81,3 +82,29 @@ def test_cited_doc_sections_exist():
     assert [(doc, title) for doc, title in sorted(cited)
             if not re.search(rf"^#+ {re.escape(title)}\s*$",
                              read(os.path.join(ROOT, "docs", doc)), re.M)] == []
+
+
+#: ``ROADMAP`` then an item number, optionally a letter: ``ROADMAP 1``,
+#: ``ROADMAP item 6(a)``, also across a line break and its comment markers.
+ROADMAP_CITATION = re.compile(r"\bROADMAP\s+(?:#:?\s*)*(?:items?\s+)?(\d+)(?:\(([a-z])\))?")
+
+
+def open_items() -> dict:
+    """Item number -> text, for each numbered item under *Open items*."""
+    text = read(os.path.join(ROOT, "ROADMAP.md")).split("\n## Open items\n")[1]
+    text = text.split("\n## ")[0]
+    parts = re.split(r"^(\d+)\. ", text, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def test_cited_roadmap_items_exist():
+    sources = [path for pattern in ("src/**/*.py", "tests/**/*.py", "docs/*.md",
+                                    "README.md", ".github/workflows/*.yml")
+               for path in glob.glob(os.path.join(ROOT, pattern), recursive=True)]
+    cited = {(os.path.relpath(path, ROOT), number, letter) for path in sources
+             for number, letter in ROADMAP_CITATION.findall(read(path))}
+    items = open_items()
+    # ci.yml wraps its citation across a comment line.
+    assert (os.path.join(".github", "workflows", "ci.yml"), "15", "") in cited
+    assert [c for c in sorted(cited) if c[1] not in items
+            or (c[2] and f"({c[2]})" not in items[c[1]])] == []

@@ -146,6 +146,22 @@ runner = ParallelRunner(jobs=%d, cache=cache, store=store,
                         bus_dir=os.path.join(root, "bus"))
 assert len(runner.run(points)) == 2
 """
+# The service front-end: one submission run to done by a jobs=2 executor.
+_SERVICE_RUN = """
+import sys, time
+from repro.parallel.service import ExperimentService
+service = ExperimentService(sys.argv[1], jobs=2)
+service.submit({"points": [
+    {"fn": "repro.experiments.sweeps:run_sweep_point",
+     "kwargs": dict(kind="droptail", capacity_bps=100_000.0, fair_share_bps=share,
+                    duration=1.0, slice_seconds=0.5, seed=1)}
+    for share in (20_000.0, 25_000.0)]})
+deadline = time.time() + 60
+while service.status()["counts"].get("done") != 2 and time.time() < deadline:
+    time.sleep(0.05)
+service.close()
+assert service.status()["counts"].get("done") == 2, service.status()["counts"]
+"""
 _DOCUMENT_RUN = _DOCUMENT + """
 from repro.experiments.scenario import run_scenario
 run_scenario(document(%r))
@@ -184,6 +200,13 @@ NOT_DROPTAIL = frozenset({
     "repro.workloads.shortflows", "repro.metrics.evolution",
     "repro.metrics.hangs", "repro.metrics.downloads", "difflib",
 })
+#: What a process that only opens, resolves or serves points never
+#: compiles: specs, the harness and the simulator.  A point computed in
+#: the process loads them at its first build.
+NOT_SWEEP_OPEN = frozenset({
+    "repro.build.spec", "repro.build.harness", "repro.sim", "repro.net",
+    "repro.queues", "repro.tcp", "repro.metrics",
+})
 
 
 #: (id, snippet, repro packages allowed or None, modules forbidden,
@@ -192,7 +215,7 @@ NOT_DROPTAIL = frozenset({
 COLD_PATHS = [
     ("packet", _PACKET_RUN, PACKET, HEAVY, ()),
     ("fluid-validation", _FLUID_VALIDATION, PACKET, HEAVY, ()),
-    ("sweep", _SWEEP_RUN % 1, SWEEP, HEAVY, ()),
+    ("sweep", _SWEEP_RUN % 1, SWEEP, HEAVY, ("repro.build.harness",)),
     ("dir-store", _OPEN_STORE.format(kind="dir"), SWEEP, HEAVY, ()),
     ("taq-experiments-list", _script("repro.experiments.cli", "list"),
      PACKET, HEAVY, ()),
@@ -212,10 +235,16 @@ COLD_PATHS = [
     ("taq-document", _DOCUMENT_RUN % "taq", PACKET,
      HEAVY | {"repro.core.report", "repro.queues.red", "repro.queues.sfq"},
      ("repro.core.taq",)),
-    ("sweep-open", _SWEEP_OPEN, SWEEP, HEAVY | {"repro.tcp"}, ()),
+    ("sweep-open", _SWEEP_OPEN, SWEEP, HEAVY | NOT_SWEEP_OPEN, ()),
+    ("sweep-parent-jobs-2", _SWEEP_RUN % 2, SWEEP, NOT_SWEEP_OPEN, ()),
+    ("service-jobs-2", _SERVICE_RUN, None, NOT_SWEEP_OPEN, ()),
     ("console-scripts-help", _ALL_HELP, None, {"repro.tcp"}, ()),
     ("obs-manifest", "import repro.obs.manifest", None,
      {"repro.obs.spans", "repro.obs.export", "repro.obs.diff"}, ()),
+    ("obs-help", _script("repro.obs.cli", "--help"), None,
+     {"repro.parallel", "repro.sim", "repro.obs.spans"}, ()),
+    ("plugin-registries", "from repro.build.registries import QUEUES", None,
+     {"repro.build.harness", "repro.sim"}, ()),
     ("experiments-help", _script("repro.experiments.cli", "--help"), None,
      {"repro.build"}, ()),
     ("control-fluid-document", _FLUID_RUN, None, (),

@@ -113,6 +113,7 @@ _KEPT_BY_REASON: Dict[str, str] = {
     "protocol (len, bool, in) of a public class, a debugging aid; a module "
     "__getattr__, which serves `from package import Name`": """
         repro:__getattr__
+        repro.build:__getattr__
         repro.build.registry:Registry.__contains__
         repro.build.registry:Registry.__repr__
         repro.core:__getattr__
