@@ -14,36 +14,44 @@ import importlib
 
 from repro.build.registry import Registry
 
-
-def load_builtins() -> None:
-    """Register the builtin kinds: import :mod:`repro.build.builtin_kinds`
-    (idempotent).
-
-    Every registry below calls it on a miss, a registration or a listing,
-    so no caller needs to.  One module import makes it thread-safe: a
-    second thread waits on the import lock until the first has
-    registered every kind, and a registration made while they load
-    gets the half-built module back at once.
-    """
-    importlib.import_module("repro.build.builtin_kinds")
-
-
 #: Queue disciplines: builders take a :class:`repro.build.harness.QueueContext`.
-QUEUES = Registry("queue discipline", load_builtins)
+QUEUES = Registry("queue discipline")
 
 #: Topologies: builders take a :class:`repro.build.harness.TopologyContext`.
-TOPOLOGIES = Registry("topology", load_builtins)
+TOPOLOGIES = Registry("topology")
 
 #: Workload generators: builders take a
 #: :class:`repro.build.harness.WorkloadContext` and return a
 #: :class:`repro.build.harness.WorkloadGroup`.
-WORKLOADS = Registry("workload", load_builtins)
+WORKLOADS = Registry("workload")
 
 #: Simulation backends: builders take a full
 #: :class:`repro.build.ScenarioSpec` and return something with
 #: ``run()`` — the packet event simulator or the mean-field fluid
 #: integrator (:mod:`repro.fluid`).
-BACKENDS = Registry("backend", load_builtins)
+BACKENDS = Registry("backend")
+
+#: Modules whose import populates the registries with the built-in kinds.
+#: Every packet run imports all of them, so none may load numpy:
+#: ``builtin_backends`` registers the ``fluid`` kind and imports the
+#: engine when a fluid document is built.
+BUILTIN_MODULES = (
+    "repro.build.builtin_queues",
+    "repro.build.builtin_topologies",
+    "repro.build.builtin_workloads",
+    "repro.queues.favorqueue",
+    "repro.build.builtin_backends",
+)
+
+
+def load_builtins() -> None:
+    """Import the builtin component modules (idempotent).
+
+    Every registry calls it when it misses a kind, registers one or
+    lists its kinds, so no caller needs to.
+    """
+    for module in BUILTIN_MODULES:
+        importlib.import_module(module)
 
 
 def load_plugins(modules) -> None:

@@ -6,8 +6,8 @@ the build plane — queue disciplines, topologies, workload generators,
 backends — live in :mod:`repro.build.registries` and are populated by
 :mod:`repro.build.builtin_queues` / ``builtin_topologies`` /
 ``builtin_workloads`` / ``builtin_backends`` when a lookup first misses
-(:mod:`repro.build.builtin_kinds`).  Adding a component never means
-editing an if/elif chain:
+(:func:`repro.build.registries.load_builtins`).  Adding a component
+never means editing an if/elif chain:
 
 >>> from repro.build import QUEUES
 >>> @QUEUES.register("myqueue")
@@ -24,6 +24,7 @@ open set and are validated by the component they construct).
 from __future__ import annotations
 
 import inspect
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.build.errors import (
@@ -40,6 +41,11 @@ def point(fn: Callable[..., Any]) -> Callable[..., Any]:
     return fn
 
 
+def _load_builtins() -> None:
+    # By name: the builtin component modules import this one.
+    import_module("repro.build.registries").load_builtins()
+
+
 class Registry:
     """A named collection of kind -> builder mappings.
 
@@ -48,28 +54,22 @@ class Registry:
     role:
         What the registry builds ("queue discipline", "topology",
         "workload") — used in error messages.
-    load_builtins:
-        Registers the builtin kinds (idempotent).  It runs whenever a
-        lookup misses, a kind is registered or the kinds are listed, so
-        a hit costs no call and a plugin cannot shadow a builtin kind.
+
+    The builtin kinds load whenever a lookup misses, a kind is
+    registered or the kinds are listed, so a hit costs no call and a
+    plugin cannot shadow a builtin kind.
     """
 
-    def __init__(self, role: str,
-                 load_builtins: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, role: str) -> None:
         self.role = role
         self._builders: Dict[str, Callable[..., Any]] = {}
-        self._load = load_builtins
-
-    def _load_builtins(self) -> None:
-        if self._load is not None:
-            self._load()
 
     # -- registration --------------------------------------------------
     def register(self, kind: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator registering *kind*; duplicate kinds are an error."""
 
         def decorator(builder: Callable[..., Any]) -> Callable[..., Any]:
-            self._load_builtins()
+            _load_builtins()
             if kind in self._builders:
                 raise DuplicateKindError(
                     f"{self.role} kind {kind!r} is already registered "
@@ -89,12 +89,12 @@ class Registry:
     # -- lookup --------------------------------------------------------
     def kinds(self) -> List[str]:
         """Registered kinds, sorted."""
-        self._load_builtins()
+        _load_builtins()
         return sorted(self._builders)
 
     def __contains__(self, kind: str) -> bool:
         if kind not in self._builders:
-            self._load_builtins()
+            _load_builtins()
         return kind in self._builders
 
     def get(self, kind: str) -> Callable[..., Any]:
@@ -102,7 +102,7 @@ class Registry:
         try:
             return self._builders[kind]
         except KeyError:
-            self._load_builtins()
+            _load_builtins()
         if kind not in self._builders:
             raise UnknownKindError(self._unknown_message(kind))
         return self._builders[kind]
