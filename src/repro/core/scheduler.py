@@ -243,15 +243,15 @@ class TAQScheduler:
         return True, evicted
 
     def _evict_recovery_if_lower(self, arriving_priority: float) -> Optional[Packet]:
-        """Evict the least-prioritized recovery packet, but only if the
-        arriving recovery packet outranks it (called on a full buffer
-        with every FIFO empty, so recovery holds it all)."""
-        # The first entry, in heap-array order, of the lowest priority.
-        index, negated = 0, self._recovery[0][0]
+        """Evict the recovery tail (the packet served last: the lowest
+        priority, the latest of its ties), but only if the arriving
+        recovery packet outranks it (called on a full buffer with every
+        FIFO empty, so recovery holds it all)."""
+        index, tail = 0, self._recovery[0]
         for i, entry in enumerate(self._recovery):
-            if entry[0] > negated:
-                index, negated = i, entry[0]
-        if arriving_priority <= -negated:
+            if entry[0] > tail[0] or (entry[0] == tail[0] and entry[1] > tail[1]):
+                index, tail = i, entry
+        if arriving_priority <= -tail[0]:
             return None
         victim = self._recovery[index][2]
         self._recovery[index] = self._recovery[-1]

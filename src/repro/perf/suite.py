@@ -150,7 +150,7 @@ def queue_sfq_saturation(scale: float) -> BenchCounts:
 
 @benchmark("queue_favorqueue_saturation", group="queues")
 def queue_favorqueue_saturation(scale: float) -> BenchCounts:
-    """FavorQueue at 2x offered load: young-flow bookkeeping per packet."""
+    """FavorQueue at 2x offered load: its per-flow queued counts per packet."""
     return _saturate_queue("favorqueue", scale, seed=14)
 
 

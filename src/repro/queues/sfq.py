@@ -95,16 +95,12 @@ class SFQQueue(QueueDiscipline):
                 self._record_drop(packet, now)
                 return False
             # Buffer stealing: push out the tail of the longest bucket.
-            victim_queue = max(self._queues, key=len)
-            if victim_queue is self._queues[bucket] and len(victim_queue) == 0:
-                self._record_drop(packet, now)
-                return False
-            victim = victim_queue.pop()
+            victim = max(self._queues, key=len).pop()
             self._occupancy -= 1
             # The victim was counted as enqueued when it was accepted;
             # move that unit of "offered load" to the drop column so
             # loss_rate() counts the eviction exactly once.
-            self.enqueued = max(0, self.enqueued - 1)
+            self.enqueued -= 1
             self._record_drop(victim, now)
         self._queues[bucket].append(packet)
         self._occupancy += 1

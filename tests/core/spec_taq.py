@@ -16,7 +16,6 @@ DEVIATIONS = (  # (section, what the shipped queue does beyond it)
     ("§3.3", "Epochs roll on the flow's next arrival, 256 at most; a push-out joins the open one."),
     ("§3.3", "Flows idle over idle_timeout are forgotten, checked on data once per idle_timeout."),
     ("§4.3", "A SYN refused admission is a drop that neither flow table nor loss rate sees."),
-    ("§4.2", "Recovery pushes out a shortest-silence packet, not always the last (victim_index)."),
 )
 
 
@@ -61,7 +60,6 @@ class Flow:
 
 class SpecTAQ:
     """TAQ's queue, configured as ``TAQQueue`` is; *obs* also hears each ``classified``."""
-    victim_index = -1  # of the recovery packets of shortest silence, the last
 
     def __init__(self, capacity_pkts, obs, **config):
         self.__dict__.update(config, capacity_pkts=capacity_pkts, obs=obs, flows={}, last_gc=0.0)
@@ -175,7 +173,7 @@ class SpecTAQ:
                 klass is not RECOVERY or silence <= queues[RECOVERY][-1][0])  # to longer silence
         if refused:
             return packet
-        victim = victim and queues[victim].pop(self.victim_index if victim is RECOVERY else -1)[1]
+        victim = victim and queues[victim].pop()[1]
         queue, priority = queues[klass], silence if klass is RECOVERY else 0.0
         queue.insert(sum(p >= priority for p, _ in queue), (priority, packet))  # service order
         return victim  # the packet dropped, if any

@@ -71,18 +71,13 @@ def pair(capacity_pkts, capacity_bps=0.0, idle_timeout=60.0, service_window=64,
 
 
 def enqueue(queue, spec, packet, now):
-    """Enqueue on both sides.  TAQQueue's class is the one whose counter moved; of equally
-    short silence, the spec pushes out the recovery packet TAQQueue did (DEVIATIONS)."""
-    stats, seen = queue.scheduler.stats, len(queue.obs.events)
+    """Enqueue on both sides.  TAQQueue's class is the one whose counter moved."""
+    stats = queue.scheduler.stats
     before = {klass: (s.enqueued, s.dropped) for klass, s in stats.items()}
     accepted = queue.enqueue(packet, now)
     moved = [k for k, s in stats.items() if s.enqueued > before[k][0]] or [
         k for k, s in stats.items() if s.dropped > before[k][1]]
     queue.obs.classes += [(packet, klass) for klass in moved]
-    victims = [e[1] for e in queue.obs.events[seen:] if e[0] == "evicted"]
-    recovery = spec.queues[PacketClass.RECOVERY]
-    spec.victim_index = next((i for i, (_, p) in enumerate(recovery) if p in victims), -1)
-    assert spec.victim_index == -1 or recovery[spec.victim_index][0] == recovery[-1][0]
     assert accepted is spec.enqueue(packet, now)
     agree(queue, spec)
     return accepted
