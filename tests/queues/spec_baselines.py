@@ -60,7 +60,7 @@ class SpecRED(SpecDropTail):
 
     def enqueue(self, packet, now):
         q, w_q = len(self.fifo), self.w_q
-        if q or self.q_time is None:  # nonempty: avg <- (1 - w_q) avg + w_q q, as the queue rounds it
+        if q or self.q_time is None:  # nonempty: avg <- (1 - w_q) avg + w_q q, as REDQueue rounds
             self.avg += w_q * (q - self.avg)
         else:  # m <- f(time - q_time); avg <- (1 - w_q)^m avg (DEVIATIONS: and one step more)
             self.avg *= (1.0 - w_q) ** ((now - self.q_time) / self.tx_time)
