@@ -1,7 +1,8 @@
 """The docs cannot drift from what they describe; clock-free.
 
 Every cell of docs/performance.md's *Current numbers* table is
-recomputed from the BENCH document it cites; every repo path named in
+recomputed from the BENCH document it cites, and every claim cell of
+EXPERIMENTS.md from VERDICTS.json; every repo path named in
 ``docs/*.md``, README.md and the verify skill exists; every doc section
 cited by name from ``src``, ``tests`` or the CI workflow still exists,
 and so does every ROADMAP item they or the docs cite.
@@ -50,6 +51,39 @@ def test_current_numbers_are_the_bench_file():
              for line in text.splitlines() if line.startswith("| `")]
     assert [c for c in cells if c != expected_cells(c[0], rows)] == []
     assert [c[0] for c in cells if " − " not in c[0]] == [f"`{name}`" for name in sorted(rows)]
+
+
+def claim_cells(record: dict) -> list:
+    """A claim row's last four cells: the claim (and the golden row where it
+    is tightest), its value, its bound and its margin."""
+    def number(x) -> str:
+        return str(x) if x is None else f"{x:.4g}"
+    where = f" at {record['where']}" if record["where"] else ""
+    margin = "—" if record["margin"] is None else number(record["margin"])
+    return [f"`{record['id']}`{where}", number(record["value"]),
+            f"{record['op']} {number(record['bound'])}", margin]
+
+
+def test_claim_cells_are_the_verdicts_file():
+    """Each claim row ``<stem>.<row>`` shows its claim with the smallest
+    relative margin, every row of the file is shown exactly once, and
+    every claim id the doc names is in the file."""
+    claims = sorted(json.loads(read(os.path.join(ROOT, "VERDICTS.json"))),
+                    key=lambda c: (c["rel_margin"] is None, c["rel_margin"] or 0, c["id"]))
+    tightest = {}
+    for record in claims:
+        tightest.setdefault(".".join(record["id"].split(".")[:2]), record)
+    text = read(os.path.join(ROOT, "EXPERIMENTS.md"))
+    rows = [[cell.strip() for cell in line.strip("|").split("|")][-4:]
+            for line in text.splitlines()
+            if re.match(r"\|.*\| `[a-z0-9]+\.[\w.]+`( at \S+)? \|", line)]
+    keys = [".".join(re.match(r"`([\w.]+)`", row[0]).group(1).split(".")[:2]) for row in rows]
+    assert sorted(keys) == sorted(tightest)
+    named = {name for name in re.findall(r"`([a-z0-9]+\.[a-z][\w.]*)`", text)
+             if name.split(".")[0] in {key.split(".")[0] for key in tightest}}
+    assert sorted(named - {record["id"] for record in claims}) == []
+    assert [(row, claim_cells(tightest[key])) for row, key in zip(rows, keys)
+            if row != claim_cells(tightest[key])] == []
 
 
 #: A path under a top-level directory (``repro/`` under ``src``) or a
