@@ -36,8 +36,10 @@ real sweep experiments.
 
 Importing the package loads what a ``jobs=1`` sweep over a dir store
 runs and no more: :class:`SqliteCache` and :class:`HttpCache` (with
-``sqlite3`` and ``urllib.request``) are imported the first time either
-name is asked for, the process pool when ``jobs > 1`` first fans out.
+``sqlite3``) are imported the first time either name is asked for,
+``urllib.request`` at an HTTP store's first transfer, the process pool
+when ``jobs > 1`` first fans out.  Keys hash through the interpreter's
+builtin SHA-256, so a sweep that speaks no HTTP never maps OpenSSL.
 """
 
 from repro.parallel.cache import (

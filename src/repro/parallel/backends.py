@@ -23,9 +23,11 @@ implementations:
 
 :func:`repro.parallel.cache.parse_backend` turns the
 ``--cache-backend`` CLI string into a backend and imports this module —
-``sqlite3``, ``urllib.request`` and what they pull in — only when the
-string names one of the two stores defined here (it stays importable
-from here, where it was first defined).
+with ``sqlite3`` — only when the string names one of the two stores
+defined here (it stays importable from here, where it was first
+defined).  The HTTP client (``urllib.request``, ``http.client``,
+``ssl``) loads at an :class:`HttpCache`'s first transfer, so a
+``sqlite:`` store maps none of it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -219,36 +219,44 @@ class HttpCache(CacheBackend):
     def _url(self, key: str) -> str:
         return f"{self.base_url}/cache/{key}"
 
-    @staticmethod
-    def _request(url: str, **kwargs: Any) -> urllib.request.Request:
-        # Connection: close — one socket per transfer, closed with the
-        # response, so no keep-alive socket lingers until GC.
+    def _open(self, url: str, **kwargs: Any):
+        """``urlopen`` one request to the store (raises OSError: urllib's
+        ``URLError`` and ``HTTPError`` are OSErrors).
+
+        ``urllib.request`` — and with it ``http.client`` and ``ssl`` — is
+        imported here, at the first transfer, so importing this module
+        for a ``sqlite:`` store loads no HTTP client.  ``Connection:
+        close``: one socket per transfer, closed with the response, so
+        no keep-alive socket lingers until GC.
+        """
+        from urllib.request import Request, urlopen
+
         headers = dict(kwargs.pop("headers", {}))
         headers["Connection"] = "close"
-        return urllib.request.Request(url, headers=headers, **kwargs)
+        return urlopen(Request(url, headers=headers, **kwargs),
+                       timeout=self.timeout_s)
 
     def read_blob(self, key: str) -> Optional[bytes]:
+        from urllib.error import HTTPError
+
         try:
-            with urllib.request.urlopen(
-                self._request(self._url(key)), timeout=self.timeout_s
-            ) as response:
+            with self._open(self._url(key)) as response:
                 return response.read()
-        except urllib.error.HTTPError as exc:
+        except HTTPError as exc:
             if exc.code != 404:
                 self.errors += 1
             exc.close()
-        except (urllib.error.URLError, OSError):
+        except OSError:
             self.errors += 1
         return None
 
     def write_blob(self, key: str, data: bytes) -> None:
         """PUT the entry; a failure is counted, never raised, so ``put``
         does not disable the store."""
-        request = self._request(self._url(key), data=data, method="PUT")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s):
+            with self._open(self._url(key), data=data, method="PUT"):
                 pass
-        except (urllib.error.URLError, OSError):
+        except OSError:
             self.errors += 1
 
     def delete_blob(self, key: str) -> None:
@@ -260,12 +268,9 @@ class HttpCache(CacheBackend):
         out = self._base_stats()
         out.update(entries=0, bytes=0, errors=self.errors)
         try:
-            with urllib.request.urlopen(
-                self._request(f"{self.base_url}/stats"),
-                timeout=self.timeout_s,
-            ) as response:
+            with self._open(f"{self.base_url}/stats") as response:
                 remote = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError):
+        except (OSError, ValueError):
             out["reachable"] = False
             return out
         out["reachable"] = True
@@ -275,16 +280,15 @@ class HttpCache(CacheBackend):
 
     def prune(self, older_than_s: Optional[float] = None) -> int:
         body = json.dumps({"older_than_s": older_than_s}).encode("utf-8")
-        request = self._request(
-            f"{self.base_url}/prune",
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+            with self._open(
+                f"{self.base_url}/prune",
+                data=body,
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            ) as response:
                 payload = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError):
+        except (OSError, ValueError):
             self.errors += 1
             return 0
         return int(payload.get("removed", 0))

@@ -27,7 +27,6 @@ as misses and removed best-effort.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -37,6 +36,16 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.parallel.spec import PointSpec
+
+try:
+    # The interpreter's builtin SHA-256: hashlib would map OpenSSL's
+    # libcrypto into every sweep process for a few hundred bytes a key.
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.9-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: Bump when the entry format changes; invalidates all old entries.
 CACHE_FORMAT = 1
@@ -115,7 +124,7 @@ def code_version() -> str:
     import repro
 
     package_dir = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
+    digest = _sha256()
     for path in sorted(package_dir.rglob("*.py")):
         digest.update(str(path.relative_to(package_dir)).encode("utf-8"))
         digest.update(b"\0")
@@ -136,7 +145,7 @@ def spec_key(spec: PointSpec, version: Optional[str] = None) -> str:
         "fn": spec.fn,
         "kwargs": spec.kwargs,
     })
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload.encode("utf-8")).hexdigest()
 
 
 def encode_entry(value: Any, wall_time: float) -> bytes:
@@ -360,7 +369,8 @@ def parse_backend(
     empty string selects the default local dir store
     (:func:`default_cache_dir`).  The grammar is read before any client
     is imported: only a ``sqlite:`` or ``http://`` string loads
-    :mod:`repro.parallel.backends` (``sqlite3``, ``urllib.request``).
+    :mod:`repro.parallel.backends` (and ``sqlite3``); ``urllib.request``
+    waits for an HTTP store's first transfer.
     """
     if not text:
         return ResultCache(version=version)

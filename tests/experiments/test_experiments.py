@@ -36,6 +36,24 @@ def test_fig02_paper_config_is_larger():
     assert fig2.Config.paper().duration > fig2.Config().duration
 
 
+def test_fig02_config_reaches_the_shut_out_depth():
+    """EXPERIMENTS.md's shut-out row reads fig02 at its 2.5 Kbps points,
+    under half a packet per RTT at every capacity.  The config sets that
+    depth (fair share x RTT / packet bits), so it is checked here, on
+    the points fig02 builds, rather than as a verdict on its golden."""
+    import repro.build
+    from repro.experiments.sweeps import flows_for_fair_share, sweep_point_scenario
+
+    config = fig2.Config()
+    assert 2_500.0 in config.fair_shares_bps
+    for capacity in config.capacities_bps:
+        built = repro.build.build_simulation(sweep_point_scenario(
+            config.queue_kind, capacity, 2_500.0, duration=config.duration,
+            rtt=config.rtt, slice_seconds=config.slice_seconds, seed=config.seed))
+        depth = built.topology.packets_per_rtt(flows_for_fair_share(capacity, 2_500.0))
+        assert depth < 0.5, capacity
+
+
 def test_fig03_tiny_run_required_buffer():
     config = fig3.Config(
         fair_shares_pkts_per_rtt=(1.0,), buffer_rtts=(1.0, 2.0), duration=25.0

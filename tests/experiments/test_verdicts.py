@@ -118,7 +118,6 @@ def test_fig02():
         claim("fig02.long", row["long_jfi"], ">", row["short_jfi"], here)
         claim("fig02.util", row["util"], ">", 0.9, here)
         if row["fair_share_bps"] == 2500.0:
-            claim("fig02.shut_out.depth", row["pkts_per_rtt"], "<", 0.5, here)
             claim("fig02.collapse.deepest", row["short_jfi"], "<", 0.5, here)
             claim("fig02.shut_out.share", row["shut_out"], ">", 0.15, here)
     # The 600 Kbps row's short-term JFI falls at every step into the regime.

@@ -1,5 +1,6 @@
 """Cache layer: keying, hit/miss, invalidation, graceful degradation."""
 
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -16,6 +17,7 @@ from repro.parallel import (
     default_cache_dir,
     spec_key,
 )
+from repro.parallel import cache as cache_module
 from repro.parallel.cache import encode_entry
 from tests.parallel.helpers import hammer_backend
 
@@ -57,6 +59,33 @@ class TestSpecKey:
         version = code_version()
         assert len(version) == 64
         assert spec_key(SPEC) == spec_key(SPEC, version)
+
+
+class TestDigestCompatibility:
+    """Keys hash through the interpreter's builtin SHA-256; its digests
+    must be OpenSSL's, or every store written through ``hashlib`` goes
+    cold."""
+
+    @pytest.mark.parametrize("payload", [
+        b"",
+        b"key" * 100,  # a sweep point's key payload is ~280 bytes
+        bytes(range(256)) * 4096,  # 1 MB, about what code_version() hashes
+    ], ids=["empty", "key-sized", "1MB"])
+    def test_builtin_sha256_matches_hashlib(self, payload):
+        assert cache_module._sha256(payload).hexdigest() == (
+            hashlib.sha256(payload).hexdigest())
+
+    def test_code_version_matches_hashlib_walk(self):
+        import repro
+
+        package_dir = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for path in sorted(package_dir.rglob("*.py")):
+            digest.update(str(path.relative_to(package_dir)).encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        assert code_version() == digest.hexdigest()
 
 
 class TestHitMiss:

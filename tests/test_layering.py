@@ -9,10 +9,10 @@ The second half is the cold-start fence (docs/performance.md, *Cold
 start*): each entry point a user starts cold is run in a fresh
 interpreter and ``sys.modules`` afterwards may name only the packages
 that path executes — no numpy on a packet run, no sqlite3 / HTTP client
-/ process pool on a ``jobs=1`` sweep over a dir store — and, within a
-package, only the modules it runs: a droptail document loads none of
-TAQ, a ``--help`` none of TCP.  It compares module sets, never module
-counts or times.
+/ OpenSSL / process pool on a ``jobs=1`` sweep over a dir store — and,
+within a package, only the modules it runs: a droptail document loads
+none of TAQ, a ``--help`` none of TCP.  It compares module sets, never
+module counts or times.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def test_simulator_layers_do_not_import_observer_layers():
 # ----------------------------------------------------------------------
 #: Third-party and stdlib modules no cold path may load: numpy is the
 #: fluid/model stack's, the rest belong to the sqlite and HTTP stores
-#: and to the process pool.
+#: and to the process pool.  ``_hashlib`` is OpenSSL's libcrypto under
+#: ``hashlib``: cache keys hash through the builtin SHA-256 instead.
 HEAVY = frozenset({
     "numpy", "sqlite3", "urllib.request", "http.client", "http.server",
-    "ssl", "email", "multiprocessing", "concurrent.futures",
+    "ssl", "email", "multiprocessing", "concurrent.futures", "_hashlib",
 })
 PACKET = frozenset({"build", "core", "experiments", "metrics", "net",
                     "queues", "sim", "tcp", "workloads"})
@@ -178,6 +179,16 @@ import os, sys
 from repro.parallel import parse_backend
 assert parse_backend("{kind}:" + os.path.join(sys.argv[1], "s")).kind == "{kind}"
 """
+# An HTTP store's first transfer, to a local port bound but not
+# listening: refused at once, counted as an error.
+_HTTP_STORE_READ = """
+import socket
+from repro.parallel import parse_backend
+with socket.socket() as closed:
+    closed.bind(("127.0.0.1", 0))
+    cache = parse_backend("http://127.0.0.1:%d" % closed.getsockname()[1])
+    assert cache.read_blob("0" * 64) is None and cache.errors == 1
+"""
 
 
 def _script(module: str, *argv: str) -> str:
@@ -210,7 +221,7 @@ NOT_SWEEP_OPEN = frozenset({
 
 
 #: (id, snippet, repro packages allowed or None, modules forbidden,
-#: modules that must be loaded).  The last five rows are positive
+#: modules that must be loaded).  The last six rows are positive
 #: controls: the same probe sees each import where it belongs.
 COLD_PATHS = [
     ("packet", _PACKET_RUN, PACKET, HEAVY, ()),
@@ -225,7 +236,8 @@ COLD_PATHS = [
     ("taq-perf-help", _script("repro.perf.cli", "--help"), None, HEAVY, ()),
     ("taq-obs-help", _script("repro.obs.cli", "--help"), None, HEAVY, ()),
     # The service is an HTTP server; it still starts without numpy, the
-    # sqlite store, the HTTP client's urllib or the pool.
+    # sqlite store, the HTTP client's urllib or the pool.  It keeps ssl:
+    # http.server imports http.client, which imports ssl.
     ("taq-serve-help", _script("repro.parallel.service", "--help"), None,
      HEAVY - {"http.server", "http.client", "email", "ssl"}, ()),
     # Module rows: a package loads the modules its run needs, not all of
@@ -237,6 +249,8 @@ COLD_PATHS = [
      ("repro.core.taq",)),
     ("sweep-open", _SWEEP_OPEN, SWEEP, HEAVY | NOT_SWEEP_OPEN, ()),
     ("sweep-parent-jobs-2", _SWEEP_RUN % 2, SWEEP, NOT_SWEEP_OPEN, ()),
+    # ssl stays for the same reason as in taq-serve-help: the service
+    # imports http.server, whose http.client imports ssl.
     ("service-jobs-2", _SERVICE_RUN, None, NOT_SWEEP_OPEN, ()),
     ("console-scripts-help", _ALL_HELP, None, {"repro.tcp"}, ()),
     ("obs-manifest", "import repro.obs.manifest", None,
@@ -249,8 +263,9 @@ COLD_PATHS = [
      {"repro.build"}, ()),
     ("control-fluid-document", _FLUID_RUN, None, (),
      ("numpy", "repro.fluid.backend", "repro.model")),
-    ("control-sqlite-store", _OPEN_STORE.format(kind="sqlite"), None, (),
-     ("sqlite3",)),
+    ("control-sqlite-store", _OPEN_STORE.format(kind="sqlite"), None,
+     {"urllib.request", "http.client", "ssl", "_hashlib"}, ("sqlite3",)),
+    ("control-http-store", _HTTP_STORE_READ, None, (), ("urllib.request",)),
     ("control-jobs-2", _SWEEP_RUN % 2, None, (), ("concurrent.futures",)),
     ("control-red-document", _DOCUMENT_RUN % "red", None, (),
      ("repro.queues.red",)),
