@@ -21,7 +21,8 @@ packet backend:
 - counters: ``fluid.steps``, ``fluid.validity_clips`` (steps whose
   drop probability exceeded the chain clip ``P_CHAIN_MAX``);
 - trace events: edge-triggered ``fluid_clip`` events when the run
-  enters a clipped region (bounded by ``max_clip_events``);
+  enters a clipped region (bounded by ``max_clip_events``), emitted
+  through the telemetry so each also bumps ``event.fluid_clip``;
 - finalize-time totals via :func:`instrument_fluid`: offered /
   dropped / delivered packets, timeouts, admission fixed-point
   iterations, and the :mod:`repro.fluid.stability` verdict as
@@ -56,14 +57,14 @@ class FluidProbe(Observer):
         self,
         registry,
         sample_stride: int = 1,
-        trace=None,
+        telemetry=None,
         max_clip_events: int = 32,
     ) -> None:
         if sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         self.registry = registry
         self.sample_stride = int(sample_stride)
-        self.trace = trace
+        self.telemetry = telemetry
         self.max_clip_events = int(max_clip_events)
         self._steps = registry.counter("fluid.steps")
         self._clips = registry.counter("fluid.validity_clips")
@@ -91,8 +92,8 @@ class FluidProbe(Observer):
             self._clips.inc()
             if not self._in_clip and self._clip_events < self.max_clip_events:
                 self._clip_events += 1
-                if self.trace is not None:
-                    self.trace.emit(
+                if self.telemetry is not None:
+                    self.telemetry.emit(
                         "fluid_clip", model.time,
                         queue_pkts=float(model.q),
                         worst_p=float(p_queue.max()),
@@ -127,7 +128,7 @@ def instrument_fluid(telemetry, built_or_model) -> FluidProbe:
     interval = float(getattr(telemetry, "sample_interval", 0.0) or 0.0)
     stride = max(1, int(round(interval / model.dt))) if interval > 0 else 1
     probe = FluidProbe(
-        telemetry.registry, sample_stride=stride, trace=telemetry.trace
+        telemetry.registry, sample_stride=stride, telemetry=telemetry
     )
     subscribe(model, probe)
     registry = telemetry.registry

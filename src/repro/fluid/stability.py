@@ -368,45 +368,19 @@ def _spec_n_flows(scenario: Dict[str, Any]) -> float:
     ))
 
 
-def analyze_bundle(bundle_dir: str) -> StabilityReport:
-    """Stability verdict for a recorded telemetry bundle.
-
-    Empirical evidence comes from the ``fluid.queue_pkts`` series an
-    armed fluid probe recorded; the analytic condition from the
-    manifest's queue/topology/scenario parameters when the run was RED.
-    Missing pieces degrade gracefully to whatever is available.
-    """
-    import os
-
-    from repro.obs.manifest import load_manifest
-    from repro.obs.metrics import load_metrics_jsonl
-    from repro.obs.telemetry import MANIFEST_NAME, METRICS_NAME
-
-    notes: List[str] = []
+def _analyze(samples, run: Optional[Dict[str, Any]], notes: List[str]) -> StabilityReport:
+    """The verdict from a recorded ``fluid.queue_pkts`` trajectory (None
+    when there is none) and from *run*'s ``queue``, ``topology`` and
+    ``scenario`` dicts (None when unknown)."""
     oscillation: Optional[OscillationReport] = None
     condition: Optional[ReynierCondition] = None
     params: Dict[str, Any] = {}
-
-    metrics_path = os.path.join(bundle_dir, METRICS_NAME)
-    if os.path.isfile(metrics_path):
-        doc = load_metrics_jsonl(metrics_path)
-        samples = doc.get("series", {}).get("fluid.queue_pkts")
-        if samples:
-            oscillation = detect_limit_cycle(
-                [t for t, _ in samples], [v for _, v in samples]
-            )
-        else:
-            notes.append(
-                "bundle has no fluid.queue_pkts series (run the fluid "
-                "backend with telemetry armed to record one)"
-            )
-    manifest_path = os.path.join(bundle_dir, MANIFEST_NAME)
-    if os.path.isfile(manifest_path):
-        manifest = load_manifest(manifest_path)
-        red = _red_params(
-            manifest.qdisc, manifest.topology,
-            _spec_n_flows(manifest.scenario),
+    if samples:
+        oscillation = detect_limit_cycle(
+            [t for t, _ in samples], [v for _, v in samples]
         )
+    if run is not None:
+        red = _red_params(run["queue"], run["topology"], _spec_n_flows(run["scenario"]))
         if red is not None:
             params = red
             condition = reynier_condition(
@@ -416,10 +390,37 @@ def analyze_bundle(bundle_dir: str) -> StabilityReport:
             )
         else:
             notes.append(
-                f"queue kind {manifest.qdisc.get('kind')!r} has no "
+                f"queue kind {run['queue'].get('kind')!r} has no "
                 "analytic RED condition; empirical trajectory only"
             )
     return _combine(oscillation, condition, params, notes)
+
+
+def analyze_bundle(bundle_dir: str) -> StabilityReport:
+    """Stability verdict for a recorded telemetry bundle.
+
+    Empirical evidence comes from the ``fluid.queue_pkts`` series an
+    armed fluid probe recorded; the analytic condition from the
+    manifest's queue/topology/scenario parameters when the run was RED.
+    Missing pieces degrade gracefully to whatever is available.
+    """
+    from repro.obs.bundle import Bundle
+
+    bundle = Bundle(bundle_dir)
+    notes: List[str] = []
+    samples = None
+    if bundle.metrics is not None:
+        samples = bundle.metrics["series"].get("fluid.queue_pkts")
+        if not samples:
+            notes.append(
+                "bundle has no fluid.queue_pkts series (run the fluid "
+                "backend with telemetry armed to record one)"
+            )
+    manifest = bundle.manifest
+    run = None if manifest is None else {
+        "queue": manifest.qdisc, "topology": manifest.topology,
+        "scenario": manifest.scenario}
+    return _analyze(samples, run, notes)
 
 
 def analyze_spec(document) -> StabilityReport:
@@ -448,32 +449,10 @@ def analyze_spec(document) -> StabilityReport:
     registry = MetricsRegistry()
     subscribe(built.model, FluidProbe(registry))
     built.run()
-    queue = registry.series["fluid.queue_pkts"]
-    oscillation = detect_limit_cycle(
-        [t for t, _ in queue.samples], [v for _, v in queue.samples]
-    )
-    notes: List[str] = []
     document_dict = spec.canonical()
-    red = _red_params(
-        document_dict.get("queue", {}),
-        document_dict.get("topology", {}),
-        _spec_n_flows(document_dict),
-    )
-    condition = None
-    params: Dict[str, Any] = {}
-    if red is not None:
-        params = red
-        condition = reynier_condition(
-            w_q=red["w_q"], max_p=red["max_p"], min_th=red["min_th"],
-            max_th=red["max_th"], capacity_pps=red["capacity_pps"],
-            n_flows=red["n_flows"], rtt=red["rtt"],
-        )
-    else:
-        notes.append(
-            f"queue kind {document_dict.get('queue', {}).get('kind')!r} "
-            "has no analytic RED condition; empirical trajectory only"
-        )
-    return _combine(oscillation, condition, params, notes)
+    run = {"queue": document_dict.get("queue", {}),
+           "topology": document_dict.get("topology", {}), "scenario": document_dict}
+    return _analyze(registry.series["fluid.queue_pkts"].samples, run, [])
 
 
 def render_stability(report: StabilityReport) -> str:

@@ -44,10 +44,9 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:
     from repro.obs.spans import Span
 
-SPANS_NAME = "spans.jsonl"
-
 
 def _load(trace: str) -> List[Span]:
+    from repro.obs.bundle import SPANS_NAME
     from repro.obs.spans import load_spans
 
     path = Path(trace)

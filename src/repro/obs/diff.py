@@ -36,8 +36,11 @@ from __future__ import annotations
 import fnmatch
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+
+from repro.obs.bundle import Bundle, bundle_dirs, check_header
 
 #: Bump when the summary layout changes.
 BEHAVIOR_SCHEMA_VERSION = 1
@@ -78,14 +81,10 @@ def parse_tolerance(item: str) -> ToleranceRule:
 # Summaries
 # ----------------------------------------------------------------------
 
-def _flatten_bundle(bundle_dir: str) -> Tuple[Dict[str, float], Dict[str, Any]]:
+def _flatten_bundle(bundle: Bundle) -> Tuple[Dict[str, float], Dict[str, Any]]:
     """One bundle's flat metrics plus its compact manifest record."""
-    from repro.obs.manifest import load_manifest
-    from repro.obs.metrics import load_metrics_jsonl
-    from repro.obs.telemetry import MANIFEST_NAME, METRICS_NAME, SPANS_NAME
-
     metrics: Dict[str, float] = {}
-    doc = load_metrics_jsonl(os.path.join(bundle_dir, METRICS_NAME))
+    doc = bundle.metrics
     for name, value in doc["counters"].items():
         metrics[f"counter.{name}"] = float(value)
     for name, summary in doc["histograms"].items():
@@ -100,22 +99,14 @@ def _flatten_bundle(bundle_dir: str) -> Tuple[Dict[str, float], Dict[str, Any]]:
         metrics[f"series.{name}.mean"] = sum(values) / len(values)
         metrics[f"series.{name}.last"] = float(values[-1])
         metrics[f"series.{name}.max"] = float(max(values))
-    spans_path = os.path.join(bundle_dir, SPANS_NAME)
-    if os.path.isfile(spans_path):
-        from repro.obs.spans import load_spans
-
-        with open(spans_path, encoding="utf-8") as handle:
-            spans = load_spans(handle)
-        by_kind: Dict[str, int] = {}
-        for span in spans:
-            by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
+    if bundle.spans is not None:
+        by_kind = Counter(span.kind for span in bundle.spans)
         for kind in sorted(by_kind):
             metrics[f"spans.{kind}"] = float(by_kind[kind])
 
     provenance: Dict[str, Any] = {}
-    manifest_path = os.path.join(bundle_dir, MANIFEST_NAME)
-    if os.path.isfile(manifest_path):
-        manifest = load_manifest(manifest_path)
+    manifest = bundle.manifest
+    if manifest is not None:
         provenance = {
             "seed": manifest.seed,
             "backend": manifest.backend.get("kind", "packet"),
@@ -126,20 +117,6 @@ def _flatten_bundle(bundle_dir: str) -> Tuple[Dict[str, float], Dict[str, Any]]:
     return metrics, provenance
 
 
-def _bundle_dirs(root: str) -> List[str]:
-    """Every telemetry bundle directory under *root* (or root itself)."""
-    from repro.obs.telemetry import METRICS_NAME
-
-    if os.path.isfile(os.path.join(root, METRICS_NAME)):
-        return [root]
-    found: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        if METRICS_NAME in filenames:
-            found.append(dirpath)
-    return sorted(found)
-
-
 def behavior_summary(source: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     """The flat behavior summary of *source*.
 
@@ -148,24 +125,16 @@ def behavior_summary(source: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     (metrics prefixed with each bundle's relative path).  Already-built
     summary dicts pass through untouched so callers can mix sources.
     """
-    if isinstance(source, Mapping):
-        if source.get("schema") != BEHAVIOR_SCHEMA:
-            raise ValueError("not a behavior summary document")
-        return dict(source)
-    if os.path.isfile(source):
+    if not isinstance(source, Mapping) and os.path.isfile(source):
         with open(source, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != BEHAVIOR_SCHEMA:
-            raise ValueError(f"not a behavior summary file: {source}")
-        if payload.get("version", 0) > BEHAVIOR_SCHEMA_VERSION:
-            raise ValueError(
-                f"behavior summary v{payload.get('version')} is newer than "
-                f"supported v{BEHAVIOR_SCHEMA_VERSION}"
-            )
-        return payload
+            source = json.load(handle)
+    if isinstance(source, Mapping):
+        check_header(source.get("schema"), source.get("version"),
+                     BEHAVIOR_SCHEMA, BEHAVIOR_SCHEMA_VERSION, "a behavior summary")
+        return dict(source)
     if not os.path.isdir(source):
         raise FileNotFoundError(f"no summary file or bundle directory at {source!r}")
-    bundles = _bundle_dirs(source)
+    bundles = bundle_dirs(source)
     if not bundles:
         raise FileNotFoundError(f"no telemetry bundles under {source!r}")
     metrics: Dict[str, float] = {}
@@ -173,7 +142,7 @@ def behavior_summary(source: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     for bundle in bundles:
         rel = os.path.relpath(bundle, source)
         prefix = "" if rel == "." else rel.replace(os.sep, "/") + "/"
-        flat, provenance = _flatten_bundle(bundle)
+        flat, provenance = _flatten_bundle(Bundle(bundle))
         for name, value in flat.items():
             metrics[prefix + name] = value
         if provenance:

@@ -386,16 +386,12 @@ def bundle_openmetrics(bundle_dir: str) -> str:
     ``taq_run_info`` family whose labels carry run id, backend, seed
     and source hash with a constant value of 1.
     """
-    import os
+    from repro.obs.bundle import MANIFEST_NAME, METRICS_NAME, Bundle
 
-    from repro.obs.manifest import load_manifest
-    from repro.obs.metrics import load_metrics_jsonl
-    from repro.obs.telemetry import MANIFEST_NAME, METRICS_NAME
-
+    bundle = Bundle(bundle_dir)
     families: List[Family] = []
-    manifest_path = os.path.join(bundle_dir, MANIFEST_NAME)
-    if os.path.isfile(manifest_path):
-        manifest = load_manifest(manifest_path)
+    manifest = bundle.manifest
+    if manifest is not None:
         families.append(
             Family("taq_run", "info", help="run provenance (manifest)")
             .add(1, labels={
@@ -405,9 +401,8 @@ def bundle_openmetrics(bundle_dir: str) -> str:
                 "source_hash": manifest.source_hash[:12],
             })
         )
-    metrics_path = os.path.join(bundle_dir, METRICS_NAME)
-    if os.path.isfile(metrics_path):
-        families.extend(families_from_metrics_doc(load_metrics_jsonl(metrics_path)))
+    if bundle.metrics is not None:
+        families.extend(families_from_metrics_doc(bundle.metrics))
     if not families:
         raise FileNotFoundError(
             f"no {MANIFEST_NAME} or {METRICS_NAME} under {bundle_dir!r}"

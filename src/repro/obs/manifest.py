@@ -19,11 +19,14 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.obs.bundle import check_header
+
 #: Bump when manifest fields change incompatibly.
 #: v2: added ``scenario`` (full canonical ScenarioSpec document).
 #: v3: added ``peak_rss_bytes`` (process peak RSS at manifest build).
 #: v4: added ``backend`` (which engine ran the scenario; packet/fluid).
 MANIFEST_SCHEMA_VERSION = 4
+MANIFEST_SCHEMA = "repro.obs.manifest"
 
 
 @dataclass
@@ -73,7 +76,7 @@ class RunManifest:
     def to_json(self) -> str:
         # Encoding reads the fields without changing them, so unlike
         # ``to_dict`` it needs no copies.
-        payload = {"schema": "repro.obs.manifest"}
+        payload = {"schema": MANIFEST_SCHEMA}
         payload.update((name, getattr(self, name)) for name in _FIELDS)
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -141,13 +144,7 @@ def load_manifest(path: str) -> RunManifest:
     """Read a manifest written by :meth:`RunManifest.write`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.pop("schema", "repro.obs.manifest") != "repro.obs.manifest":
-        raise ValueError(f"not a run manifest: {path}")
-    version = payload.get("schema_version", MANIFEST_SCHEMA_VERSION)
-    if version > MANIFEST_SCHEMA_VERSION:
-        raise ValueError(
-            f"manifest schema v{version} is newer than supported "
-            f"v{MANIFEST_SCHEMA_VERSION}"
-        )
-    known = {f for f in RunManifest.__dataclass_fields__}
-    return RunManifest(**{k: v for k, v in payload.items() if k in known})
+    check_header(payload.get("schema", MANIFEST_SCHEMA),
+                 payload.get("schema_version"), MANIFEST_SCHEMA,
+                 MANIFEST_SCHEMA_VERSION, f"a run manifest ({path})")
+    return RunManifest(**{k: v for k, v in payload.items() if k in _FIELDS})

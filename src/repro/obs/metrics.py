@@ -16,10 +16,13 @@ first — ``queue.drops``, ``link.delivered``, ``taq.tracked_flows``,
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
+
+from repro.obs.bundle import read_jsonl
 
 #: Bump when the metrics JSONL layout changes.
 METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA = "repro.obs.metrics"
 
 #: One line's JSON (``json.dumps`` with these arguments, minus the
 #: encoder it would build per call).
@@ -219,7 +222,7 @@ class MetricsRegistry:
         """Render every metric as one JSON line (header line first)."""
         yield _encode({
             "type": "meta",
-            "schema": "repro.obs.metrics",
+            "schema": METRICS_SCHEMA,
             "version": METRICS_SCHEMA_VERSION,
         })
         for name in sorted(self.counters):
@@ -252,31 +255,14 @@ def load_metrics_jsonl(source) -> Dict[str, Any]:
     Unknown record types are skipped so newer writers stay loadable by
     older readers.
     """
-    if hasattr(source, "read"):
-        return _parse_metrics_lines(source)
-    with open(source, "r", encoding="utf-8") as handle:
-        return _parse_metrics_lines(handle)
-
-
-def _parse_metrics_lines(lines) -> Dict[str, Any]:
+    if not hasattr(source, "read"):
+        with open(source, "r", encoding="utf-8") as handle:
+            return load_metrics_jsonl(handle)
     out: Dict[str, Any] = {"counters": {}, "histograms": {}, "series": {}}
-    version: Optional[int] = None
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
+    for record in read_jsonl(source, METRICS_SCHEMA, METRICS_SCHEMA_VERSION,
+                             "a metrics file"):
         record_type = record.get("type")
-        if record_type == "meta":
-            version = record.get("version")
-            if record.get("schema") != "repro.obs.metrics":
-                raise ValueError(f"not a metrics file: {record!r}")
-            if version is not None and version > METRICS_SCHEMA_VERSION:
-                raise ValueError(
-                    f"metrics schema v{version} is newer than supported "
-                    f"v{METRICS_SCHEMA_VERSION}"
-                )
-        elif record_type == "counter":
+        if record_type == "counter":
             out["counters"][record["name"]] = record["value"]
         elif record_type == "histogram":
             name = record.pop("name")

@@ -11,14 +11,13 @@ live :class:`~repro.obs.telemetry.Telemetry` or a bundle directory::
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.asciichart import bar_chart, line_chart
-from repro.obs.manifest import load_manifest
-from repro.obs.metrics import load_metrics_jsonl
-from repro.obs.telemetry import EVENTS_NAME, MANIFEST_NAME, METRICS_NAME, Telemetry
-from repro.obs.trace import load_events, summarize_events
+from repro.obs.bundle import Bundle
+from repro.obs.metrics import _rank
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import summarize_events
 
 
 def _top(counts: Dict[int, int], limit: int) -> Dict[str, float]:
@@ -30,18 +29,23 @@ def _series_percentiles(samples: List[Tuple[float, float]]) -> Dict[str, float]:
     values = sorted(value for _, value in samples)
     if not values:
         return {}
-
-    def pct(q: float) -> float:
-        index = min(len(values) - 1, max(0, int(round(q / 100.0 * (len(values) - 1)))))
-        return values[index]
-
     return {
         "min": values[0],
-        "p50": pct(50),
-        "p95": pct(95),
-        "p99": pct(99),
+        "p50": _rank(values, 50),
+        "p95": _rank(values, 95),
+        "p99": _rank(values, 99),
         "max": values[-1],
     }
+
+
+def _manifest_line(manifest) -> str:
+    if manifest is None:
+        return ""
+    return (
+        f"run {manifest.run_id}: seed={manifest.seed} "
+        f"duration={manifest.duration:g}s "
+        f"events={manifest.event_count} source={manifest.source_hash[:12]}"
+    )
 
 
 def render_report(
@@ -90,51 +94,29 @@ def render_report(
 
 def render_telemetry_report(telemetry: Telemetry, top_n: int = 10) -> str:
     """Report for a live (not yet persisted) telemetry object."""
-    manifest_line = ""
-    if telemetry.manifest is not None:
-        m = telemetry.manifest
-        manifest_line = (
-            f"run {m.run_id}: seed={m.seed} duration={m.duration:g}s "
-            f"events={m.event_count} source={m.source_hash[:12]}"
-        )
     series = {
         name: list(ts.samples) for name, ts in telemetry.registry.series.items()
     }
     return render_report(
-        telemetry.summary(), series=series, manifest_line=manifest_line, top_n=top_n
+        telemetry.summary(), series=series,
+        manifest_line=_manifest_line(telemetry.manifest), top_n=top_n
     )
 
 
 def _load_bundle(bundle_dir: str):
     """(manifest | None, trace summary, gauge series) for a bundle dir."""
-    manifest = None
-    manifest_path = os.path.join(bundle_dir, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        manifest = load_manifest(manifest_path)
-    trace: Dict[str, Any] = {}
-    events_path = os.path.join(bundle_dir, EVENTS_NAME)
-    if os.path.exists(events_path):
-        with open(events_path, "r", encoding="utf-8") as handle:
-            trace = summarize_events(load_events(handle))
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    metrics_path = os.path.join(bundle_dir, METRICS_NAME)
-    if os.path.exists(metrics_path):
-        series = load_metrics_jsonl(metrics_path)["series"]
-    return manifest, trace, series
+    bundle = Bundle(bundle_dir)
+    events, metrics = bundle.events, bundle.metrics
+    trace = summarize_events(events) if events is not None else {}
+    series = metrics["series"] if metrics is not None else {}
+    return bundle.manifest, trace, series
 
 
 def render_run_report(bundle_dir: str, top_n: int = 10) -> str:
     """Report for a bundle directory written by :meth:`Telemetry.finalize`."""
     manifest, trace, series = _load_bundle(bundle_dir)
-    manifest_line = ""
-    if manifest is not None:
-        manifest_line = (
-            f"run {manifest.run_id}: seed={manifest.seed} "
-            f"duration={manifest.duration:g}s "
-            f"events={manifest.event_count} source={manifest.source_hash[:12]}"
-        )
     return render_report(
-        {"trace": trace}, series=series, manifest_line=manifest_line, top_n=top_n
+        {"trace": trace}, series=series, manifest_line=_manifest_line(manifest), top_n=top_n
     )
 
 

@@ -59,10 +59,12 @@ from __future__ import annotations
 import json
 from typing import Any, ContextManager, Dict, Iterable, List, Optional, Set, TextIO
 
+from repro.obs.bundle import read_jsonl, save_jsonl
 from repro.sim.observe import Observer, ambient, subscribe
 
 #: Bump when the span layout changes incompatibly.
 SPANS_SCHEMA_VERSION = 1
+SPANS_SCHEMA = "repro.obs.spans"
 
 SPAN_KINDS = (
     "flow", "pkt", "rto", "fast_rtx", "syn_wait", "penalty", "run",
@@ -564,20 +566,7 @@ class SpanRecorder(Observer):
 # ----------------------------------------------------------------------
 def save_spans(spans: Iterable[Span], handle: TextIO) -> int:
     """Write *spans* as schema-versioned JSONL; returns spans written."""
-    handle.write(
-        json.dumps(
-            {"type": "meta", "schema": "repro.obs.spans",
-             "version": SPANS_SCHEMA_VERSION},
-            separators=(",", ":"),
-        )
-    )
-    handle.write("\n")
-    count = 0
-    for span in spans:
-        handle.write(span.to_json())
-        handle.write("\n")
-        count += 1
-    return count
+    return save_jsonl(spans, handle, SPANS_SCHEMA, SPANS_SCHEMA_VERSION)
 
 
 def load_spans(handle: TextIO) -> List[Span]:
@@ -588,24 +577,8 @@ def load_spans(handle: TextIO) -> List[Span]:
     untouched, and a file declaring a schema version newer than this
     reader raises.
     """
-    spans: List[Span] = []
-    for line in handle:
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        if payload.get("type") == "meta":
-            if payload.get("schema") != "repro.obs.spans":
-                raise ValueError(f"not a span trace: {payload!r}")
-            version = payload.get("version")
-            if version is not None and version > SPANS_SCHEMA_VERSION:
-                raise ValueError(
-                    f"span schema v{version} is newer than supported "
-                    f"v{SPANS_SCHEMA_VERSION}"
-                )
-            continue
-        spans.append(Span.from_payload(payload))
-    return spans
+    return [Span.from_payload(payload) for payload in
+            read_jsonl(handle, SPANS_SCHEMA, SPANS_SCHEMA_VERSION, "a span trace")]
 
 
 def recording(recorder: Optional[SpanRecorder] = None) -> ContextManager[SpanRecorder]:

@@ -23,23 +23,22 @@ scenario runs; its parts (``attach``, ``instrument_queue``,
 ``instrument_link``, ``instrument_flows``) stay public for runs that
 are not a :class:`~repro.build.BuiltScenario`.
 
-The bundle on disk::
-
-    out/run0/manifest.json    provenance (seed, params, source hash)
-    out/run0/metrics.jsonl    counters + histograms + gauge time series
-    out/run0/events.jsonl     structured event trace (schema-versioned)
+:meth:`Telemetry.finalize` writes the bundle directory laid out in
+:mod:`repro.obs.bundle`.
 """
 
 from __future__ import annotations
 
-import os
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
+# The bundle's file names stay importable from here.
+from repro.obs.bundle import EVENTS_NAME, MANIFEST_NAME, METRICS_NAME, SPANS_NAME  # noqa: F401
+from repro.obs.bundle import write_bundle
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import Sampler
-from repro.obs.trace import EventTrace, save_events, summarize_events
+from repro.obs.trace import EventTrace, summarize_events
 from repro.sim.observe import Observer, subscribe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -56,11 +55,6 @@ TRACE_LIMIT = 1_000_000
 #: per-flow series drown a sweep bundle.
 CWND_FLOWS = 8
 
-MANIFEST_NAME = "manifest.json"
-METRICS_NAME = "metrics.jsonl"
-EVENTS_NAME = "events.jsonl"
-SPANS_NAME = "spans.jsonl"
-
 
 class Telemetry(Observer):
     """Metrics + trace + sampler + manifest for one run.
@@ -74,8 +68,8 @@ class Telemetry(Observer):
         Gauge sampling period in sim-seconds; 0 disables the sampler.
     spans:
         Optional :class:`repro.obs.spans.SpanRecorder` to carry along:
-        finalize writes its spans as ``spans.jsonl`` next to the other
-        bundle artifacts and the summary includes its roll-up.  The
+        finalize writes its spans into the bundle next to the other
+        artifacts and the summary includes its roll-up.  The
         caller still arms the recorder on components (or uses
         ``recording()``); Telemetry only owns persistence.
     """
@@ -218,20 +212,8 @@ class Telemetry(Observer):
             sample_interval=self.sample_interval if self.sampler is not None else 0.0,
         )
         if self.out_dir is not None:
-            os.makedirs(self.out_dir, exist_ok=True)
-            self.manifest.write(os.path.join(self.out_dir, MANIFEST_NAME))
-            self.registry.write_jsonl(os.path.join(self.out_dir, METRICS_NAME))
-            with open(
-                os.path.join(self.out_dir, EVENTS_NAME), "w", encoding="utf-8"
-            ) as handle:
-                save_events(self.trace.events, handle)
-            if self.spans is not None:
-                from repro.obs.spans import save_spans
-
-                with open(
-                    os.path.join(self.out_dir, SPANS_NAME), "w", encoding="utf-8"
-                ) as handle:
-                    save_spans(self.spans.spans, handle)
+            write_bundle(self.out_dir, self.manifest, self.registry, self.trace.events,
+                         None if self.spans is None else self.spans.spans)
         return self.manifest
 
     # ------------------------------------------------------------------

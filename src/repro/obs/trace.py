@@ -23,8 +23,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, TextIO
 
+from repro.obs.bundle import read_jsonl, save_jsonl
+
 #: Bump when the trace layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA = "repro.obs.trace"
 
 #: Kinds emitted by the built-in probes (an open set — custom probes
 #: may add their own).
@@ -112,19 +115,7 @@ class EventTrace:
 
 def save_events(events: Iterable[TraceEvent], handle: TextIO) -> int:
     """Write *events* as schema-versioned JSONL; returns events written."""
-    handle.write(
-        json.dumps(
-            {"type": "meta", "schema": "repro.obs.trace", "version": TRACE_SCHEMA_VERSION},
-            separators=(",", ":"),
-        )
-    )
-    handle.write("\n")
-    count = 0
-    for event in events:
-        handle.write(event.to_json())
-        handle.write("\n")
-        count += 1
-    return count
+    return save_jsonl(events, handle, TRACE_SCHEMA, TRACE_SCHEMA_VERSION)
 
 
 def load_events(handle: TextIO) -> List[TraceEvent]:
@@ -133,24 +124,8 @@ def load_events(handle: TextIO) -> List[TraceEvent]:
     Tolerates a missing header (pre-schema files) and skips meta lines;
     raises on a schema version newer than this reader supports.
     """
-    events: List[TraceEvent] = []
-    for line in handle:
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        if payload.get("type") == "meta":
-            if payload.get("schema") != "repro.obs.trace":
-                raise ValueError(f"not an event trace: {payload!r}")
-            version = payload.get("version")
-            if version is not None and version > TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"trace schema v{version} is newer than supported "
-                    f"v{TRACE_SCHEMA_VERSION}"
-                )
-            continue
-        events.append(TraceEvent.from_payload(payload))
-    return events
+    return [TraceEvent.from_payload(payload) for payload in
+            read_jsonl(handle, TRACE_SCHEMA, TRACE_SCHEMA_VERSION, "an event trace")]
 
 
 def summarize_events(events: Iterable[TraceEvent]) -> Dict[str, Any]:

@@ -10,8 +10,9 @@ one); subscribers pull whatever fields they want from it::
 
 Unarmed, a site costs that one ``is None`` test: no call, no loop.
 Armed, the slot holds the subscriber itself when there is one, else a
-:class:`Fanout` whose routes are fixed when it is composed, so a
-subscriber is only invoked for events its class implements.
+:class:`Fanout` whose routes are fixed when it is composed from its
+held subscribers, so a subscriber is only invoked for events its class
+implements.
 ``docs/observability.md`` has the vocabulary table with each event's
 arguments and subscribers.
 """
@@ -58,7 +59,7 @@ for _events in VOCABULARY.values():
 
 def implements(observer: Observer, event: str) -> bool:
     """True when *observer* does work for *event*."""
-    return bool(_routes(observer, (event,)))
+    return bool(_handlers(observer, (event,)))
 
 
 def _fan(targets: Sequence[Callable[..., None]]) -> Callable[..., None]:
@@ -69,32 +70,30 @@ def _fan(targets: Sequence[Callable[..., None]]) -> Callable[..., None]:
     return fan
 
 
-#: Event name -> the bound methods it reaches, in subscription order.
-Routes = Dict[str, List[Callable[..., None]]]
-
-
-def _routes(observer: Observer, events: Tuple[str, ...]) -> Routes:
-    """*observer*'s routes among *events*: the ones it does work for,
-    that is every event whose method is not the inherited no-op."""
-    routes: Routes = {}
+def _handlers(observer: Observer, events: Tuple[str, ...]) -> Dict[str, Callable[..., None]]:
+    """*observer*'s bound methods among *events*: the ones it does work
+    for, that is every event whose method is not the inherited no-op."""
+    handlers = {}
     for name in events:
         method = getattr(observer, name)
         if getattr(method, "__func__", None) is not _ignore:
-            routes[name] = [method]
-    return routes
+            handlers[name] = method
+    return handlers
 
 
 class Fanout(Observer):
     """Several subscribers behind one slot, in subscription order.
-    Each of the component's events is routed once, here: straight to
-    the bound method when one subscriber implements it, through a loop
-    when several do, and left as the inherited no-op when none does.
-    ``routes`` keeps the targets per event, so one more subscriber
-    extends them instead of asking every held one again."""
+    Each of the component's events is routed once, here, from the held
+    subscribers: straight to the bound method when one subscriber
+    implements it, through a loop when several do, and left as the
+    inherited no-op when none does."""
 
-    def __init__(self, held: List[Observer], routes: Routes) -> None:
+    def __init__(self, held: List[Observer], events: Tuple[str, ...]) -> None:
         self.subscribers = held
-        self.routes = routes
+        routes: Dict[str, List[Callable[..., None]]] = {}
+        for subscriber in held:
+            for name, method in _handlers(subscriber, events).items():
+                routes.setdefault(name, []).append(method)
         for name, targets in routes.items():
             setattr(self, name,
                     targets[0] if len(targets) == 1 else _fan(targets))
@@ -122,17 +121,11 @@ def _events_of(component: Any) -> Tuple[str, ...]:
     return events
 
 
-def _hold(component: Any, held: List[Observer], routes: Routes) -> None:
+def _hold(component: Any, held: List[Observer]) -> None:
     if len(held) > 1:
-        component.obs = Fanout(held, routes)
+        component.obs = Fanout(held, _events_of(component))
     else:
         component.obs = held[0] if held else None
-
-
-def _extend(routes: Routes, more: Routes) -> Routes:
-    for name, targets in more.items():
-        routes.setdefault(name, []).extend(targets)
-    return routes
 
 
 def subscribe(component: Any, observer: Observer) -> None:
@@ -140,31 +133,16 @@ def subscribe(component: Any, observer: Observer) -> None:
     already there.  Nothing happens when *observer* implements none of
     the component's events (so it is never called for nothing) or is
     subscribed already."""
-    events = _events_of(component)
-    mine = _routes(observer, events)
-    if not mine:
+    if not _handlers(observer, _events_of(component)):
         return
-    obs = component.obs
-    if obs is None:
-        component.obs = observer
-        return
-    if isinstance(obs, Fanout):
-        held = obs.subscribers
-        routes = {name: list(targets) for name, targets in obs.routes.items()}
-    else:
-        held, routes = [obs], _routes(obs, events)
+    held = subscribers(component)
     if observer not in held:
-        _hold(component, held + [observer], _extend(routes, mine))
+        _hold(component, held + [observer])
 
 
 def unsubscribe(component: Any, observer: Observer) -> None:
     """Remove *observer* from *component*'s slot (a no-op if absent)."""
-    held = [s for s in subscribers(component) if s is not observer]
-    events = _events_of(component)
-    routes: Routes = {}
-    for subscriber in held:
-        _extend(routes, _routes(subscriber, events))
-    _hold(component, held, routes)
+    _hold(component, [s for s in subscribers(component) if s is not observer])
 
 
 #: What ``profiled()`` and ``recording()`` are made of: the observers

@@ -97,3 +97,15 @@ def test_admission_iterations_surface_for_taq_ac():
 def test_probe_rejects_bad_stride():
     with pytest.raises(ValueError):
         FluidProbe(MetricsRegistry(), sample_stride=0)
+
+
+def test_clip_events_are_counted_like_every_other_kind():
+    """``fluid_clip`` goes through ``Telemetry.emit``: the bundle's
+    ``event.fluid_clip`` counter equals the trace's clip events."""
+    built = build_simulation(_spec(64))
+    telemetry = Telemetry(None)
+    instrument_fluid(telemetry, built)
+    built.run()
+    clips = telemetry.trace.counts_by_kind().get("fluid_clip", 0)
+    assert clips > 0, "the scenario must enter a clipped region"
+    assert telemetry.registry.counters["event.fluid_clip"].value == clips
